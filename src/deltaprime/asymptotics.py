@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError, NearSingularError
-from .measures import SingularMeasure, realize
+# realize stays a module attribute: perfbench/tracing.py wraps it here
+from .measures import SingularMeasure, _ptilde_segments, realize  # noqa: F401
 from .propagate import ProblemSpec, propagate
 from .spectrum import SpectralData
 
@@ -96,35 +97,6 @@ def power_constant(alpha: float) -> float:
             * (1.0 + alpha) ** ((1.0 - alpha) / (1.0 + alpha))
             * math.gamma(alpha / (1.0 + alpha))
             / math.gamma(1.0 / (1.0 + alpha)))
-
-
-def _ptilde_segments(measure: SingularMeasure, level: int, origin: float,
-                     span: float):
-    """Piecewise data of xi -> ptilde(origin + xi) on [0, span].
-
-    Each segment carries (xi0, xi1, flat, rise0): ptilde(xi) =
-    max(flat, rise0 + (xi - xi0)) on [xi0, xi1].
-    """
-    atoms = [(x - origin, w) for (x, w) in realize(measure, level)
-             if 0.0 <= x - origin <= span]
-    segs = []
-    cur = 0.0
-    lo = hi = 0.0
-    best = 0.0
-    pos = 0.0
-    for (xi, w) in atoms:
-        if xi > pos:
-            segs.append((pos, xi, best, cur - lo))
-            cur += xi - pos
-            best = max(best, cur - lo, hi - cur)
-            lo, hi = min(lo, cur), max(hi, cur)
-        cur += w
-        best = max(best, cur - lo, hi - cur)
-        lo, hi = min(lo, cur), max(hi, cur)
-        pos = xi
-    if span > pos:
-        segs.append((pos, span, best, cur - lo))
-    return segs
 
 
 def scale_function(measure: SingularMeasure, r: float, level: int,

@@ -37,15 +37,22 @@ def _parse_window(text):
 
 
 def _parse_levels(text):
-    lo, hi = text.split("..")
-    return list(range(int(lo), int(hi) + 1))
+    lo, hi = (int(v) for v in text.split(".."))
+    if not 0 <= lo <= hi:
+        raise ValueError("need 0 <= A <= B")
+    return list(range(lo, hi + 1))
 
 
 def _parse_z(text):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return float(parts[0])
-    return complex(float(parts[0]), float(parts[1]))
+    parts = [float(v) for v in text.split(",")]
+    return parts[0] if len(parts) == 1 else complex(*parts)
+
+
+def _positive(text):
+    value = float(text)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
 
 
 def _meta(args, cfg):
@@ -57,10 +64,8 @@ def _meta(args, cfg):
 def cmd_spectrum(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
-    rtol = args.tol if args.tol else 1e-12
     data = spectrum.eigenvalues(problem, n_max=args.count,
-                                window=_parse_window(args.window)
-                                if args.window else None, rtol=rtol)
+                                window=args.window, rtol=args.tol)
     rows = [(n, lam, c) for n, lam, c in
             zip(data.indices, data.eigenvalues, data.norming_constants)]
     if args.format == "csv":
@@ -73,7 +78,7 @@ def cmd_spectrum(args):
              "eigenvalues": list(data.eigenvalues),
              "norming_constants": list(data.norming_constants),
              "method": data.method},
-            {"rtol": rtol})
+            {"rtol": args.tol})
         text = dpio.render_json(doc)
     _emit(text, args.out)
 
@@ -136,9 +141,8 @@ def cmd_criteria(args):
 def cmd_resolvent_study(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
-    levels = _parse_levels(args.levels)
-    z = _parse_z(args.z)
-    rows = resolvent.convergence_study(problem, levels, z)
+    z = args.z
+    rows = resolvent.convergence_study(problem, args.levels, z)
     table = [(r.level, r.hs_to_finest) + r.lambdas for r in rows]
     header = ("level", "hs_distance") + tuple(
         f"lambda_{i}" for i in range(1, len(rows[0].lambdas) + 1))
@@ -157,7 +161,7 @@ def cmd_mfunction(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
     if args.z is not None:
-        z = _parse_z(args.z)
+        z = args.z
         m = asymptotics.m_function(problem, z)
         m = complex(m)
         doc = dpio.result_envelope(
@@ -166,7 +170,7 @@ def cmd_mfunction(args):
              "m": [m.real, m.imag]})
         _emit(dpio.render_json(doc), args.out)
         return
-    r_lo, r_hi = _parse_window(args.window or "1e2,1e6")
+    r_lo, r_hi = args.window
     n = args.count or 9
     c = asymptotics.power_constant(args.alpha)
     a, b = problem.interval
@@ -191,7 +195,7 @@ def cmd_mfunction(args):
 def cmd_asymptotics(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
-    t_lo, t_hi = _parse_window(args.window or "1e3,1e5")
+    t_lo, t_hi = args.window
     n = args.count or 5
     ts = [t_lo * (t_hi / t_lo) ** (i / (n - 1)) if n > 1 else t_lo
           for i in range(n)]
@@ -234,12 +238,13 @@ def build_parser():
                         help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("spectrum", help="indexed eigenvalues with normings")
     common(sp)
     sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--window", default=None, help="LO,HI")
+    sp.add_argument("--window", type=_parse_window, help="LO,HI")
+    sp.add_argument("--tol", type=_positive, default=1e-12,
+                    help="bisection rtol on the signed-measure route")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("kappa", help="negative-spectrum count")
@@ -257,21 +262,23 @@ def build_parser():
     sp = sub.add_parser("resolvent-study",
                         help="level refinement vs the finest realization")
     common(sp)
-    sp.add_argument("--levels", required=True, help="A..B")
-    sp.add_argument("--z", default="-1")
+    sp.add_argument("--levels", type=_parse_levels, required=True, help="A..B")
+    sp.add_argument("--z", type=_parse_z, default="-1")
     sp.set_defaults(func=cmd_resolvent_study)
 
     sp = sub.add_parser("mfunction", help="Neumann m-function evaluation")
     common(sp)
-    sp.add_argument("--z", default=None, help="RE[,IM] single evaluation")
-    sp.add_argument("--window", default=None, help="RLO,RHI for -r sweeps")
+    sp.add_argument("--z", type=_parse_z, help="RE[,IM] single evaluation")
+    sp.add_argument("--window", type=_parse_window, default=(1e2, 1e6),
+                    help="RLO,RHI for -r sweeps")
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.set_defaults(func=cmd_mfunction)
 
     sp = sub.add_parser("asymptotics", help="spectral-function asymptotics")
     common(sp)
-    sp.add_argument("--window", default=None, help="TLO,THI")
+    sp.add_argument("--window", type=_parse_window, default=(1e3, 1e5),
+                    help="TLO,THI")
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.set_defaults(func=cmd_asymptotics)

@@ -98,10 +98,6 @@ class SingularMeasure:
     def is_nonnegative(self, level: int) -> bool:
         return all(w >= 0.0 for (_, w) in realize(self, level))
 
-    def min_level_cap(self) -> int | None:
-        caps = [c.level_cap for c in self.cantor_parts]
-        return min(caps) if caps else None
-
 
 @dataclass(frozen=True)
 class HahnDecomposition:
@@ -151,6 +147,35 @@ def kappa_minus(measure: SingularMeasure) -> int | float:
     return sum(1 for (_, w) in measure.atoms if w < 0.0)
 
 
+def _ptilde_segments(measure: SingularMeasure, level: int, origin: float,
+                     span: float):
+    """Piecewise data of xi -> ptilde(origin + xi) on [0, span].
+
+    Each segment carries (xi0, xi1, flat, rise0): ptilde(xi) =
+    max(flat, rise0 + (xi - xi0)) on [xi0, xi1].
+    """
+    atoms = [(x - origin, w) for (x, w) in realize(measure, level)
+             if 0.0 <= x - origin <= span]
+    segs = []
+    cur = 0.0
+    lo = hi = 0.0
+    best = 0.0
+    pos = 0.0
+    for (xi, w) in atoms:
+        if xi > pos:
+            segs.append((pos, xi, best, cur - lo))
+            cur += xi - pos
+            best = max(best, cur - lo, hi - cur)
+            lo, hi = min(lo, cur), max(hi, cur)
+        cur += w
+        best = max(best, cur - lo, hi - cur)
+        lo, hi = min(lo, cur), max(hi, cur)
+        pos = xi
+    if span > pos:
+        segs.append((pos, span, best, cur - lo))
+    return segs
+
+
 def peak_variation(measure: SingularMeasure, x: float, level: int,
                    start: float = 0.0) -> float:
     """Largest |increment of P| over subintervals [s,t) of [start, x].
@@ -158,40 +183,13 @@ def peak_variation(measure: SingularMeasure, x: float, level: int,
     P(t) = (t - start) + nu(t) with nu the left-continuous distribution of
     the level realization.  P is piecewise linear with jumps, so the
     supremum is attained on the finite set of breakpoint values (taking both
-    left limits and post-jump values); a single ordered pass over those
-    values suffices.
+    left limits and post-jump values); it is the end value of the last
+    ptilde segment, which leaves out any atom at x itself.
     """
     if x < start:
         raise ValueError("x must be >= start")
-    atoms = [(p, w) for (p, w) in realize(measure, level) if start <= p < x]
-    best = 0.0
-    cur = 0.0
-    lo = hi = 0.0
-    pos = start
-    for (p, w) in atoms:
-        cur += p - pos
-        best = max(best, cur - lo, hi - cur)
-        lo = min(lo, cur)
-        hi = max(hi, cur)
-        cur += w
-        best = max(best, cur - lo, hi - cur)
-        lo = min(lo, cur)
-        hi = max(hi, cur)
-        pos = p
-    cur += x - pos
-    best = max(best, cur - lo, hi - cur)
-    return best
-
-
-def measure_to_dict(measure: SingularMeasure) -> dict:
-    """JSON-schema form of a measure (see the config file format)."""
-    out: dict = {}
-    if measure.atoms:
-        out["atoms"] = [{"x": x, "beta": w} for (x, w) in measure.atoms]
-    if measure.cantor_parts:
-        out["cantor"] = [
-            {"support": [c.support[0], c.support[1]], "mass": c.mass,
-             "ratio": c.ratio, "level_cap": c.level_cap}
-            for c in measure.cantor_parts
-        ]
-    return out
+    if x == start:
+        return 0.0
+    x0, x1, flat, rise0 = _ptilde_segments(measure, level, start,
+                                           x - start)[-1]
+    return max(flat, rise0 + (x1 - x0))

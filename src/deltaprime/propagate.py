@@ -120,7 +120,12 @@ class ProblemSpec:
 
 
 class RealizedProblem:
-    """Cell/atom walk data for one ProblemSpec at its refinement level."""
+    """Per-cell sweep data for one ProblemSpec at its refinement level.
+
+    Cell i spans (nodes[i], nodes[i+1]) with length lengths[i] and potential
+    qvals[i]; betas[i] is the weight of the atom at nodes[i], 0.0 if none.
+    Realized atoms lie in [a, b), so each owns exactly one jump slot.
+    """
 
     def __init__(self, problem: ProblemSpec):
         a, b = problem.interval
@@ -134,9 +139,11 @@ class RealizedProblem:
         cuts.update(x for (x, _) in atoms)
         cuts.update(p for p in problem.potential.breakpoints if a < p < b)
         self.nodes = sorted(cuts)
+        self.lengths = [hi - lo for lo, hi in zip(self.nodes, self.nodes[1:])]
         self.qvals = [problem.potential.value(0.5 * (lo + hi))
                       for lo, hi in zip(self.nodes, self.nodes[1:])]
-        self.atom_at = {x: w for (x, w) in atoms}
+        weight = dict(atoms)
+        self.betas = [weight.get(x, 0.0) for x in self.nodes[:-1]]
         self.atoms = atoms
         self.a, self.b = a, b
 
@@ -293,22 +300,21 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
     Atoms in [min(x), max(x)) are crossed; states carry left-limit values
     of u.  zero_count (exact interior sign changes of u, atoms included)
     is returned for real z on left-to-right runs and None otherwise.
+    Both run endpoints must lie in [a, b], in the run's direction.
     """
     real = realize_problem(problem)
-    is_real = not isinstance(z, complex)
-    if from_left:
-        x0 = real.a if x_from is None else x_from
-        x1 = real.b if x_to is None else x_to
-        if x1 < x0:
-            raise ValueError("x_to must be >= x_from for left-to-right runs")
-        state = init if init is not None else problem.left_init()
-        return _walk_right(real, z, state, x0, x1, count=is_real)
-    x0 = real.b if x_from is None else x_from
-    x1 = real.a if x_to is None else x_to
-    if x1 > x0:
-        raise ValueError("x_to must be <= x_from for right-to-left runs")
-    state = init if init is not None else problem.right_init()
-    return _walk_left(real, z, state, x0, x1)
+    ends = (real.a, real.b) if from_left else (real.b, real.a)
+    x0 = ends[0] if x_from is None else x_from
+    x1 = ends[1] if x_to is None else x_to
+    lo, hi = (x0, x1) if from_left else (x1, x0)
+    if not real.a <= lo <= hi <= real.b:
+        order = "x_from <= x_to" if from_left else "x_to <= x_from"
+        raise ValueError(f"run {x0} -> {x1} needs a <= {order} <= b "
+                         f"on [{real.a}, {real.b}]")
+    if init is None:
+        init = problem.left_init() if from_left else problem.right_init()
+    return _sweep(real, z, init, x0, x1, from_left,
+                  count=from_left and not isinstance(z, complex))
 
 
 def _apply_stretch(u, u1, ls, w, L):
@@ -316,62 +322,56 @@ def _apply_stretch(u, u1, ls, w, L):
     return C * u + S * u1, -w * S * u + C * u1, ls + dls
 
 
-def _walk_right(real, z, state, x0, x1, count):
+def _sweep(real, z, state, x0, x1, from_left, count=False, entries=None):
+    """Cross the atoms in [min(x0, x1), max(x0, x1)) and the stretches between.
+
+    Left to right each cell applies its jump, rescales, then runs its
+    stretch; right to left each cell runs its stretch backwards, then undoes
+    its jump, so both directions end on left-limit values.  count adds up
+    the sign changes of u (real data, left to right only); entries[i], when
+    given, receives the state just before cell i's stretch.  Only the first
+    and last cells of a run can be partial.
+    """
     u, u1, ls = state.u, state.u1, state.log_scale
     zeros = 0 if count else None
-    nodes, qvals = real.nodes, real.qvals
-    i = bisect.bisect_right(nodes, x0) - 1
-    i = min(max(i, 0), len(qvals) - 1) if qvals else 0
-    pos = x0
-    while pos < x1:
-        # atom exactly at the current position is crossed first
-        beta = real.atom_at.get(pos)
-        if beta is not None:
-            up = u + beta * u1
-            if count and not isinstance(u, complex) and u * up < 0.0:
-                zeros += 1
-            u = up
-            u, u1, ls = _rescale(u, u1, ls)
-        cell_end = nodes[i + 1] if i + 1 < len(nodes) else x1
-        seg_end = min(cell_end, x1)
-        L = seg_end - pos
-        if L > 0.0:
+    if x0 == x1:
+        return PropagationResult(StateVector(u, u1, ls), zeros)
+    nodes, lengths, qvals, betas = real.nodes, real.lengths, real.qvals, \
+        real.betas
+    if from_left:
+        first = bisect.bisect_right(nodes, x0) - 1
+        last = bisect.bisect_left(nodes, x1) - 1
+        for i in range(first, last + 1):
+            beta = betas[i] if i != first or x0 == nodes[i] else 0.0
+            if beta:
+                up = u + beta * u1
+                if count and u * up < 0.0:
+                    zeros += 1
+                u, u1, ls = _rescale(up, u1, ls)
+            if entries is not None:
+                entries[i] = StateVector(u, u1, ls)
+            L = lengths[i]
+            if i == first or i == last:
+                L = min(nodes[i + 1], x1) - max(nodes[i], x0)
             w = z - qvals[i]
-            if count and not isinstance(z, complex):
-                nu, nu1, nls = _apply_stretch(u, u1, ls, w, L)
+            nu, nu1, ls = _apply_stretch(u, u1, ls, w, L)
+            if count:
                 zeros += _count_stretch_zeros(u, u1, w, L, nu)
-                u, u1, ls = nu, nu1, nls
-            else:
-                u, u1, ls = _apply_stretch(u, u1, ls, w, L)
-            u, u1, ls = _rescale(u, u1, ls)
-        pos = seg_end
-        if pos == cell_end:
-            i += 1
+            u, u1, ls = _rescale(nu, nu1, ls)
+    else:
+        first = bisect.bisect_left(nodes, x0) - 1
+        last = bisect.bisect_right(nodes, x1) - 1
+        for i in range(first, last - 1, -1):
+            if entries is not None:
+                entries[i] = StateVector(u, u1, ls)
+            L = lengths[i]
+            if i == first or i == last:
+                L = min(nodes[i + 1], x0) - max(nodes[i], x1)
+            u, u1, ls = _rescale(*_apply_stretch(u, u1, ls, z - qvals[i], -L))
+            beta = betas[i] if i != last or x1 == nodes[i] else 0.0
+            if beta:
+                u, u1, ls = _rescale(u - beta * u1, u1, ls)
     return PropagationResult(StateVector(u, u1, ls), zeros)
-
-
-def _walk_left(real, z, state, x0, x1):
-    u, u1, ls = state.u, state.u1, state.log_scale
-    nodes, qvals = real.nodes, real.qvals
-    i = bisect.bisect_left(nodes, x0)
-    i = min(max(i - 1, 0), len(qvals) - 1) if qvals else 0
-    pos = x0
-    while pos > x1:
-        cell_start = nodes[i] if i >= 0 else x1
-        seg_start = max(cell_start, x1)
-        L = pos - seg_start
-        if L > 0.0:
-            w = z - qvals[i]
-            u, u1, ls = _apply_stretch(u, u1, ls, w, -L)
-            u, u1, ls = _rescale(u, u1, ls)
-        pos = seg_start
-        beta = real.atom_at.get(pos)
-        if beta is not None and pos >= x1:
-            u = u - beta * u1          # inverse jump: recover the left limit
-            u, u1, ls = _rescale(u, u1, ls)
-        if pos == cell_start:
-            i -= 1
-    return PropagationResult(StateVector(u, u1, ls), None)
 
 
 def cell_entry_states(problem: ProblemSpec, z, init: StateVector | None = None,
@@ -384,35 +384,12 @@ def cell_entry_states(problem: ProblemSpec, z, init: StateVector | None = None,
     (nodes, qvals, entries, final_state).
     """
     real = realize_problem(problem)
-    ncells = len(real.qvals)
-    entries: list[StateVector | None] = [None] * ncells
-    if from_left:
-        state = init if init is not None else problem.left_init()
-        u, u1, ls = state.u, state.u1, state.log_scale
-        for i in range(ncells):
-            beta = real.atom_at.get(real.nodes[i])
-            if beta is not None:
-                u = u + beta * u1
-                u, u1, ls = _rescale(u, u1, ls)
-            entries[i] = StateVector(u, u1, ls)
-            w = z - real.qvals[i]
-            u, u1, ls = _apply_stretch(u, u1, ls, w,
-                                       real.nodes[i + 1] - real.nodes[i])
-            u, u1, ls = _rescale(u, u1, ls)
-        return real.nodes, real.qvals, entries, StateVector(u, u1, ls)
-    state = init if init is not None else problem.right_init()
-    u, u1, ls = state.u, state.u1, state.log_scale
-    for i in range(ncells - 1, -1, -1):
-        entries[i] = StateVector(u, u1, ls)
-        w = z - real.qvals[i]
-        u, u1, ls = _apply_stretch(u, u1, ls, w,
-                                   -(real.nodes[i + 1] - real.nodes[i]))
-        u, u1, ls = _rescale(u, u1, ls)
-        beta = real.atom_at.get(real.nodes[i])
-        if beta is not None:
-            u = u - beta * u1
-            u, u1, ls = _rescale(u, u1, ls)
-    return real.nodes, real.qvals, entries, StateVector(u, u1, ls)
+    entries: list[StateVector | None] = [None] * len(real.qvals)
+    if init is None:
+        init = problem.left_init() if from_left else problem.right_init()
+    x0, x1 = (real.a, real.b) if from_left else (real.b, real.a)
+    final = _sweep(real, z, init, x0, x1, from_left, entries=entries).state
+    return real.nodes, real.qvals, entries, final
 
 
 def wronskian(s1: StateVector, s2: StateVector):
@@ -459,11 +436,10 @@ def transfer_matrix_with_dz(problem: ProblemSpec, z):
         dM = tuple(a + b for a, b in zip(comp(dF, M), comp(F, dM)))
         M = comp(F, M)
 
-    for i, (lo, hi) in enumerate(zip(real.nodes, real.nodes[1:])):
-        beta = real.atom_at.get(lo)
-        if beta is not None:
+    for L, q_val, beta in zip(real.lengths, real.qvals, real.betas):
+        if beta:
             push((1.0, beta, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0))
-        F, dF = _stretch_entries_dz(hi - lo, real.qvals[i], z)
+        F, dF = _stretch_entries_dz(L, q_val, z)
         push(F, dF)
     return TransferMatrix(*M), dM
 

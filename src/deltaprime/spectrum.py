@@ -22,8 +22,9 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, PropagationOverflowError)
 from .measures import kappa_minus
-from .propagate import (ProblemSpec, StateVector, cell_entry_states,
-                        cell_l2_integral, propagate, realize_problem)
+from .propagate import (ProblemSpec, StateVector, _apply_stretch,
+                        cell_entry_states, cell_l2_integral, propagate,
+                        realize_problem)
 
 __all__ = [
     "SpectralData",
@@ -161,8 +162,9 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
     ill-conditioned on wide truncations).  Returns inf when the norm
     genuinely exceeds double range (deep bound states on wide intervals).
     """
-    nodes, qvals, ent_l, _ = cell_entry_states(problem, z, init)
+    _, qvals, ent_l, _ = cell_entry_states(problem, z, init)
     _, _, ent_r, _ = cell_entry_states(problem, z, from_left=False)
+    lengths = realize_problem(problem).lengths
     ncells = len(qvals)
 
     def log_mag(st):
@@ -170,11 +172,9 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
 
     k = max(range(ncells), key=lambda i: log_mag(ent_l[i]))
     # right-walk value just inside cell k at nodes[k]+ (same anchor as ent_l[k])
-    from .propagate import _apply_stretch  # package-private kernel
     w_k = z - qvals[k]
     u_r, u1_r, ls_r = _apply_stretch(ent_r[k].u, ent_r[k].u1,
-                                     ent_r[k].log_scale,
-                                     w_k, -(nodes[k + 1] - nodes[k]))
+                                     ent_r[k].log_scale, w_k, -lengths[k])
     u_l, u1_l = ent_l[k].u, ent_l[k].u1
     s2 = max(abs(w_k), 1.0)
     den = u_r * u_r + u1_r * u1_r / s2
@@ -197,21 +197,15 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
     total = 0.0
     for i in range(k):
         st = ent_l[i]
-        val = cell_l2_integral(st.u, st.u1, z - qvals[i],
-                               nodes[i + 1] - nodes[i])
+        val = cell_l2_integral(st.u, st.u1, z - qvals[i], lengths[i])
         total += safe_term(val, 2.0 * st.log_scale)
     for i in range(k, ncells):
         st = ent_r[i]
         # right-anchored cell integral: reverse orientation flips u^[1]
-        val = cell_l2_integral(st.u, -st.u1, z - qvals[i],
-                               nodes[i + 1] - nodes[i])
+        val = cell_l2_integral(st.u, -st.u1, z - qvals[i], lengths[i])
         total += safe_term(val * ratio * ratio,
                            2.0 * (st.log_scale + log_ratio))
     return total
-
-
-def _norming(problem: ProblemSpec, lam: float) -> float:
-    return solution_l2_norm(problem, lam)
 
 
 def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
@@ -254,15 +248,15 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
         # sub-ulp splittings: keep the reported list strictly ordered
         if lams[i] <= lams[i - 1]:
             lams[i] = math.nextafter(lams[i - 1], math.inf)
-    norm = tuple(_norming(problem, l) for l in lams) if with_norming else None
+    norm = tuple(solution_l2_norm(problem, l) for l in lams) \
+        if with_norming else None
     return SpectralData(tuple(lams), norm, method, tuple(idx))
 
 
 def _default_mesh(problem: ProblemSpec) -> float:
     real = realize_problem(problem)
     a, b = problem.interval
-    gaps = [hi - lo for lo, hi in zip(real.nodes, real.nodes[1:])]
-    h = min(min(gaps) / 2.0, (b - a) / 256.0)
+    h = min(min(real.lengths) / 2.0, (b - a) / 256.0)
     return max(h, (b - a) * 2.0 ** -16)
 
 
@@ -479,11 +473,11 @@ class GalerkinOracle:
             raise MeshRefinementError("mesh_size must be positive")
         real = realize_problem(problem)
         a, b = problem.interval
-        gaps = [hi - lo for lo, hi in zip(real.nodes, real.nodes[1:])]
-        if mesh_size > min(gaps):
+        min_gap = min(real.lengths)
+        if mesh_size > min_gap:
             raise MeshRefinementError(
                 f"mesh {mesh_size} too coarse to separate atoms "
-                f"(min gap {min(gaps)})")
+                f"(min gap {min_gap})")
         n_cells = int(math.ceil((b - a) / mesh_size))
         grid = np.linspace(a, b, n_cells + 1)
         # keep only grid points well separated from mandatory nodes; a grid
@@ -619,7 +613,6 @@ def spectral_function(problem: ProblemSpec, t: float,
         data = eigenvalues(problem, window=(0.0, t), rtol=rtol)
         return math.fsum(1.0 / c for c in data.norming_constants)
     data = eigenvalues(problem, window=(t, 0.0), rtol=rtol)
-    lams = [l for l in data.eigenvalues if t <= l < 0.0]
     cs = [c for l, c in zip(data.eigenvalues, data.norming_constants)
           if t <= l < 0.0]
     return -math.fsum(1.0 / c for c in cs)

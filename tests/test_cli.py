@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+
+import pytest
 
 from deltaprime.cli import main
 from deltaprime.io import validate_result
@@ -215,3 +218,99 @@ class TestSchemaErrors:
         rc = main(["mfunction", "--config", cfg, "--z",
                    str(math.pi ** 2 / 4.0)])
         assert rc == 2
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--window", "abc"],
+        ["spectrum", "--window", "1,2,3"],
+        ["spectrum", "--tol", "0"],
+        ["spectrum", "--tol=-1e-9"],
+        ["resolvent-study", "--levels", "3"],
+        ["resolvent-study", "--levels", "3..2"],
+        ["resolvent-study", "--levels", "2..4", "--z", "foo"],
+        ["mfunction", "--z", "foo"],
+        ["mfunction", "--z", "1,2,3"],
+        ["asymptotics", "--window", "1e3"],
+        ["kappa", "--tol", "1e-9"],
+        ["mfunction", "--tol", "1e-9"],
+    ])
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path, "free.json", FREE01)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "Traceback" not in err
+
+    def test_tol_reaches_tolerances_block(self, tmp_path, capsys):
+        cfg = write(tmp_path, "signed.json", SIGNED)
+        rc, out = run_json(capsys, ["spectrum", "--config", cfg,
+                                    "--count", "2", "--tol", "1e-9"])
+        assert rc == 0
+        assert json.loads(out)["tolerances"] == {"rtol": 1e-9}
+        rc, out = run_json(capsys, ["spectrum", "--config", cfg,
+                                    "--count", "2"])
+        assert json.loads(out)["tolerances"] == {"rtol": 1e-12}
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: fixed configs whose full CLI output must not change.
+# Regenerate (only alongside a declared output change) with
+#   PYTHONPATH=src python tests/test_cli.py
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+CANTOR5 = dict(CANTOR, level=5)
+SIGNED_Q = {"schema": 1, "interval": [0.0, 2.0],
+            "potential": {"breakpoints": [0.8], "values": [1.5, -2.0]},
+            "measure": {"atoms": [{"x": 0.4, "beta": 0.3},
+                                  {"x": 0.8, "beta": -0.15},
+                                  {"x": 1.3, "beta": 0.2}]}}
+ATOM_HALFLINE = {"schema": 1, "interval": [0.0, 30.0],
+                 "bc": ["neumann", "dirichlet"],
+                 "measure": {"atoms": [{"x": 0.0, "beta": 0.05},
+                                       {"x": 0.7, "beta": 0.02}]}}
+GOLDEN = {
+    "spectrum_cantor5.csv": (CANTOR5, ["spectrum", "--count", "6",
+                                       "--format", "csv"]),
+    "spectrum_cantor5.json": (CANTOR5, ["spectrum", "--count", "6"]),
+    "spectrum_signed.csv": (SIGNED_Q, ["spectrum", "--count", "4",
+                                       "--format", "csv"]),
+    "spectrum_signed.json": (SIGNED_Q, ["spectrum", "--count", "4"]),
+    "kappa_signed.json": (SIGNED_Q, ["kappa"]),
+    "mfunction_z.json": (ATOM_HALFLINE, ["mfunction", "--z=-40,3"]),
+    "mfunction_window.csv": (ATOM_HALFLINE, ["mfunction", "--window",
+                                             "1e2,1e5", "--count", "4",
+                                             "--format", "csv"]),
+    "asymptotics.csv": (ATOM_HALFLINE, ["asymptotics", "--window",
+                                        "1e3,4e3", "--count", "3",
+                                        "--format", "csv"]),
+    "resolvent_study.json": (CANTOR, ["resolvent-study", "--levels",
+                                      "2..4"]),
+}
+
+
+def _golden_output(tmp_dir, name):
+    cfg_doc, argv = GOLDEN[name]
+    cfg = tmp_dir / (name + ".cfg.json")
+    cfg.write_text(json.dumps(cfg_doc))
+    out = tmp_dir / name
+    assert main(argv + ["--config", str(cfg), "--out", str(out),
+                        "--seed", "3"]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes(tmp_path, name):
+    assert _golden_output(tmp_path, name) == \
+        (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(GOLDEN):
+            (GOLDEN_DIR / name).write_bytes(
+                _golden_output(pathlib.Path(tmp), name))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaprime import (PiecewisePotential, ProblemSpec, SingularMeasure,
-                        StateVector, atom_jump, propagate, stretch_propagator,
-                        transfer_matrix, wronskian)
-from deltaprime.propagate import transfer_matrix_with_dz
+                        StateVector, atom_jump, propagate, realize,
+                        stretch_propagator, transfer_matrix, wronskian)
+from deltaprime.propagate import cell_entry_states, transfer_matrix_with_dz
 from conftest import random_problem, rk4_state
 
 
@@ -126,6 +126,95 @@ class TestPropagate:
         past = propagate(p, 0.0, init, x_from=0.0, x_to=0.6)
         # crossing adds beta*u1 = 2 at 0.5, then drifts 0.1 further
         assert abs(past.state.u - (1.5 + 2.0 + 0.1)) < 1e-14
+
+
+def _close(s1, s2, rtol=1e-13):
+    """Two states agree in their true values (log scales may differ)."""
+    scale = max(s1.log_scale, s2.log_scale)
+    v1 = [v * math.exp(s1.log_scale - scale) for v in (s1.u, s1.u1)]
+    v2 = [v * math.exp(s2.log_scale - scale) for v in (s2.u, s2.u1)]
+    ref = max(abs(v) for v in v1 + v2)
+    return all(abs(a - b) <= rtol * ref for a, b in zip(v1, v2))
+
+
+class TestSweepEdges:
+    TWO_ATOMS = SingularMeasure.from_atoms([(0.3, 0.5), (0.6, -0.25)])
+
+    def test_right_to_left_from_atom(self):
+        # atoms in [0.3, 0.6) are crossed: the one at 0.6 where the run
+        # starts is left alone, the one at x_to = 0.3 is undone
+        p = ProblemSpec((0.0, 1.0), measure=self.TWO_ATOMS)
+        res = propagate(p, 0.0, StateVector(1.0, 1.0), from_left=False,
+                        x_from=0.6, x_to=0.3)
+        assert res.zero_count is None
+        assert abs(res.state.u - (1.0 - 0.3 - 0.5)) < 1e-15
+        assert res.state.u1 == 1.0
+
+    def test_empty_run_on_atom_is_identity(self):
+        p = ProblemSpec((0.0, 1.0), measure=self.TWO_ATOMS)
+        init = StateVector(0.7, -1.3, 2.0)
+        for from_left in (True, False):
+            res = propagate(p, 5.0, init, from_left=from_left,
+                            x_from=0.3, x_to=0.3)
+            assert res.state == init
+        assert propagate(p, 5.0, init, x_from=0.6, x_to=0.6).zero_count == 0
+
+    def test_atom_at_left_endpoint(self):
+        m = SingularMeasure.from_atoms([(0.0, 0.4)])
+        # Dirichlet: u(a+) = 0 + beta*1, then a free unit drift
+        p = ProblemSpec((0.0, 1.0), measure=m)
+        res = propagate(p, 0.0)
+        assert (res.state.u, res.state.u1) == (1.4, 1.0)
+        assert res.zero_count == 0
+        back = propagate(p, 0.0, from_left=False)
+        assert (back.state.u, back.state.u1) == (-1.0 - 0.4, 1.0)
+        # Neumann: u^[1](a) = 0 makes the atom inert
+        pn = ProblemSpec((0.0, 1.0), "neumann", measure=m)
+        res = propagate(pn, 0.0)
+        assert (res.state.u, res.state.u1) == (1.0, 0.0)
+        back = propagate(pn, 0.0, StateVector(1.0, 0.0), from_left=False)
+        assert (back.state.u, back.state.u1) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("from_left, x_from, x_to", [
+        (True, 0.0, 1.5), (True, -0.5, 1.0),
+        (False, 1.5, 0.0), (False, 1.0, -0.5)])
+    def test_endpoints_outside_interval_rejected(self, from_left, x_from,
+                                                 x_to):
+        p = ProblemSpec((0.0, 1.0), measure=self.TWO_ATOMS)
+        with pytest.raises(ValueError, match="needs a <="):
+            propagate(p, 3.0, StateVector(0.0, 1.0), from_left=from_left,
+                      x_from=x_from, x_to=x_to)
+
+    def test_transfer_matrix_outside_interval_rejected(self):
+        p = ProblemSpec((0.0, 1.0), measure=self.TWO_ATOMS)
+        with pytest.raises(ValueError, match="needs a <="):
+            transfer_matrix(p, 3.0, 0.0, 2.0)
+
+    def test_cell_entries_match_partial_runs(self, rng):
+        problems = [random_problem(rng) for _ in range(4)]
+        problems.append(ProblemSpec(
+            (0.0, 1.0), potential=PiecewisePotential((0.3,), (2.0, -1.0)),
+            measure=SingularMeasure.from_atoms([(0.0, 0.3), (0.3, -0.2),
+                                                (0.8, 0.1)])))
+        for p in problems:
+            beta = dict(realize(p.measure, p.level))
+            for z in (7.5, complex(-3.0, 2.0), -1.0e5):
+                init = StateVector(0.3, 1.1)
+                nodes, _, ent, final = cell_entry_states(p, z, init)
+                for i, st in enumerate(ent):
+                    left = propagate(p, z, init, x_from=p.a,
+                                     x_to=nodes[i]).state
+                    want = atom_jump(beta.get(nodes[i], 0.0)).apply(left)
+                    assert _close(st, want)
+                assert _close(final, propagate(p, z, init).state)
+                nodes, _, ent, final = cell_entry_states(p, z, init,
+                                                         from_left=False)
+                for i, st in enumerate(ent):
+                    want = propagate(p, z, init, from_left=False,
+                                     x_from=p.b, x_to=nodes[i + 1]).state
+                    assert _close(st, want)
+                assert _close(final, propagate(p, z, init,
+                                               from_left=False).state)
 
 
 class TestWronskian:
