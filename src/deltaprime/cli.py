@@ -36,6 +36,13 @@ def _parse_window(text):
     return float(lo), float(hi)
 
 
+def _positive_window(text):
+    lo, hi = _parse_window(text)
+    if not (lo > 0.0 and hi > 0.0):
+        raise ValueError("need LO > 0 and HI > 0")
+    return lo, hi
+
+
 def _parse_levels(text):
     lo, hi = (int(v) for v in text.split(".."))
     if not 0 <= lo <= hi:
@@ -269,7 +276,7 @@ def build_parser():
     sp = sub.add_parser("mfunction", help="Neumann m-function evaluation")
     common(sp)
     sp.add_argument("--z", type=_parse_z, help="RE[,IM] single evaluation")
-    sp.add_argument("--window", type=_parse_window, default=(1e2, 1e6),
+    sp.add_argument("--window", type=_positive_window, default=(1e2, 1e6),
                     help="RLO,RHI for -r sweeps")
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--alpha", type=float, default=1.0)
@@ -277,7 +284,7 @@ def build_parser():
 
     sp = sub.add_parser("asymptotics", help="spectral-function asymptotics")
     common(sp)
-    sp.add_argument("--window", type=_parse_window, default=(1e3, 1e5),
+    sp.add_argument("--window", type=_positive_window, default=(1e3, 1e5),
                     help="TLO,THI")
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--alpha", type=float, default=1.0)

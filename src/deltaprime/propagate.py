@@ -407,14 +407,14 @@ def transfer_matrix(problem: ProblemSpec, z, x0: float | None = None,
     real = realize_problem(problem)
     x0 = real.a if x0 is None else x0
     x1 = real.b if x1 is None else x1
-    e1 = propagate(problem, z, StateVector(1.0, 0.0), x_from=x0, x_to=x1)
-    e2 = propagate(problem, z, StateVector(0.0, 1.0), x_from=x0, x_to=x1)
-    if e1.state.log_scale != e2.state.log_scale:
-        u, u1 = e1.state.true_values()
-        v, v1 = e2.state.true_values()
-        return TransferMatrix(u, v, u1, v1)
-    return TransferMatrix(e1.state.u, e2.state.u, e1.state.u1, e2.state.u1,
-                          e1.state.log_scale)
+    s1 = propagate(problem, z, StateVector(1.0, 0.0), x_from=x0,
+                   x_to=x1).state
+    s2 = propagate(problem, z, StateVector(0.0, 1.0), x_from=x0,
+                   x_to=x1).state
+    # rebase both columns to the larger log scale; the smaller one shrinks
+    ls = max(s1.log_scale, s2.log_scale)
+    f1, f2 = math.exp(s1.log_scale - ls), math.exp(s2.log_scale - ls)
+    return TransferMatrix(s1.u * f1, s2.u * f2, s1.u1 * f1, s2.u1 * f2, ls)
 
 
 def transfer_matrix_with_dz(problem: ProblemSpec, z):

@@ -6,8 +6,14 @@ The resolvent kernel is assembled from the two boundary solutions,
 
 with phi the left-Dirichlet solution (phi(a)=0, phi^[1](a)=1) and psi the
 right-Dirichlet solution (psi(b)=0, psi^[1](b)=1); the denominator is the
-(constant) Wronskian up to sign.  Kernel evaluations are vectorized per
-cell from cached entry states, so tensor-quadrature HS norms stay cheap.
+(constant) Wronskian up to sign.  Kernel evaluations gather cached cell
+entry states and evaluate the closed-form stretch solution for a whole
+grid at once.
+
+On i <= j the kernel is rank one, G(x_i, x_j) = a_i b_j with a = phi and
+b = psi / psi(a), so the tensor-quadrature Hilbert-Schmidt distance of two
+kernels is a short sum of suffix sums (a semiseparable sum): O(n) time and
+memory on an n-point grid instead of the dense O(n^2) double sum.
 """
 from __future__ import annotations
 
@@ -33,56 +39,59 @@ GL_POINTS = 8
 SINGULAR_RTOL = 1e-13
 
 
-def _vector_eval(w, deltas, u, u1):
-    """u0*cos(om d) + u1*sin(om d)/om on an array of offsets d (vectorized)."""
-    if abs(w) < 1e-300:
-        return u + deltas * u1
-    if isinstance(w, complex) or isinstance(u, complex) or isinstance(u1, complex):
-        om = complex(np.sqrt(complex(w)))
-        m = om * deltas.astype(complex)
-        return u * np.cos(m) + u1 * np.sin(m) / om
-    if w > 0.0:
-        om = math.sqrt(w)
-        return u * np.cos(om * deltas) + u1 * np.sin(om * deltas) / om
-    k = math.sqrt(-w)
-    return u * np.cosh(k * deltas) + u1 * np.sinh(k * deltas) / k
-
-
 class _SolutionCache:
-    """phi or psi of one problem at one z, evaluable on sorted grids."""
+    """phi or psi of one problem at one z, evaluable on sorted grids.
+
+    Cell i holds its entry state (u, u1, exp(log_scale)), its potential q
+    and its anchor, the node its offsets are measured from, as arrays; one
+    evaluation gathers them for all points at once.
+    """
 
     def __init__(self, problem, z, from_left):
         init = StateVector(0.0, 1.0)  # Dirichlet data at the launch endpoint
         nodes, qvals, entries, final = cell_entry_states(
             problem, z, init, from_left=from_left)
-        self.nodes = np.asarray(nodes)
-        self.qvals = qvals
-        self.entries = entries
-        self.final = final
-        self.z = z
-        self.from_left = from_left
         ls = [st.log_scale for st in entries]
         if any(abs(v) > 650.0 for v in ls):
             raise NearSingularError(
                 "solution scale too large for kernel assembly at this z")
+        self.nodes = np.asarray(nodes)
+        self.final = final
+        self.z = z
+        self.from_left = from_left
+        dtype = complex if isinstance(z, complex) else float
+        self.u = np.array([st.u for st in entries], dtype=dtype)
+        self.u1 = np.array([st.u1 for st in entries], dtype=dtype)
+        self.scale = np.array([math.exp(v) for v in ls])
+        self.q = np.asarray(qvals, dtype=float)
+        self.anchor = self.nodes[:-1] if from_left else self.nodes[1:]
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Left-limit solution values on a sorted array of coordinates."""
+        """Left-limit solution values on a sorted array of coordinates.
+
+        u*cos(om d) + u1*sin(om d)/om with om = sqrt(z - q) and d the
+        offset from the cell's anchor; cosh/sinh for z - q <= -1e-300 and
+        u + d*u1 for |z - q| < 1e-300.
+        """
         xs = np.asarray(xs, dtype=float)
-        cplx = isinstance(self.z, complex)
-        out = np.zeros(xs.shape, dtype=complex if cplx else float)
         # bucket x in (nodes[i], nodes[i+1]] to cell i; x == a to cell 0
         idx = np.searchsorted(self.nodes, xs, side="left") - 1
-        idx = np.clip(idx, 0, len(self.qvals) - 1)
-        for i in range(len(self.qvals)):
-            sel = idx == i
-            if not np.any(sel):
-                continue
-            st = self.entries[i]
-            w = self.z - self.qvals[i]
-            anchor = self.nodes[i] if self.from_left else self.nodes[i + 1]
-            vals = _vector_eval(w, xs[sel] - anchor, st.u, st.u1)
-            out[sel] = vals * math.exp(st.log_scale)
+        idx = np.clip(idx, 0, len(self.q) - 1)
+        d = xs - self.anchor[idx]
+        w = self.z - self.q[idx]
+        u, u1 = self.u[idx], self.u1[idx]
+        out = u + d * u1
+        if isinstance(self.z, complex):
+            branches = [(np.abs(w) >= 1e-300, np.sqrt, np.cos, np.sin)]
+        else:
+            branches = [(w >= 1e-300, np.sqrt, np.cos, np.sin),
+                        (w <= -1e-300, lambda v: np.sqrt(-v), np.cosh,
+                         np.sinh)]
+        for sel, root, even, odd in branches:
+            om = root(w[sel])
+            m = om * d[sel]
+            out[sel] = u[sel] * even(m) + u1[sel] * odd(m) / om
+        out *= self.scale[idx]
         # x exactly at the left endpoint: left limit is the launch value for
         # phi (zero) and the fully walked-down state for psi
         at_a = xs == self.nodes[0]
@@ -104,8 +113,9 @@ class GreenKernel:
         self.phi = _SolutionCache(problem, z, from_left=True)
         self.psi = _SolutionCache(problem, z, from_left=False)
         den_val, _ = self.psi.final.true_values()
-        scale = max(max(abs(st.u), abs(st.u1)) * math.exp(st.log_scale)
-                    for st in self.psi.entries)
+        psi = self.psi
+        scale = float(np.max(np.maximum(np.abs(psi.u), np.abs(psi.u1))
+                             * psi.scale))
         self.denominator = den_val
         if abs(den_val) <= SINGULAR_RTOL * max(scale, 1.0):
             raise NearSingularError(
@@ -132,22 +142,19 @@ def green(problem: ProblemSpec, z, x: float, t: float):
     return GreenKernel(problem, z)(x, t)
 
 
-def _panel_grid(problems, z, panels_per_cell):
+def _panel_grid(problems, panels_per_cell):
     """Gauss-Legendre tensor grid split at every atom of every problem."""
     edges = set()
     for p in problems:
-        real = realize_problem(p)
-        edges.update(real.nodes)
-    edges = sorted(edges)
+        edges.update(realize_problem(p).nodes)
+    edges = np.array(sorted(edges))
     gl_x, gl_w = np.polynomial.legendre.leggauss(GL_POINTS)
-    xs, ws = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        sub = np.linspace(lo, hi, panels_per_cell + 1)
-        for slo, shi in zip(sub, sub[1:]):
-            mid, half = 0.5 * (slo + shi), 0.5 * (shi - slo)
-            xs.append(mid + half * gl_x)
-            ws.append(half * gl_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    sub = np.linspace(edges[:-1], edges[1:], panels_per_cell + 1, axis=-1)
+    mid = 0.5 * (sub[:, :-1] + sub[:, 1:])
+    half = 0.5 * (sub[:, 1:] - sub[:, :-1])
+    xs = mid[..., None] + half[..., None] * gl_x
+    ws = half[..., None] * gl_w
+    return xs.ravel(), ws.ravel()
 
 
 def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
@@ -166,7 +173,7 @@ def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
     prev = None
     p = panels
     for _ in range(max_doublings + 1):
-        xs, ws = _panel_grid((problem_1, problem_2), z, p)
+        xs, ws = _panel_grid((problem_1, problem_2), p)
         val = _hs_value(g1, g2, xs, ws)
         if prev is not None and abs(val - prev) < tol:
             return val
@@ -175,22 +182,30 @@ def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
     return prev
 
 
-def _hs_value(g1, g2, xs, ws, block: int = 1024):
-    phi1 = g1.phi.values(xs)
-    psi1 = g1.psi.values(xs)
-    phi2 = g2.phi.values(xs)
-    psi2 = g2.psi.values(xs)
-    n = len(xs)
-    acc = 0.0
-    idx = np.arange(n)
-    for start in range(0, n, block):
-        sl = slice(start, min(start + block, n))
-        rows = idx[sl][:, None] >= idx[None, :]
-        G1 = np.where(rows, np.outer(psi1[sl], phi1), np.outer(phi1[sl], psi1))
-        G2 = np.where(rows, np.outer(psi2[sl], phi2), np.outer(phi2[sl], psi2))
-        diff = G1 / g1.denominator - G2 / g2.denominator
-        acc += np.einsum("i,ij,j->", ws[sl], np.abs(diff) ** 2, ws)
-    return math.sqrt(acc)
+def _suffix(g):
+    """S_i = sum of g_j over j > i."""
+    return np.append(np.cumsum(g[:0:-1])[::-1], 0.0)
+
+
+def _hs_value(g1, g2, xs, ws):
+    """sqrt(sum_ij w_i w_j |G_1 - G_2|^2(x_i, x_j)) in O(n) time and memory.
+
+    On i <= j each kernel is a_i b_j (a = phi, b = psi / denominator), so
+    the difference is da_i b1_j + a2_i db_j; its squared modulus splits
+    into three separable terms, each summed over j > i by one suffix sum.
+    Symmetry gives the lower triangle.  The difference form stays exact
+    when the kernels agree (da = db = 0).
+    """
+    a1, b1 = g1.phi.values(xs), g1.psi.values(xs) / g1.denominator
+    a2, b2 = g2.phi.values(xs), g2.psi.values(xs) / g2.denominator
+    da, db = a1 - a2, b1 - b2
+    upper = (np.abs(da) ** 2 * _suffix(ws * np.abs(b1) ** 2)
+             + np.abs(a2) ** 2 * _suffix(ws * np.abs(db) ** 2)
+             + 2.0 * np.real(da * np.conj(a2)
+                             * _suffix(ws * b1 * np.conj(db))))
+    diag = ws * np.abs(da * b1 + a2 * db) ** 2
+    acc = float(np.sum(ws * (2.0 * upper + diag)))
+    return math.sqrt(max(acc, 0.0))
 
 
 @dataclass(frozen=True)

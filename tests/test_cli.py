@@ -234,6 +234,10 @@ class TestArgumentValidation:
         ["asymptotics", "--window", "1e3"],
         ["kappa", "--tol", "1e-9"],
         ["mfunction", "--tol", "1e-9"],
+        ["mfunction", "--window", "0,1e4", "--count", "3"],
+        ["mfunction", "--window=-1e2,1e4", "--count", "3"],
+        ["asymptotics", "--window=-1,1e3", "--count", "3"],
+        ["asymptotics", "--window", "1e3,0"],
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
         cfg = write(tmp_path, "free.json", FREE01)

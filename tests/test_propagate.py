@@ -298,6 +298,44 @@ class TestTransferMatrix:
                 assert abs(d_exact - d_fd) <= 1e-6 * scale
 
 
+    def test_deep_real_z_rebases_columns(self, rng):
+        # the unit-state sweeps end on different log scales past 700; the
+        # columns share the larger one instead of overflowing to true values
+        deep = ProblemSpec((0.0, 1.1377), measure=SingularMeasure.from_atoms(
+            [(0.8605, 0.669), (0.8915, -0.513), (1.0084, 0.461)]))
+        assert transfer_matrix(deep, -1e6).log_scale > 700.0
+        for p in [deep] + [random_problem(rng) for _ in range(20)]:
+            z = -1e6
+            m = transfer_matrix(p, z)
+            for init in (StateVector(1.0, 0.0), StateVector(0.0, 1.0),
+                         StateVector(1.0, -2.0)):
+                assert _close(m.apply(init), propagate(p, z, init).state,
+                              rtol=1e-12)
+
+    def test_rebased_columns_match_true_values(self, rng):
+        # where the true values fit in double range the rebased matrix
+        # reproduces them: columns on different log scales below 700
+        seen = 0
+        for _ in range(30):
+            p = random_problem(rng)
+            for z in (-3e4, -1e5):
+                s1 = propagate(p, z, StateVector(1.0, 0.0)).state
+                s2 = propagate(p, z, StateVector(0.0, 1.0)).state
+                if s1.log_scale == s2.log_scale or max(
+                        s1.log_scale, s2.log_scale) > 600.0:
+                    continue
+                want = s1.true_values() + s2.true_values()
+                if not all(map(math.isfinite, want)):
+                    continue
+                seen += 1
+                m = transfer_matrix(p, z)
+                s = math.exp(m.log_scale)
+                got = (m.a11 * s, m.a21 * s, m.a12 * s, m.a22 * s)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-14 * abs(w)
+        assert seen >= 10
+
+
 class TestPiecewisePotential:
     def test_value_lookup(self):
         q = PiecewisePotential((0.5, 1.0), (1.0, -2.0, 3.0))

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
 from deltaprime import (CantorSpec, GreenKernel, NearSingularError,
-                        ProblemSpec, SingularMeasure, convergence_study,
-                        eigenvalues, green, hs_distance)
+                        PiecewisePotential, ProblemSpec, SingularMeasure,
+                        StateVector, convergence_study, eigenvalues, green,
+                        hs_distance, propagate)
+from deltaprime.resolvent import _hs_value, _panel_grid
 from deltaprime.spectrum import GalerkinOracle
 
 CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
@@ -28,6 +31,23 @@ def fem_green_oracle(problem, z, x, t, h=2.0 ** -12):
     u = solveh_banded(ab, rhs, lower=False)
     i = int(np.argmin(np.abs(nodes - x)))
     return u[i]
+
+
+def dense_hs_value(g1, g2, xs, ws, block=512):
+    """Independent HS value: the full double sum over G_1 - G_2, in blocks."""
+    phi1, psi1 = g1.phi.values(xs), g1.psi.values(xs)
+    phi2, psi2 = g2.phi.values(xs), g2.psi.values(xs)
+    n = len(xs)
+    acc = 0.0
+    idx = np.arange(n)
+    for start in range(0, n, block):
+        sl = slice(start, min(start + block, n))
+        rows = idx[sl][:, None] >= idx[None, :]
+        G1 = np.where(rows, np.outer(psi1[sl], phi1), np.outer(phi1[sl], psi1))
+        G2 = np.where(rows, np.outer(psi2[sl], phi2), np.outer(phi2[sl], psi2))
+        diff = G1 / g1.denominator - G2 / g2.denominator
+        acc += np.einsum("i,ij,j->", ws[sl], np.abs(diff) ** 2, ws)
+    return math.sqrt(acc)
 
 
 class TestGreen:
@@ -121,7 +141,80 @@ class TestGreen:
             assert abs(mu[j] * lams[j] - 1.0) < 1e-4
 
 
+class TestSolutionValues:
+    """Vectorized phi/psi evaluation against partial propagation runs."""
+
+    STEP = ProblemSpec(
+        (0.0, 2.0), potential=PiecewisePotential((0.8,), (1.5, -2.0)),
+        measure=SingularMeasure.from_atoms(
+            [(0.0, 0.3), (0.4, 0.3), (0.8, -0.15), (1.3, 0.2)]))
+
+    @staticmethod
+    def _reference(problem, z, x, from_left):
+        a, b = problem.interval
+        st = propagate(problem, z, StateVector(0.0, 1.0), from_left=from_left,
+                       x_from=a if from_left else b, x_to=x).state
+        return st.u * math.exp(st.log_scale), st.u1 * math.exp(st.log_scale)
+
+    # z = 1.5 and z = -2.0 hit a potential value (w == 0 on one cell);
+    # the others give w > 0 and w < 0 on both cells, or complex w
+    @pytest.mark.parametrize("z", [40.0, -30.0, 1.5, -2.0, complex(3.0, 2.5)])
+    @pytest.mark.parametrize("from_left", [True, False])
+    def test_values_match_partial_runs(self, z, from_left):
+        p = self.STEP
+        k = GreenKernel(p, z)
+        cache = k.phi if from_left else k.psi
+        # x == a, every atom node, a breakpoint, b and interior points
+        xs = np.array(sorted({0.0, 0.4, 0.8, 1.3, 2.0, 0.05, 0.61, 0.95,
+                              1.1, 1.77, 1.999}))
+        got = cache.values(xs)
+        assert got.dtype == (complex if isinstance(z, complex) else float)
+        for x, v in zip(xs, got):
+            u, u1 = self._reference(p, z, float(x), from_left)
+            assert abs(v - u) <= 1e-12 * max(abs(u), abs(u1), 1.0)
+
+
 class TestHSDistance:
+    STEP = TestSolutionValues.STEP
+
+    @pytest.mark.parametrize("pair, z, panels", [
+        (((CANTOR1, 3), (CANTOR1, 5)), -1.0, 2),
+        (((CANTOR1, 3), (CANTOR1, 5)), complex(2.0, 1.5), 2),
+        ((("signed", 4), ("signed", 6)), -1.0, 2),
+        (((CANTOR1, 7), (CANTOR1, 8)), -1.0, 2),
+    ], ids=["real_z", "complex_z", "signed_cantor", "close_levels_7_8"])
+    def test_semiseparable_sum_matches_dense(self, pair, z, panels):
+        signed = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), -1.0),))
+        p1, p2 = (ProblemSpec((0.0, 1.0), measure=signed if m == "signed"
+                              else m, level=lv) for m, lv in pair)
+        g1, g2 = GreenKernel(p1, z), GreenKernel(p2, z)
+        xs, ws = _panel_grid((p1, p2), panels)
+        dense = dense_hs_value(g1, g2, xs, ws)
+        assert dense > 0.0
+        assert abs(_hs_value(g1, g2, xs, ws) - dense) <= 1e-12 * dense
+
+    def test_semiseparable_sum_with_potential(self):
+        other = ProblemSpec(self.STEP.interval, potential=self.STEP.potential)
+        for z in (-3.0, complex(-1.0, 4.0)):
+            g1, g2 = GreenKernel(self.STEP, z), GreenKernel(other, z)
+            xs, ws = _panel_grid((self.STEP, other), 4)
+            dense = dense_hs_value(g1, g2, xs, ws)
+            assert abs(_hs_value(g1, g2, xs, ws) - dense) <= 1e-12 * dense
+
+    def test_memory_is_linear_in_grid(self):
+        # the dense double sum peaked near 400 MiB here; the suffix-sum
+        # form needs a few arrays of the grid size
+        p9, p10 = (ProblemSpec((0.0, 1.0), measure=CANTOR1, level=lv)
+                   for lv in (9, 10))
+        tracemalloc.start()
+        try:
+            d = hs_distance(p9, p10, -1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d > 0.0
+        assert peak < 32 * 2 ** 20
+
     def test_identical_problems(self):
         m = SingularMeasure.from_atoms([(0.5, -1.0)])
         p = ProblemSpec((0.0, 1.0), measure=m)
