@@ -13,7 +13,8 @@ grid at once.
 On i <= j the kernel is rank one, G(x_i, x_j) = a_i b_j with a = phi and
 b = psi / psi(a), so the tensor-quadrature Hilbert-Schmidt distance of two
 kernels is a short sum of suffix sums (a semiseparable sum): O(n) time and
-memory on an n-point grid instead of the dense O(n^2) double sum.
+memory on an n-point grid instead of the dense O(n^2) double sum.  Each
+grid row uses whichever of two splittings of G_1 - G_2 cancels less.
 """
 from __future__ import annotations
 
@@ -187,25 +188,75 @@ def _suffix(g):
     return np.append(np.cumsum(g[:0:-1])[::-1], 0.0)
 
 
+def _balanced(a, b):
+    """a / c and b * c for the power of two c that evens out max|a|, max|b|.
+
+    Every product a_i b_j is unchanged (the scaling is exact).  At deep z
+    phi grows and psi / denominator decays across the interval, so |a|^2
+    alone can overflow where every a_i b_j stays O(1); balanced, each
+    squared factor stays inside double range up to the log-scale guard of
+    _SolutionCache.
+    """
+    a_max, b_max = np.max(np.abs(a)), np.max(np.abs(b))
+    if a_max > 0.0 and b_max > 0.0:
+        c = 2.0 ** ((math.frexp(a_max)[1] - math.frexp(b_max)[1]) // 2)
+        return a / c, b * c
+    return a, b
+
+
+def _split_sums(x1, y1, x2, y2, ws):
+    """Pieces of sum_ij w_i w_j |D_ij|^2 for D_ij = x1_i y1_j - x2_i y2_j.
+
+    Returns per row i the strict upper part 2 sum_{j>i} w_j |D_ij|^2 (three
+    suffix sums of the expanded square), the diagonal D_ii, and for each
+    the magnitude of the terms that cancel in it, which bounds its
+    rounding error.
+    """
+    m1 = np.abs(x1) ** 2 * _suffix(ws * np.abs(y1) ** 2)
+    m2 = np.abs(x2) ** 2 * _suffix(ws * np.abs(y2) ** 2)
+    cross = np.real(x1 * np.conj(x2) * _suffix(ws * y1 * np.conj(y2)))
+    p1, p2 = x1 * y1, x2 * y2
+    return (2.0 * (m1 + m2 - 2.0 * cross), 2.0 * (m1 + m2),
+            p1 - p2, np.abs(p1) + np.abs(p2))
+
+
 def _hs_value(g1, g2, xs, ws):
     """sqrt(sum_ij w_i w_j |G_1 - G_2|^2(x_i, x_j)) in O(n) time and memory.
 
     On i <= j each kernel is a_i b_j (a = phi, b = psi / denominator), so
-    the difference is da_i b1_j + a2_i db_j; its squared modulus splits
-    into three separable terms, each summed over j > i by one suffix sum.
-    Symmetry gives the lower triangle.  The difference form stays exact
-    when the kernels agree (da = db = 0).
+    each row of the upper triangle is a few suffix sums; symmetry gives
+    the lower triangle.  The difference D_ij has two rank-two splittings:
+
+    - the difference form da_i b1_j + a2_i db_j (da = a1 - a2,
+      db = b1 - b2), exact when the kernels agree (da = db = 0);
+    - the kernel form a1_i b1_j - a2_i b2_j, which stays accurate when
+      the factors of the two kernels drift apart in scale (at deep z on
+      Cantor levels, phi_2 / phi_1 grows by 1e14 across the interval, and
+      da b1 and a2 db cancel to 14 digits).
+
+    Each row, and each diagonal entry, takes the form whose terms are
+    smaller.  If even so the terms exceed the sum by more than 1e7 (seven
+    digits cancel), the value is not trusted and NearSingularError is
+    raised.
     """
     a1, b1 = g1.phi.values(xs), g1.psi.values(xs) / g1.denominator
     a2, b2 = g2.phi.values(xs), g2.psi.values(xs) / g2.denominator
-    da, db = a1 - a2, b1 - b2
-    upper = (np.abs(da) ** 2 * _suffix(ws * np.abs(b1) ** 2)
-             + np.abs(a2) ** 2 * _suffix(ws * np.abs(db) ** 2)
-             + 2.0 * np.real(da * np.conj(a2)
-                             * _suffix(ws * b1 * np.conj(db))))
-    diag = ws * np.abs(da * b1 + a2 * db) ** 2
-    acc = float(np.sum(ws * (2.0 * upper + diag)))
-    return math.sqrt(max(acc, 0.0))
+    n = len(xs)
+    kern = _split_sums(*_balanced(a1, b1), *_balanced(a2, b2), ws)
+    # one scale for both kernels, so da and db vanish where they agree
+    a, b = _balanced(np.concatenate([a1, a2]), np.concatenate([b1, b2]))
+    diff = _split_sums(a[:n] - a[n:], b[:n], -a[n:], b[:n] - b[n:], ws)
+    row, diag = diff[1] <= kern[1], diff[3] <= kern[3]
+    upper = np.where(row, diff[0], kern[0])
+    d_ii = np.abs(np.where(diag, diff[2], kern[2]))
+    acc = float(np.sum(ws * (upper + ws * d_ii ** 2)))
+    terms = float(np.sum(ws * (np.where(row, diff[1], kern[1])
+                               + 2.0 * ws * d_ii
+                               * np.where(diag, diff[3], kern[3]))))
+    if not (math.isfinite(acc) and terms <= 1e7 * acc):
+        raise NearSingularError(
+            "Hilbert-Schmidt sum cancels below rounding at this z")
+    return math.sqrt(acc)
 
 
 @dataclass(frozen=True)

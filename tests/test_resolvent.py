@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from deltaprime.resolvent import _hs_value, _panel_grid
 from deltaprime.spectrum import GalerkinOracle
 
 CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
+ONE_ATOM = SingularMeasure.from_atoms([(0.5, 0.3)])
 
 
 def fem_green_oracle(problem, z, x, t, h=2.0 ** -12):
@@ -42,9 +44,10 @@ def dense_hs_value(g1, g2, xs, ws, block=512):
     idx = np.arange(n)
     for start in range(0, n, block):
         sl = slice(start, min(start + block, n))
-        rows = idx[sl][:, None] >= idx[None, :]
-        G1 = np.where(rows, np.outer(psi1[sl], phi1), np.outer(phi1[sl], psi1))
-        G2 = np.where(rows, np.outer(psi2[sl], phi2), np.outer(phi2[sl], psi2))
+        lo = np.minimum(idx[sl][:, None], idx[None, :])
+        hi = np.maximum(idx[sl][:, None], idx[None, :])
+        G1 = phi1[lo] * psi1[hi]
+        G2 = phi2[lo] * psi2[hi]
         diff = G1 / g1.denominator - G2 / g2.denominator
         acc += np.einsum("i,ij,j->", ws[sl], np.abs(diff) ** 2, ws)
     return math.sqrt(acc)
@@ -177,12 +180,18 @@ class TestSolutionValues:
 class TestHSDistance:
     STEP = TestSolutionValues.STEP
 
+    # deep z: phi reaches e^400 on the unit interval, so |phi|^2 alone
+    # overflows; on Cantor levels phi_5 / phi_3 grows to 1e14 across it
     @pytest.mark.parametrize("pair, z, panels", [
         (((CANTOR1, 3), (CANTOR1, 5)), -1.0, 2),
         (((CANTOR1, 3), (CANTOR1, 5)), complex(2.0, 1.5), 2),
         ((("signed", 4), ("signed", 6)), -1.0, 2),
         (((CANTOR1, 7), (CANTOR1, 8)), -1.0, 2),
-    ], ids=["real_z", "complex_z", "signed_cantor", "close_levels_7_8"])
+        (((SingularMeasure(), 0), (ONE_ATOM, 0)), -1.6e5, 2),
+        (((SingularMeasure(), 0), (ONE_ATOM, 0)), complex(1e5, 3e5), 2),
+        (((CANTOR1, 3), (CANTOR1, 5)), -1e5, 2),
+    ], ids=["real_z", "complex_z", "signed_cantor", "close_levels_7_8",
+            "deep_real_z", "deep_complex_z", "deep_z_cantor_3_5"])
     def test_semiseparable_sum_matches_dense(self, pair, z, panels):
         signed = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), -1.0),))
         p1, p2 = (ProblemSpec((0.0, 1.0), measure=signed if m == "signed"
@@ -200,6 +209,32 @@ class TestHSDistance:
             xs, ws = _panel_grid((self.STEP, other), 4)
             dense = dense_hs_value(g1, g2, xs, ws)
             assert abs(_hs_value(g1, g2, xs, ws) - dense) <= 1e-12 * dense
+
+    def test_deep_z_distance_is_finite(self):
+        free = ProblemSpec((0.0, 1.0))
+        atom = ProblemSpec((0.0, 1.0), measure=ONE_ATOM)
+        d = hs_distance(free, atom, -1.6e5)
+        assert math.isfinite(d) and d > 0.0
+
+    def test_cancellation_below_rounding_rejected(self):
+        # kernel 2 is kernel 1 times (1 + eps), but its factors carry a
+        # gauge of 1e6: the difference form cancels the gauge and the
+        # kernel form cancels the kernels, so both lose digits
+        xs = np.linspace(0.05, 0.95, 40)
+        ws = np.full(40, 1.0 / 40)
+
+        def kernel(a, b):
+            return SimpleNamespace(phi=SimpleNamespace(values=lambda _: a),
+                                   psi=SimpleNamespace(values=lambda _: b),
+                                   denominator=1.0)
+
+        g1 = kernel(xs, 1.0 - xs)
+        g2 = kernel(1e6 * xs, (1.0 - xs) * (1.0 + 1e-2) / 1e6)
+        dense = dense_hs_value(g1, g2, xs, ws)
+        assert abs(_hs_value(g1, g2, xs, ws) - dense) <= 1e-9 * dense
+        g2 = kernel(1e6 * xs, (1.0 - xs) * (1.0 + 1e-6) / 1e6)
+        with pytest.raises(NearSingularError):
+            _hs_value(g1, g2, xs, ws)
 
     def test_memory_is_linear_in_grid(self):
         # the dense double sum peaked near 400 MiB here; the suffix-sum
