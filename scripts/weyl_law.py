@@ -16,7 +16,7 @@ import sys
 
 from deltaprime import CantorSpec, ProblemSpec, SingularMeasure
 from deltaprime.io import render_csv
-from deltaprime.spectrum import _eigenvalue_by_index
+from deltaprime.spectrum import _eigenvalue_by_index, _Samples
 
 
 def main(argv=None):
@@ -32,9 +32,10 @@ def main(argv=None):
     measure = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0),
                                                        args.mass),))
     problem = ProblemSpec((0.0, 1.0), measure=measure, level=args.level)
+    samples = _Samples(problem)  # neighbouring indices reuse brackets
     rows = []
     for n in range(lo, hi + 1, args.step):
-        lam = _eigenvalue_by_index(problem, n)
+        lam = _eigenvalue_by_index(problem, n, samples)
         rows.append((n, lam, n / math.sqrt(lam) * math.pi))
     text = render_csv(("n", "lambda_n", "weyl_ratio"), rows,
                       {"level": args.level, "mass": args.mass})

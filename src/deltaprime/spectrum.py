@@ -5,7 +5,10 @@ Two independent routes to the spectrum are kept strictly separate:
 * shooting with closed-form transfer matrices, indexed by exact interior
   zero counts when the measure is nonnegative (oscillation indexing needs a
   positive dP; signed jumps can create or destroy sign changes), and by
-  oracle-assisted bisection otherwise;
+  oracle-assisted bisection otherwise.  On the counted route the count
+  isolates each eigenvalue, Illinois regula falsi on the boundary residual
+  converges to float adjacency, and every move of the bracket is decided
+  by the count; one sorted store of shots serves all indices of a call;
 * a conforming P1 Galerkin discretization with doubled (discontinuous)
   basis nodes at every atom and jump penalty |jump|^2/beta, solved as a
   symmetric tridiagonal pencil.
@@ -13,8 +16,11 @@ Two independent routes to the spectrum are kept strictly separate:
 from __future__ import annotations
 
 import bisect as _bisect
+import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -44,6 +50,8 @@ __all__ = [
 
 BISECTION_TOL = 1e-12
 MAX_BISECTIONS = 200
+
+_log = logging.getLogger("deltaprime")
 
 
 @dataclass(frozen=True)
@@ -101,28 +109,133 @@ def _weyl_upper_guess(problem: ProblemSpec, n: int) -> float:
     return ((n + 2) * math.pi / (b - a)) ** 2 + max(qmax, 0.0) + 1.0
 
 
-def _eigenvalue_by_index(problem: ProblemSpec, n: int) -> float:
-    """n-th eigenvalue (1-based) via bisection on the exact zero count."""
-    qmin = min(problem.potential.values)
-    lo = qmin - 1.0
-    hi = _weyl_upper_guess(problem, n)
-    for _ in range(200):
-        if _count_below(problem, hi) >= n:
-            break
-        hi *= 2.0
-    else:
-        raise NearSingularError(f"could not bracket eigenvalue index {n}")
-    # bisect to float adjacency (still well under 200 steps): near-degenerate
-    # pairs with gaps of a few dozen ulp must still come out ordered
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _count_below(problem, mid) >= n:
-            hi = mid
+class _Sample(NamedTuple):
+    z: float
+    count: int          # eigenvalues strictly below z
+    u: float            # residual u(b) ...
+    log_scale: float    # ... times exp(log_scale)
+
+
+class _Samples:
+    """Shots of one problem (nonnegative measure, Dirichlet right), by z.
+
+    The exact count is monotone in z, so the samples sorted by z are sorted
+    by count as well, and the tightest sampled bracket of any index is one
+    bisect lookup away.  One store serves every index of a call, as in
+    simultaneous Sturm bisection (LAPACK dstebz).
+    """
+
+    def __init__(self, problem: ProblemSpec):
+        self.problem = problem
+        self.points: list[_Sample] = []
+
+    def at(self, z: float) -> _Sample:
+        """The sample at z; shoots only if z is new."""
+        i = _bisect.bisect_left(self.points, (z,))
+        if i < len(self.points) and self.points[i].z == z:
+            return self.points[i]
+        res = shoot(self.problem, z)
+        s = _Sample(z, res.zero_count, res.residual, res.log_scale)
+        self.points.insert(i, s)
+        return s
+
+    def bracket(self, n: int) -> int:
+        """i with count(points[i - 1]) < n <= count(points[i])."""
+        return _bisect.bisect_left(self.points, n, key=attrgetter("count"))
+
+    def drop_below(self, n: int):
+        """Forget the samples that no index n or higher brackets with."""
+        del self.points[:max(self.bracket(n) - 1, 0)]
+
+
+def _secant(lo: _Sample, hi: _Sample, g_lo: float,
+            g_hi: float) -> float | None:
+    """Regula falsi point of the residuals weighted by g (Illinois).
+
+    Both residuals are taken relative to the larger log scale, so nothing
+    overflows.  The point is clamped into the open bracket: one that rounds
+    onto an end says the root is within an ulp of it, and the neighbouring
+    float tests that.  None when the residuals show no sign change.
+    """
+    m = max(lo.log_scale, hi.log_scale)
+    f_lo = g_lo * lo.u * math.exp(lo.log_scale - m)
+    f_hi = g_hi * hi.u * math.exp(hi.log_scale - m)
+    if not f_lo * f_hi < 0.0:
+        return None
+    x = lo.z + (hi.z - lo.z) * (f_lo / (f_lo - f_hi))
+    return min(max(x, math.nextafter(lo.z, hi.z)), math.nextafter(hi.z, lo.z))
+
+
+def _eigenvalue_by_index(problem: ProblemSpec, n: int,
+                         samples: _Samples | None = None) -> float:
+    """n-th eigenvalue (1-based): the least float z with count(z) >= n.
+
+    The exact zero count brackets lambda_n and is bisected until the
+    bracket holds it alone (count(lo) == n - 1, count(hi) == n).  From then
+    on each point is the Illinois regula falsi point of the residual, or
+    the midpoint when the residuals show no sign change or three steps in
+    a row failed to halve the bracket.  Only the count moves the bracket and
+    the loop ends at float adjacency, so where the computed count is
+    monotone in z the result does not depend on the path, and
+    near-degenerate pairs a few ulp apart (never isolated) still come out
+    ordered.  samples shares shots across indices of one problem.
+    """
+    if samples is None:
+        samples = _Samples(problem)
+    pts = samples.points
+    start = len(pts)
+    if not pts or pts[-1].count < n:
+        hi = _weyl_upper_guess(problem, n)
+        for _ in range(200):
+            if (not pts or hi > pts[-1].z) and samples.at(hi).count >= n:
+                break
+            hi *= 2.0
         else:
-            lo = mid
-    return hi
+            raise NearSingularError(f"could not bracket eigenvalue index {n}")
+    if pts[0].count >= n:
+        # a nonnegative measure puts no eigenvalue below min q
+        samples.at(min(problem.potential.values) - 1.0)
+    i = samples.bracket(n)
+    lo, hi = pts[i - 1], pts[i]
+    g_lo = g_hi = 1.0       # Illinois weights of the two ends
+    moved = 0               # which end moved last: -1 lo, +1 hi
+    # interpolation steps in a row that did not halve the bracket; the
+    # third is the Illinois step that halves the stale end's weight, so the
+    # midpoint waits for a third miss
+    misses = 0
+    n_interp = n_bisect = 0
+    while True:
+        mid = 0.5 * (lo.z + hi.z)
+        if mid == lo.z or mid == hi.z:
+            break
+        x = None
+        if hi.count - lo.count == 1 and misses < 3:
+            x = _secant(lo, hi, g_lo, g_hi)
+        interpolated = x is not None
+        if interpolated:
+            n_interp += 1
+        else:
+            x = mid
+            n_bisect += 1
+        width = hi.z - lo.z
+        s = samples.at(x)
+        # Illinois: an end that stays put twice in a row loses half its weight
+        if s.count >= n:
+            if moved > 0:
+                g_lo *= 0.5
+            hi, g_hi, moved = s, 1.0, 1
+        else:
+            if moved < 0:
+                g_hi *= 0.5
+            lo, g_lo, moved = s, 1.0, -1
+        halved = hi.z - lo.z <= 0.5 * width
+        misses = misses + 1 if interpolated and not halved else 0
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("eigenvalue %d: bracket [%r, %r], counts %d..%d, "
+                   "%d sweeps, %d interpolation and %d bisection steps",
+                   n, lo.z, hi.z, lo.count, hi.count,
+                   len(pts) - start, n_interp, n_bisect)
+    return hi.z
 
 
 def _bisect_residual(problem: ProblemSpec, lo: float, hi: float,
@@ -215,21 +328,23 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
     """All eigenvalues up to index n_max and/or inside a window.
 
     Nonnegative measures with a Dirichlet right condition are indexed by the
-    exact interior zero count (n-th eigenfunction has n-1 sign changes) and
-    bisected to float adjacency in at most 200 steps, which always meets
-    rtol; signed measures are routed through Galerkin-estimate brackets
-    refined by residual bisection at the requested rtol.
+    exact interior zero count (n-th eigenfunction has n-1 sign changes):
+    each eigenvalue is the least float z with count(z) >= n, found by
+    count-safeguarded regula falsi down to float adjacency (about a dozen
+    sweeps each, shots shared across indices), which always meets rtol;
+    signed measures are routed through Galerkin-estimate brackets refined
+    by residual bisection at the requested rtol.
     """
     if n_max is None and window is None:
         raise ValueError("need n_max and/or window")
     nonneg = problem.is_nonnegative_measure()
     if nonneg and problem.bc_right == "dirichlet":
+        samples = _Samples(problem)
         if window is not None:
             w0, w1 = window
-            n_lo = _count_below(problem, w0) + 1
-            n_hi = _count_below(problem, w1)
-            if shoot(problem, w1).residual == 0:
-                n_hi += 1
+            n_lo = samples.at(w0).count + 1
+            top = samples.at(w1)
+            n_hi = top.count + (top.u == 0)
         else:
             n_lo, n_hi = 1, 0
         if n_max is not None:
@@ -237,8 +352,10 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
                 n_lo, n_hi = 1, n_max
             else:
                 n_hi = min(n_hi, n_max)
-        lams = [_eigenvalue_by_index(problem, n)
-                for n in range(n_lo, n_hi + 1)]
+        lams = []
+        for n in range(n_lo, n_hi + 1):
+            lams.append(_eigenvalue_by_index(problem, n, samples))
+            samples.drop_below(n + 1)
         idx = tuple(range(n_lo, n_hi + 1))
         method = "shooting"
     else:

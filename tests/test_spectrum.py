@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         eigenvalues, galerkin_oracle, jump_function_l2,
                         kappa_minus, negative_count, quadratic_form, shoot,
                         spectral_function, spectral_function_samples)
+from deltaprime import spectrum
+from deltaprime.spectrum import (_count_below, _eigenvalue_by_index,
+                                 _weyl_upper_guess)
 from conftest import random_measure
 
 CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
@@ -20,6 +24,40 @@ CANTOR4_LAMBDA_1 = 4.14099359121
 
 def free_problem(a=0.0, b=1.0, **kw):
     return ProblemSpec((a, b), **kw)
+
+
+def bisect_by_count(problem, n):
+    """Independent n-th eigenvalue: plain bisection on the exact zero count
+    from [min q - 1, Weyl guess] down to float adjacency."""
+    lo = min(problem.potential.values) - 1.0
+    hi = _weyl_upper_guess(problem, n)
+    while _count_below(problem, hi) < n:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _count_below(problem, mid) >= n:
+            hi = mid
+        else:
+            lo = mid
+
+
+# (problem, n_max) pairs for the root finder; the strong atom nearly
+# decouples (0, 1/2) from (1/2, 1), whose mirror spectra then pair up 46
+# and 5 ulp apart
+ROOT_CASES = {
+    "cantor5": (ProblemSpec((0.0, 1.0), measure=CANTOR1, level=5), 12),
+    "cantor8": (ProblemSpec((0.0, 1.0), measure=CANTOR1, level=8), 12),
+    "neumann_steps": (ProblemSpec(
+        (0.0, 2.0), bc_left="neumann",
+        potential=PiecewisePotential((0.5, 1.2), (3.0, -2.0, 10.0)),
+        measure=SingularMeasure.from_atoms([(0.7, 0.3), (1.5, 0.1)])), 30),
+    "truncation_60": (ProblemSpec((0.0, 60.0), measure=SingularMeasure
+                                  .from_atoms([(17.3, 0.8)])), 100),
+    "near_degenerate": (ProblemSpec((0.0, 1.0), measure=SingularMeasure
+                                    .from_atoms([(0.5, 1e14)])), 4),
+}
 
 
 class TestShoot:
@@ -102,6 +140,84 @@ class TestEigenvalues:
             if prev_err is not None:
                 assert all(e2 <= e1 for e1, e2 in zip(prev_err, err))
             prev_err = err
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize("case", sorted(ROOT_CASES))
+    def test_bit_identical_to_count_bisection(self, case):
+        p, n_max = ROOT_CASES[case]
+        expected = tuple(bisect_by_count(p, n) for n in range(1, n_max + 1))
+        assert all(b > a for a, b in zip(expected, expected[1:]))
+        data = eigenvalues(p, n_max=n_max, with_norming=False)
+        assert data.eigenvalues == expected
+        # cold per-index calls (no shared samples) and the window route
+        assert _eigenvalue_by_index(p, n_max) == expected[-1]
+        w0 = 0.5 * (expected[0] + expected[1])
+        window = eigenvalues(p, window=(w0, expected[-1]),
+                             with_norming=False)
+        assert window.indices == tuple(range(2, n_max + 1))
+        assert window.eigenvalues == expected[1:]
+
+    def test_near_degenerate_pairs_are_ulps_apart(self):
+        p, n_max = ROOT_CASES["near_degenerate"]
+        lam = eigenvalues(p, n_max=n_max, with_norming=False).eigenvalues
+        assert lam[0] < lam[1] <= lam[0] + 100 * math.ulp(lam[0])
+        assert lam[2] < lam[3] <= lam[2] + 10 * math.ulp(lam[2])
+
+    @pytest.mark.parametrize("case", sorted(ROOT_CASES))
+    def test_adjacency_certificate(self, case):
+        p, n_max = ROOT_CASES[case]
+        data = eigenvalues(p, n_max=n_max, with_norming=False)
+        for n, lam in zip(data.indices, data.eigenvalues):
+            assert _count_below(p, lam) >= n
+            assert _count_below(p, math.nextafter(lam, -math.inf)) < n
+
+    def test_sweep_budget_level8(self, monkeypatch):
+        sweeps = []
+        propagate = spectrum.propagate
+
+        def counted(*args, **kwargs):
+            sweeps.append(args[1])
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "propagate", counted)
+        p = ProblemSpec((0.0, 1.0), measure=CANTOR1, level=8)
+        eigenvalues(p, n_max=10, with_norming=False)
+        assert len(sweeps) <= 20 * 10
+        assert len(set(sweeps)) == len(sweeps)  # no z is shot twice
+        sweeps.clear()
+        data = eigenvalues(p, window=(10.0, 300.0), with_norming=False)
+        assert len(data.eigenvalues) >= 5
+        assert len(set(sweeps)) == len(sweeps)  # window ends included
+
+    def test_dropped_samples_keep_later_brackets(self):
+        p = ROOT_CASES["cantor5"][0]
+        samples = spectrum._Samples(p)
+        for n in range(1, 6):
+            _eigenvalue_by_index(p, n, samples)
+        i = samples.bracket(6)
+        pair = samples.points[i - 1:i + 1]
+        kept = len(samples.points) - (i - 1)
+        samples.drop_below(6)
+        assert samples.points[:2] == pair and len(samples.points) == kept
+
+    def test_debug_record_per_eigenvalue(self, caplog):
+        p = ProblemSpec((0.0, 1.0), measure=CANTOR1, level=5)
+        with caplog.at_level(logging.INFO, logger="deltaprime"):
+            eigenvalues(p, n_max=3, with_norming=False)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="deltaprime"):
+            data = eigenvalues(p, n_max=3, with_norming=False)
+        assert len(caplog.records) == 3
+        for n, lam, rec in zip(data.indices, data.eigenvalues,
+                               caplog.records):
+            assert rec.name == "deltaprime"
+            assert rec.levelno == logging.DEBUG
+            index, lo, hi, c_lo, c_hi, sweeps, interp, bisect = rec.args
+            assert (index, hi, c_hi) == (n, lam, n)
+            assert lo == math.nextafter(hi, -math.inf) and c_lo == n - 1
+            assert sweeps >= 1 and interp + bisect >= 1
+            assert f"eigenvalue {n}:" in rec.getMessage()
 
 
 class TestCounting:
