@@ -55,13 +55,6 @@ def _parse_z(text):
     return parts[0] if len(parts) == 1 else complex(*parts)
 
 
-def _positive(text):
-    value = float(text)
-    if not value > 0.0:
-        raise ValueError("must be positive")
-    return value
-
-
 def _meta(args, cfg):
     return {"schema": dpio.SCHEMA_VERSION, "version": __version__,
             "problem": dpio.problem_hash(cfg),
@@ -72,7 +65,7 @@ def cmd_spectrum(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
     data = spectrum.eigenvalues(problem, n_max=args.count,
-                                window=args.window, rtol=args.tol)
+                                window=args.window)
     rows = [(n, lam, c) for n, lam, c in
             zip(data.indices, data.eigenvalues, data.norming_constants)]
     if args.format == "csv":
@@ -84,8 +77,7 @@ def cmd_spectrum(args):
             {"indices": list(data.indices),
              "eigenvalues": list(data.eigenvalues),
              "norming_constants": list(data.norming_constants),
-             "method": data.method},
-            {"rtol": args.tol})
+             "method": data.method})
         text = dpio.render_json(doc)
     _emit(text, args.out)
 
@@ -250,8 +242,6 @@ def build_parser():
     common(sp)
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--window", type=_parse_window, help="LO,HI")
-    sp.add_argument("--tol", type=_positive, default=1e-12,
-                    help="bisection rtol on the signed-measure route")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("kappa", help="negative-spectrum count")

@@ -6,7 +6,9 @@ u(x+) = u(x-) + beta*u^[1](x) at each measure atom (u^[1] is continuous
 across atoms).  All matrices are unimodular.  Propagation renormalizes the
 state beyond hyperbolic growth 1e100 and keeps the scale in log form, so
 deep-z shooting never overflows; signs, zero counts and Weyl ratios are
-scale-invariant.
+scale-invariant.  Zero counts are oriented (a negative atom that flips the
+sign of u counts -1), so they track the lifted Pruefer angle, which rises
+with z whatever the signs of the atoms.
 """
 from __future__ import annotations
 
@@ -125,6 +127,8 @@ class RealizedProblem:
     Cell i spans (nodes[i], nodes[i+1]) with length lengths[i] and potential
     qvals[i]; betas[i] is the weight of the atom at nodes[i], 0.0 if none.
     Realized atoms lie in [a, b), so each owns exactly one jump slot.
+    negative_jumps counts the atoms that lower the zero count by one as
+    z -> -inf.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -146,6 +150,11 @@ class RealizedProblem:
         self.betas = [weight.get(x, 0.0) for x in self.nodes[:-1]]
         self.atoms = atoms
         self.a, self.b = a, b
+        # as z -> -inf each negative atom flips u once, except one at a
+        # under a Neumann left end, where u^[1] = 0
+        self.negative_jumps = sum(
+            w < 0.0 and not (x == a and problem.bc_left == "neumann")
+            for (x, w) in atoms)
 
 
 @functools.lru_cache(maxsize=128)
@@ -288,6 +297,14 @@ def _count_stretch_zeros(u, u1, w, L, u_end):
 
 @dataclass(frozen=True)
 class PropagationResult:
+    """Final state and the oriented zero count of a left-to-right run.
+
+    zero_count is the integer part of the lifted Pruefer angle over pi:
+    sign changes of u inside stretches count +1, those made by an atom
+    count with the atom's sign (a negative atom also counts -1 when it
+    leaves u == 0).
+    """
+
     state: StateVector
     zero_count: int | None
 
@@ -298,8 +315,9 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
     """Propagate a state across (part of) the interval.
 
     Atoms in [min(x), max(x)) are crossed; states carry left-limit values
-    of u.  zero_count (exact interior sign changes of u, atoms included)
-    is returned for real z on left-to-right runs and None otherwise.
+    of u.  zero_count (exact oriented interior sign changes of u, atoms
+    included; see PropagationResult) is returned for real z on
+    left-to-right runs and None otherwise.
     Both run endpoints must lie in [a, b], in the run's direction.
     """
     real = realize_problem(problem)
@@ -319,7 +337,25 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
 
 def _apply_stretch(u, u1, ls, w, L):
     C, S, dls = _cs(w, L)
-    return C * u + S * u1, -w * S * u + C * u1, ls + dls
+    nu, nu1 = C * u + S * u1, -w * S * u + C * u1
+    if nu == 0.0 and nu1 == 0.0 and not isinstance(w, complex) and w < 0.0:
+        return _split_stretch(u, u1, ls, w, L)
+    return nu, nu1, ls + dls
+
+
+def _split_stretch(u, u1, ls, w, L):
+    """Hyperbolic stretch as ((u + u1/k)/2) e^{kL} + ((u - u1/k)/2) e^{-kL}.
+
+    Used where the cosh/sinh form cancels a decaying state to exactly zero:
+    the two exponentials are rebased on the larger one in log form.
+    """
+    k = math.sqrt(-w)
+    t = k * L
+    terms = ((0.5 * (u + u1 / k), t), (0.5 * (u - u1 / k), -t))
+    m = max(math.log(abs(c)) + e for c, e in terms if c)
+    grow, decay = (math.copysign(math.exp(math.log(abs(c)) + e - m), c)
+                   if c else 0.0 for c, e in terms)
+    return grow + decay, k * (grow - decay), ls + m
 
 
 def _sweep(real, z, state, x0, x1, from_left, count=False, entries=None):
@@ -328,7 +364,9 @@ def _sweep(real, z, state, x0, x1, from_left, count=False, entries=None):
     Left to right each cell applies its jump, rescales, then runs its
     stretch; right to left each cell runs its stretch backwards, then undoes
     its jump, so both directions end on left-limit values.  count adds up
-    the sign changes of u (real data, left to right only); entries[i], when
+    the oriented sign changes of u (real data, left to right only); a
+    stretch that cancels a decaying state to zero is redone in split
+    exponential form (_split_stretch); entries[i], when
     given, receives the state just before cell i's stretch.  Only the first
     and last cells of a run can be partial.
     """
@@ -345,8 +383,9 @@ def _sweep(real, z, state, x0, x1, from_left, count=False, entries=None):
             beta = betas[i] if i != first or x0 == nodes[i] else 0.0
             if beta:
                 up = u + beta * u1
-                if count and u * up < 0.0:
-                    zeros += 1
+                # a jump moves the Pruefer angle in the direction of beta
+                if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)):
+                    zeros += 1 if beta > 0.0 else -1
                 u, u1, ls = _rescale(up, u1, ls)
             if entries is not None:
                 entries[i] = StateVector(u, u1, ls)

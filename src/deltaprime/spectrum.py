@@ -1,17 +1,19 @@
 """Eigenvalues, counting functions, quadratic forms and the FEM oracle.
 
-Two independent routes to the spectrum are kept strictly separate:
+Eigenvalues come from one route for every measure sign and boundary
+condition: shooting with closed-form transfer matrices, indexed by the
+exact eigenvalue count below z that the oriented zero count of the sweep
+gives (oscillation theory for measure coefficients: the lifted Pruefer
+angle rises with z whatever the signs of the atoms).  The count isolates
+each eigenvalue, Illinois regula falsi on the boundary residual converges
+to float adjacency, and every move of the bracket is decided by the count;
+one sorted store of shots serves all indices of a call.
 
-* shooting with closed-form transfer matrices, indexed by exact interior
-  zero counts when the measure is nonnegative (oscillation indexing needs a
-  positive dP; signed jumps can create or destroy sign changes), and by
-  oracle-assisted bisection otherwise.  On the counted route the count
-  isolates each eigenvalue, Illinois regula falsi on the boundary residual
-  converges to float adjacency, and every move of the bracket is decided
-  by the count; one sorted store of shots serves all indices of a call;
-* a conforming P1 Galerkin discretization with doubled (discontinuous)
-  basis nodes at every atom and jump penalty |jump|^2/beta, solved as a
-  symmetric tridiagonal pencil.
+Independent of it is a conforming P1 Galerkin discretization with doubled
+(discontinuous) basis nodes at every atom and jump penalty |jump|^2/beta,
+solved as a symmetric tridiagonal pencil.  It serves as a test oracle and
+gives the counts of counting_function and negative_count for signed
+measures, Neumann right ends and nonzero q.
 """
 from __future__ import annotations
 
@@ -48,9 +50,6 @@ __all__ = [
     "solution_l2_norm",
 ]
 
-BISECTION_TOL = 1e-12
-MAX_BISECTIONS = 200
-
 _log = logging.getLogger("deltaprime")
 
 
@@ -79,11 +78,6 @@ class ShootResult:
     zero_count: int | None
     state: StateVector
 
-    def sign(self) -> int:
-        if self.residual == 0:
-            return 0
-        return 1 if self.residual.real > 0 else -1
-
 
 def shoot(problem: ProblemSpec, z) -> ShootResult:
     """Boundary residual of the left-BC solution, entire in z.
@@ -99,8 +93,8 @@ def shoot(problem: ProblemSpec, z) -> ShootResult:
 
 
 def _count_below(problem: ProblemSpec, z: float) -> int:
-    """Number of eigenvalues strictly below z (nonnegative measure, right-D)."""
-    return shoot(problem, z).zero_count
+    """Number of eigenvalues strictly below z."""
+    return _Samples(problem).at(z).count
 
 
 def _weyl_upper_guess(problem: ProblemSpec, n: int) -> float:
@@ -112,21 +106,28 @@ def _weyl_upper_guess(problem: ProblemSpec, n: int) -> float:
 class _Sample(NamedTuple):
     z: float
     count: int          # eigenvalues strictly below z
-    u: float            # residual u(b) ...
+    residual: float     # u(b) (Dirichlet right) or u^[1](b) (Neumann) ...
     log_scale: float    # ... times exp(log_scale)
 
 
 class _Samples:
-    """Shots of one problem (nonnegative measure, Dirichlet right), by z.
+    """Shots of one problem, by z.
 
-    The exact count is monotone in z, so the samples sorted by z are sorted
-    by count as well, and the tightest sampled bracket of any index is one
-    bisect lookup away.  One store serves every index of a call, as in
-    simultaneous Sturm bisection (LAPACK dstebz).
+    The count of eigenvalues below z is the oriented zero count of the
+    sweep (the integer part of the lifted Pruefer angle theta(b) over pi,
+    which tends to -negative_jumps as z -> -inf) plus negative_jumps.  A
+    Neumann right end adds one where theta(b) mod pi lies past pi/2
+    (u*u^[1] < 0) or at zero (u == 0).  The count is monotone in z, so the
+    samples sorted by z are sorted by count as well, and the tightest
+    sampled bracket of any index is one bisect lookup away.  One store
+    serves every index of a call, as in simultaneous Sturm bisection
+    (LAPACK dstebz).
     """
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
+        self.offset = realize_problem(problem).negative_jumps
+        self.neumann = problem.bc_right == "neumann"
         self.points: list[_Sample] = []
 
     def at(self, z: float) -> _Sample:
@@ -135,7 +136,12 @@ class _Samples:
         if i < len(self.points) and self.points[i].z == z:
             return self.points[i]
         res = shoot(self.problem, z)
-        s = _Sample(z, res.zero_count, res.residual, res.log_scale)
+        count = res.zero_count + self.offset
+        if self.neumann:
+            u = res.state.u
+            if u * res.residual < 0.0 or u == 0.0:
+                count += 1
+        s = _Sample(z, count, res.residual, res.log_scale)
         self.points.insert(i, s)
         return s
 
@@ -158,8 +164,8 @@ def _secant(lo: _Sample, hi: _Sample, g_lo: float,
     float tests that.  None when the residuals show no sign change.
     """
     m = max(lo.log_scale, hi.log_scale)
-    f_lo = g_lo * lo.u * math.exp(lo.log_scale - m)
-    f_hi = g_hi * hi.u * math.exp(hi.log_scale - m)
+    f_lo = g_lo * lo.residual * math.exp(lo.log_scale - m)
+    f_hi = g_hi * hi.residual * math.exp(hi.log_scale - m)
     if not f_lo * f_hi < 0.0:
         return None
     x = lo.z + (hi.z - lo.z) * (f_lo / (f_lo - f_hi))
@@ -170,9 +176,12 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
                          samples: _Samples | None = None) -> float:
     """n-th eigenvalue (1-based): the least float z with count(z) >= n.
 
-    The exact zero count brackets lambda_n and is bisected until the
-    bracket holds it alone (count(lo) == n - 1, count(hi) == n).  From then
-    on each point is the Illinois regula falsi point of the residual, or
+    The bracket starts at min q - 1, moved below min q by doubling
+    distances while the count there still reaches n (negative atoms bind
+    states below min q), and at a Weyl guess, doubled while the count
+    stays below n.  The exact count is bisected until the bracket holds
+    lambda_n alone (count(lo) == n - 1, count(hi) == n).  From then on
+    each point is the Illinois regula falsi point of the residual, or
     the midpoint when the residuals show no sign change or three steps in
     a row failed to halve the bracket.  Only the count moves the bracket and
     the loop ends at float adjacency, so where the computed count is
@@ -192,9 +201,13 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
             hi *= 2.0
         else:
             raise NearSingularError(f"could not bracket eigenvalue index {n}")
-    if pts[0].count >= n:
-        # a nonnegative measure puts no eigenvalue below min q
-        samples.at(min(problem.potential.values) - 1.0)
+    qmin = min(problem.potential.values)
+    depth = 1.0
+    while pts[0].count >= n:
+        if depth > 1e300:
+            raise NearSingularError(f"could not bracket eigenvalue index {n}")
+        samples.at(qmin - depth)
+        depth *= 2.0
     i = samples.bracket(n)
     lo, hi = pts[i - 1], pts[i]
     g_lo = g_hi = 1.0       # Illinois weights of the two ends
@@ -236,30 +249,6 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
                    n, lo.z, hi.z, lo.count, hi.count,
                    len(pts) - start, n_interp, n_bisect)
     return hi.z
-
-
-def _bisect_residual(problem: ProblemSpec, lo: float, hi: float,
-                     rtol: float) -> float:
-    slo = shoot(problem, lo).sign()
-    shi = shoot(problem, hi).sign()
-    if slo == 0:
-        return lo
-    if shi == 0:
-        return hi
-    if slo == shi:
-        raise NearSingularError("bracket does not straddle a residual zero")
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        sm = shoot(problem, mid).sign()
-        if sm == 0:
-            return mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= max(rtol * abs(mid), BISECTION_TOL):
-            break
-    return 0.5 * (lo + hi)
 
 
 def solution_l2_norm(problem: ProblemSpec, z: float,
@@ -323,51 +312,42 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
 
 def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
                 window: tuple[float, float] | None = None,
-                rtol: float = 1e-12, oracle_mesh: float | None = None,
                 with_norming: bool = True) -> SpectralData:
     """All eigenvalues up to index n_max and/or inside a window.
 
-    Nonnegative measures with a Dirichlet right condition are indexed by the
-    exact interior zero count (n-th eigenfunction has n-1 sign changes):
-    each eigenvalue is the least float z with count(z) >= n, found by
-    count-safeguarded regula falsi down to float adjacency (about a dozen
-    sweeps each, shots shared across indices), which always meets rtol;
-    signed measures are routed through Galerkin-estimate brackets refined
-    by residual bisection at the requested rtol.
+    Each eigenvalue lambda_n is the least float z at which the exact count
+    of eigenvalues below z reaches n (see _Samples; any measure sign, either
+    boundary condition), found by count-safeguarded regula falsi down to
+    float adjacency: about a dozen sweeps each, shots shared across
+    indices.
     """
     if n_max is None and window is None:
         raise ValueError("need n_max and/or window")
-    nonneg = problem.is_nonnegative_measure()
-    if nonneg and problem.bc_right == "dirichlet":
-        samples = _Samples(problem)
-        if window is not None:
-            w0, w1 = window
-            n_lo = samples.at(w0).count + 1
-            top = samples.at(w1)
-            n_hi = top.count + (top.u == 0)
-        else:
-            n_lo, n_hi = 1, 0
-        if n_max is not None:
-            if window is None:
-                n_lo, n_hi = 1, n_max
-            else:
-                n_hi = min(n_hi, n_max)
-        lams = []
-        for n in range(n_lo, n_hi + 1):
-            lams.append(_eigenvalue_by_index(problem, n, samples))
-            samples.drop_below(n + 1)
-        idx = tuple(range(n_lo, n_hi + 1))
-        method = "shooting"
+    samples = _Samples(problem)
+    if window is not None:
+        w0, w1 = window
+        n_lo = samples.at(w0).count + 1
+        top = samples.at(w1)
+        n_hi = top.count + (top.residual == 0)
     else:
-        lams, idx = _scan_signed(problem, n_max, window, rtol, oracle_mesh)
-        method = "shooting-oracle-indexed"
+        n_lo, n_hi = 1, 0
+    if n_max is not None:
+        if window is None:
+            n_lo, n_hi = 1, n_max
+        else:
+            n_hi = min(n_hi, n_max)
+    lams = []
+    for n in range(n_lo, n_hi + 1):
+        lams.append(_eigenvalue_by_index(problem, n, samples))
+        samples.drop_below(n + 1)
     for i in range(1, len(lams)):
         # sub-ulp splittings: keep the reported list strictly ordered
         if lams[i] <= lams[i - 1]:
             lams[i] = math.nextafter(lams[i - 1], math.inf)
     norm = tuple(solution_l2_norm(problem, l) for l in lams) \
         if with_norming else None
-    return SpectralData(tuple(lams), norm, method, tuple(idx))
+    return SpectralData(tuple(lams), norm, "shooting",
+                        tuple(range(n_lo, n_hi + 1)))
 
 
 def _default_mesh(problem: ProblemSpec) -> float:
@@ -375,52 +355,6 @@ def _default_mesh(problem: ProblemSpec) -> float:
     a, b = problem.interval
     h = min(min(real.lengths) / 2.0, (b - a) / 256.0)
     return max(h, (b - a) * 2.0 ** -16)
-
-
-def _scan_signed(problem, n_max, window, rtol, oracle_mesh):
-    """Oracle-assisted eigenvalue extraction for signed measures."""
-    h = oracle_mesh if oracle_mesh is not None else _default_mesh(problem)
-    oracle = GalerkinOracle(problem, h)
-    if window is None:
-        lo = _spectral_lower_bound(problem)
-        hi = _weyl_upper_guess(problem, n_max)
-        window = (lo, hi)
-    w0, w1 = window
-    base = oracle.inertia(w0)
-    count = oracle.inertia(w1) - base
-    if n_max is not None:
-        count = min(count, max(n_max - base, 0))
-    estimates = oracle.eigenvalues(base + count)[base:base + count]
-    roots = []
-    for j, est in enumerate(estimates):
-        gap_lo = estimates[j - 1] if j > 0 else w0
-        gap_hi = estimates[j + 1] if j + 1 < len(estimates) else w1
-        delta = max(16.0 * h * h * (1.0 + abs(est)), 1e-9)
-        cap = 0.45 * min(est - gap_lo, gap_hi - est) if count > 1 else \
-            0.45 * min(est - w0, w1 - est)
-        cap = max(cap, delta)
-        while delta <= cap:
-            lo_b, hi_b = est - delta, est + delta
-            if shoot(problem, lo_b).sign() * shoot(problem, hi_b).sign() <= 0:
-                roots.append(_bisect_residual(problem, lo_b, hi_b, rtol))
-                break
-            delta *= 4.0
-        else:
-            raise NearSingularError(
-                f"no residual sign change near oracle estimate {est!r}")
-    idx = tuple(range(base + 1, base + len(roots) + 1))
-    return roots, idx
-
-
-def _spectral_lower_bound(problem: ProblemSpec) -> float:
-    """Certified-by-oracle lower bound for the whole spectrum."""
-    real = realize_problem(problem)
-    neg = [w for (_, w) in real.atoms if w < 0.0]
-    qmin = min(problem.potential.values)
-    lo = qmin - 1.0
-    if neg:
-        lo -= 16.0 / min(abs(w) for w in neg) ** 2 + 10.0
-    return lo
 
 
 def counting_function(problem: ProblemSpec, t: float,
@@ -714,8 +648,7 @@ def galerkin_oracle(problem: ProblemSpec, mesh_size: float,
 # spectral function
 
 
-def spectral_function(problem: ProblemSpec, t: float,
-                      rtol: float = 1e-12) -> float:
+def spectral_function(problem: ProblemSpec, t: float) -> float:
     """Neumann spectral function rho(t) from eigenvalues and norming constants.
 
     rho(t) = sum over 0 < lambda_n <= t of 1/||c(lambda_n)||^2 with c the
@@ -727,21 +660,21 @@ def spectral_function(problem: ProblemSpec, t: float,
     if t == 0.0:
         return 0.0
     if t > 0.0:
-        data = eigenvalues(problem, window=(0.0, t), rtol=rtol)
+        data = eigenvalues(problem, window=(0.0, t))
         return math.fsum(1.0 / c for c in data.norming_constants)
-    data = eigenvalues(problem, window=(t, 0.0), rtol=rtol)
+    data = eigenvalues(problem, window=(t, 0.0))
     cs = [c for l, c in zip(data.eigenvalues, data.norming_constants)
           if t <= l < 0.0]
     return -math.fsum(1.0 / c for c in cs)
 
 
-def spectral_function_samples(problem: ProblemSpec, ts,
-                              rtol: float = 1e-12) -> list[tuple[float, float]]:
+def spectral_function_samples(problem: ProblemSpec,
+                              ts) -> list[tuple[float, float]]:
     """rho(t) on a grid of positive t values with one eigenvalue sweep."""
     ts = sorted(ts)
     if ts[0] <= 0.0:
         raise ValueError("grid must be positive; negative side is per-call")
-    data = eigenvalues(problem, window=(0.0, ts[-1]), rtol=rtol)
+    data = eigenvalues(problem, window=(0.0, ts[-1]))
     lams = data.eigenvalues
     inv = [1.0 / c for c in data.norming_constants]
     out = []

@@ -248,15 +248,15 @@ class TestArgumentValidation:
         assert err.startswith("usage:")
         assert "Traceback" not in err
 
-    def test_tol_reaches_tolerances_block(self, tmp_path, capsys):
+    def test_tol_flag_is_unrecognized(self, tmp_path, capsys):
+        # one eigenvalue route for every problem, to float adjacency: no
+        # tolerance to set
         cfg = write(tmp_path, "signed.json", SIGNED)
-        rc, out = run_json(capsys, ["spectrum", "--config", cfg,
-                                    "--count", "2", "--tol", "1e-9"])
-        assert rc == 0
-        assert json.loads(out)["tolerances"] == {"rtol": 1e-9}
-        rc, out = run_json(capsys, ["spectrum", "--config", cfg,
-                                    "--count", "2"])
-        assert json.loads(out)["tolerances"] == {"rtol": 1e-12}
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", cfg, "--count", "2",
+                  "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ class TestPropagate:
         res = propagate(p, 0.0)
         assert abs(res.state.u) < 1e-15
         assert abs(res.state.u1 - 1.0) < 1e-15
-        assert res.zero_count == 1
+        # the negative atom flips u from + to -: an oriented count of -1
+        assert res.zero_count == -1
 
     def test_complex_z_returns_no_count(self):
         p = ProblemSpec((0.0, 1.0))
@@ -90,11 +91,13 @@ class TestPropagate:
         assert res.zero_count is None
 
     def test_zero_count_monotone_in_z(self, rng):
-        for _ in range(10):
-            p = random_problem(rng, signed=False)
-            counts = [propagate(p, z).zero_count
-                      for z in np.linspace(-5.0, 400.0, 60)]
-            assert all(b >= a for a, b in zip(counts, counts[1:]))
+        # oriented jumps keep the count monotone for signed measures too
+        for signed in (False, True):
+            for _ in range(10):
+                p = random_problem(rng, signed=signed)
+                counts = [propagate(p, z).zero_count
+                          for z in np.linspace(-3000.0, 400.0, 80)]
+                assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_deep_z_renormalizes_without_overflow(self):
         p = ProblemSpec((0.0, 50.0))
@@ -102,6 +105,19 @@ class TestPropagate:
         assert res.state.log_scale > 0.0
         assert math.isfinite(res.state.u)
         assert res.state.u > 0.0  # sinh-type growth, no sign flips
+
+    def test_collapsed_stretch_keeps_the_decaying_state(self):
+        # at z = -4 the cosh/sinh form cancels the state past the atom to
+        # exactly zero, in both directions; the split form keeps the
+        # decaying solution, e^{-2|x|} on the far side of the atom
+        m = SingularMeasure.from_atoms([(0.0, -1.0)])
+        p = ProblemSpec((-20.0, 20.0), measure=m)
+        for from_left, sign in ((True, -1.0), (False, 1.0)):
+            res = propagate(p, -4.0, from_left=from_left)
+            u, u1 = res.state.true_values()
+            assert u1 == pytest.approx(2.0 * sign * u, rel=1e-14)
+            assert abs(u) == pytest.approx(0.25, rel=1e-14)
+        assert propagate(p, -4.0).zero_count == -1
 
     def test_atom_at_potential_breakpoint_ordering(self):
         # left stretch, then the jump, then the right stretch

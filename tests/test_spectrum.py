@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         JumpFunction, MeshRefinementError, PiecewisePotential,
@@ -11,6 +12,7 @@ from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         kappa_minus, negative_count, quadratic_form, shoot,
                         spectral_function, spectral_function_samples)
 from deltaprime import spectrum
+from deltaprime.propagate import realize_problem
 from deltaprime.spectrum import (_count_below, _eigenvalue_by_index,
                                  _weyl_upper_guess)
 from conftest import random_measure
@@ -57,6 +59,24 @@ ROOT_CASES = {
                                   .from_atoms([(17.3, 0.8)])), 100),
     "near_degenerate": (ProblemSpec((0.0, 1.0), measure=SingularMeasure
                                     .from_atoms([(0.5, 1e14)])), 4),
+}
+
+# signed measures and Neumann right ends (count offset by the negative
+# atoms, plus the Neumann half step)
+SIGNED_NEUMANN_CASES = {
+    "dn_signed_atoms": ProblemSpec(
+        (0.0, 1.0), bc_right="neumann",
+        potential=PiecewisePotential((0.5,), (2.0, -1.0)),
+        measure=SingularMeasure.from_atoms([(0.3, -0.2), (0.55, 0.4),
+                                            (0.8, -0.1)])),
+    "nn_signed_atoms": ProblemSpec(
+        (0.0, 2.0), bc_left="neumann", bc_right="neumann",
+        potential=PiecewisePotential((1.0,), (-3.0, 1.5)),
+        measure=SingularMeasure.from_atoms([(0.4, 0.3), (1.1, -0.25)])),
+    "nn_negative_cantor": ProblemSpec(
+        (0.0, 1.0), bc_left="neumann", bc_right="neumann", level=3,
+        measure=SingularMeasure(cantor_parts=(
+            CantorSpec((0.2, 0.9), -0.6, 0.3),))),
 }
 
 
@@ -202,22 +222,138 @@ class TestRootFinder:
         assert samples.points[:2] == pair and len(samples.points) == kept
 
     def test_debug_record_per_eigenvalue(self, caplog):
-        p = ProblemSpec((0.0, 1.0), measure=CANTOR1, level=5)
-        with caplog.at_level(logging.INFO, logger="deltaprime"):
-            eigenvalues(p, n_max=3, with_norming=False)
-        assert caplog.records == []
-        with caplog.at_level(logging.DEBUG, logger="deltaprime"):
-            data = eigenvalues(p, n_max=3, with_norming=False)
-        assert len(caplog.records) == 3
-        for n, lam, rec in zip(data.indices, data.eigenvalues,
-                               caplog.records):
-            assert rec.name == "deltaprime"
-            assert rec.levelno == logging.DEBUG
-            index, lo, hi, c_lo, c_hi, sweeps, interp, bisect = rec.args
-            assert (index, hi, c_hi) == (n, lam, n)
-            assert lo == math.nextafter(hi, -math.inf) and c_lo == n - 1
-            assert sweeps >= 1 and interp + bisect >= 1
-            assert f"eigenvalue {n}:" in rec.getMessage()
+        for p in (ROOT_CASES["cantor5"][0],
+                  SIGNED_NEUMANN_CASES["dn_signed_atoms"],
+                  SIGNED_NEUMANN_CASES["nn_negative_cantor"]):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="deltaprime"):
+                eigenvalues(p, n_max=3, with_norming=False)
+            assert caplog.records == []
+            with caplog.at_level(logging.DEBUG, logger="deltaprime"):
+                data = eigenvalues(p, n_max=3, with_norming=False)
+            assert len(caplog.records) == 3
+            for n, lam, rec in zip(data.indices, data.eigenvalues,
+                                   caplog.records):
+                assert rec.name == "deltaprime"
+                assert rec.levelno == logging.DEBUG
+                index, lo, hi, c_lo, c_hi, sweeps, interp, bisect = rec.args
+                assert (index, hi, c_hi) == (n, lam, n)
+                assert lo == math.nextafter(hi, -math.inf) and c_lo == n - 1
+                assert sweeps >= 1 and interp + bisect >= 1
+                assert f"eigenvalue {n}:" in rec.getMessage()
+
+
+def _richardson(problem, count, h):
+    """Galerkin eigenvalues extrapolated from meshes h and h/2 (O(h^2))."""
+    coarse = GalerkinOracle(problem, h).eigenvalues(count)
+    fine = GalerkinOracle(problem, h / 2.0).eigenvalues(count)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _widen(s):
+    return s + max(abs(s), 1.0) * 1e-14
+
+
+class TestCountedRoute:
+    def test_weak_negative_atom_binds_deep(self):
+        # a delta' coupling of weight beta < 0 binds one state at
+        # -4/beta^2 = -1600, far below any coarse oracle's reach
+        m = SingularMeasure.from_atoms([(0.0, -0.05)])
+        p = ProblemSpec((-200.0, 200.0), measure=m)
+        data = eigenvalues(p, window=(-5000.0, -1.0), with_norming=False)
+        assert data.indices == (1,)
+        assert data.eigenvalues[0] == pytest.approx(-1600.0, rel=1e-12)
+
+    def test_signed_cantor_neumann_right_against_richardson(self):
+        m = SingularMeasure(atoms=((0.7, 0.2),), cantor_parts=(
+            CantorSpec((0.0, 1.0), -0.5, 0.3),))
+        p = ProblemSpec((0.0, 1.0), bc_right="neumann", level=4,
+                        potential=PiecewisePotential((0.4,), (3.0, -2.0)),
+                        measure=m)
+        data = eigenvalues(p, n_max=6, with_norming=False)
+        oracle = _richardson(p, 6, 2.0 ** -14)
+        # the h = 2^-15 oracle alone is 9e-7 off; the extrapolation 4e-9
+        assert data.eigenvalues[0] == pytest.approx(-8262.79287, abs=1e-5)
+        np.testing.assert_allclose(data.eigenvalues, oracle, rtol=2e-8)
+
+    def test_wide_signed_truncation_count(self):
+        # four negative atoms on a wide truncation: 155 eigenvalues in
+        # (0, t]; a coarse default-mesh oracle reports 241
+        m = SingularMeasure.from_atoms([
+            (-15.486156, -0.965236), (-5.556958, -0.331679),
+            (2.141711, -0.388607), (10.164699, -0.637136)])
+        pot = PiecewisePotential((-1.505236, 8.047563),
+                                 (-0.083806, -0.567703, -0.186431))
+        p = ProblemSpec((-36.904851, 36.904851), potential=pot, measure=m)
+        t = 49.722088
+        count = _count_below(p, _widen(t)) - _count_below(p, _widen(0.0))
+        assert count == 155
+        oracle = GalerkinOracle(p, 73.809702 * 2.0 ** -15)
+        assert oracle.inertia(_widen(t)) - oracle.inertia(_widen(0.0)) == 155
+
+    def test_negative_atom_at_dirichlet_left_end(self):
+        # u(a+) = beta u^[1](a): a Robin end.  On (0, 1), free, the
+        # eigenvalues solve tanh(k) = -beta k (lambda = -k^2) and
+        # tan(w) = -beta w (lambda = w^2)
+        beta = -0.2
+        p = ProblemSpec((0.0, 1.0),
+                        measure=SingularMeasure.from_atoms([(0.0, beta)]))
+        assert realize_problem(p).negative_jumps == 1
+        k = brentq(lambda k: math.tanh(k) + beta * k, 1.0, 10.0, xtol=1e-15)
+        ws = [brentq(lambda w: math.sin(w) + beta * w * math.cos(w),
+                     j * math.pi + 1e-9, (j + 0.5) * math.pi, xtol=1e-15)
+              for j in (1, 2)]
+        data = eigenvalues(p, n_max=3, with_norming=False)
+        np.testing.assert_allclose(data.eigenvalues,
+                                   [-k * k] + [w * w for w in ws],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("bc_right", ["dirichlet", "neumann"])
+    def test_inert_atom_at_neumann_left_end(self, bc_right):
+        # u^[1](a) = 0 leaves an atom at a without effect, whatever its sign
+        pot = PiecewisePotential((0.6,), (1.0, -2.0))
+        rest = [(0.35, -0.2), (0.7, 0.5)]
+        with_atom, without = (
+            ProblemSpec((0.0, 1.0), bc_left="neumann", bc_right=bc_right,
+                        potential=pot,
+                        measure=SingularMeasure.from_atoms(atoms))
+            for atoms in ([(0.0, -0.3)] + rest, rest))
+        assert realize_problem(with_atom).negative_jumps == 1
+        assert eigenvalues(with_atom, n_max=6).eigenvalues == \
+            eigenvalues(without, n_max=6).eigenvalues
+
+    def test_neumann_right_count_where_u_vanishes_at_b(self):
+        # u(a+) = -u^[1](a), so at z = 0 the state reaches b as (0, 1)
+        # exactly: theta(b) sits on a multiple of pi, above lambda_1 = -k^2
+        # (k tanh k = 1) and below lambda_2 = w^2 (w tan w = -1)
+        p = ProblemSpec((0.0, 1.0), bc_right="neumann",
+                        measure=SingularMeasure.from_atoms([(0.0, -1.0)]))
+        assert shoot(p, 0.0).state.u == 0.0
+        assert _count_below(p, 0.0) == 1
+        k = brentq(lambda k: k * math.tanh(k) - 1.0, 0.5, 2.0, xtol=1e-15)
+        w = brentq(lambda w: w * math.sin(w) + math.cos(w),
+                   0.5 * math.pi, math.pi, xtol=1e-15)
+        data = eigenvalues(p, n_max=2, with_norming=False)
+        np.testing.assert_allclose(data.eigenvalues, [-k * k, w * w],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(SIGNED_NEUMANN_CASES))
+    def test_counts_match_oracle_inertia(self, case):
+        # the adjacency certificate of every eigenvalue, and the oracle's
+        # inertia between neighbours
+        p = SIGNED_NEUMANN_CASES[case]
+        h = 2.0 ** -12
+        data = eigenvalues(p, n_max=8, with_norming=False)
+        assert data.method == "shooting"
+        for n, lam in zip(data.indices, data.eigenvalues):
+            assert _count_below(p, lam) >= n
+            assert _count_below(p, math.nextafter(lam, -math.inf)) < n
+        oracle = GalerkinOracle(p, h)
+        for n, (lo, hi) in enumerate(zip(data.eigenvalues,
+                                         data.eigenvalues[1:]), start=1):
+            assert oracle.inertia(0.5 * (lo + hi)) == n
+        for a, b in zip(data.eigenvalues, oracle.eigenvalues(8)):
+            assert abs(a - b) <= max(1e-5, (a * h) ** 2, 200.0 * h * h)
 
 
 class TestCounting:
@@ -425,8 +561,8 @@ class TestGalerkinOracle:
                 assert abs(a - b) <= tol
 
     def test_oracle_agreement_signed_clustered(self, rng):
-        # mixed-sign atoms in tight clusters with a potential: the
-        # oracle-assisted scan must find every shooting root the FEM sees
+        # mixed-sign atoms in tight clusters with a potential: the counted
+        # route must find every root the FEM sees, with the same indices
         h = 2.0 ** -11
         for _ in range(5):
             xs = (0.3 + np.cumsum(rng.uniform(0.012, 0.03, 4))).tolist()
@@ -436,7 +572,7 @@ class TestGalerkinOracle:
             pot = PiecewisePotential((0.5,), (1.0, -1.0))
             p = ProblemSpec((0.0, 1.0), potential=pot, measure=m)
             data = eigenvalues(p, window=(-2000.0, 200.0),
-                               with_norming=False, oracle_mesh=h)
+                               with_norming=False)
             orcv = GalerkinOracle(p, h).eigenvalues(len(data.eigenvalues))
             for a, b in zip(data.eigenvalues, orcv):
                 assert abs(a - b) <= max(1e-5, (a * h) ** 2, 200.0 * h * h)
