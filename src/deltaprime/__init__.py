@@ -21,9 +21,9 @@ from .propagate import (PiecewisePotential, ProblemSpec, StateVector,
                         TransferMatrix, atom_jump, propagate,
                         stretch_propagator, transfer_matrix, wronskian)
 from .spectrum import (FormValue, GalerkinOracle, JumpFunction, SpectralData,
-                       counting_function, eigenvalues, galerkin_oracle,
-                       jump_function_l2, negative_count, quadratic_form,
-                       shoot, spectral_function, spectral_function_samples)
+                       counting_function, eigenvalues, jump_function_l2,
+                       negative_count, quadratic_form, shoot,
+                       spectral_function, spectral_function_samples)
 from .resolvent import GreenKernel, convergence_study, green, hs_distance
 from .classify import (CriteriaReport, EndpointDescriptor, EndpointVerdict,
                        GapStructure, classify_endpoint, deficiency_indices,

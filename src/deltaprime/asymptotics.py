@@ -43,16 +43,16 @@ class AsymptoticFit:
     dropped: int = 0
 
 
-def weyl_fit(data: SpectralData, interval: tuple[float, float],
-             min_count: int = 50) -> AsymptoticFit:
+def weyl_fit(data: SpectralData,
+             interval: tuple[float, float]) -> AsymptoticFit:
     """Fit n/sqrt(lambda_n) on the top half of the index range.
 
     The reference constant is (b-a)/pi; max_rel_dev is the worst relative
     deviation from it over the fitted window.
     """
-    if len(data.eigenvalues) < min_count:
+    if len(data.eigenvalues) < 50:
         raise InsufficientDataError(
-            f"need at least {min_count} eigenvalues, have "
+            f"need at least 50 eigenvalues, have "
             f"{len(data.eigenvalues)}")
     a, b = interval
     target = (b - a) / math.pi
@@ -136,7 +136,7 @@ def scale_function(measure: SingularMeasure, r: float, level: int,
 
 
 def m_asymptotics_check(problem: ProblemSpec, alpha: float, r_grid,
-                        mus=(-1.0,), level: int | None = None) -> AsymptoticFit:
+                        mus=(-1.0,)) -> AsymptoticFit:
     """Tabulate m(r*mu) against C_alpha (-mu)^(-alpha/(1+alpha)) f(r).
 
     Certified for alpha in {0, 1}; other orders are accepted but carry no
@@ -144,12 +144,12 @@ def m_asymptotics_check(problem: ProblemSpec, alpha: float, r_grid,
     counted.
     """
     c_alpha = power_constant(alpha)
-    lv = problem.level if level is None else level
     a, b = problem.interval
     samples = []
     dropped = 0
     for r in r_grid:
-        f = scale_function(problem.measure, r, lv, origin=a, span=b - a)
+        f = scale_function(problem.measure, r, problem.level, origin=a,
+                           span=b - a)
         for mu in mus:
             mu_c = complex(mu)
             z = r * mu_c
@@ -171,8 +171,7 @@ def m_asymptotics_check(problem: ProblemSpec, alpha: float, r_grid,
                          fitted, dev, dropped)
 
 
-def rho_asymptotics_check(rho_samples, alpha: float, scale,
-                          min_count: int = 1) -> AsymptoticFit:
+def rho_asymptotics_check(rho_samples, alpha: float, scale) -> AsymptoticFit:
     """Ratio of rho(t) to its predicted leading term on the sampled window.
 
     rho_samples are (t, rho(t)) pairs; scale is the r -> f(r) callable.
@@ -182,7 +181,7 @@ def rho_asymptotics_check(rho_samples, alpha: float, scale,
     are reported as a trend toward 0.
     """
     rho_samples = list(rho_samples)
-    if len(rho_samples) < min_count:
+    if not rho_samples:
         raise InsufficientDataError("not enough spectral-function samples")
     c_alpha = power_constant(alpha)
     out = []

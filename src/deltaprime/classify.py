@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 Q_CLASSES = ("bounded", "bounded_plus_compact")
+MOLCHANOV_GRID = 32
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def _quartile_trend_ratio(seq) -> float:
 
 def evaluate_criteria(gaps: GapStructure, q: PiecewisePotential,
                       epsilon_grid=(1.0,), k_prefix: int | None = None,
-                      trend_factor: float = 4.0,
-                      molchanov_grid: int = 32) -> CriteriaReport:
+                      trend_factor: float = 4.0) -> CriteriaReport:
     """Windowed evaluation of the discreteness criteria.
 
     Computes, over the declared gap prefix: the negative-part form bound
@@ -169,8 +169,8 @@ def evaluate_criteria(gaps: GapStructure, q: PiecewisePotential,
     for eps in epsilon_grid:
         if hi - eps <= lo:
             raise ValueError(f"epsilon {eps} exceeds the data window")
-        step = (hi - eps - lo) / (molchanov_grid - 1)
-        for i in range(molchanov_grid):
+        step = (hi - eps - lo) / (MOLCHANOV_GRID - 1)
+        for i in range(MOLCHANOV_GRID):
             x = lo + i * step
             samples.append((eps, x, q.integral(x, x + eps)))
     necessary = [1.0 / dk ** 2 + m for dk, m in zip(d, means)]

@@ -55,6 +55,16 @@ def _parse_z(text):
     return parts[0] if len(parts) == 1 else complex(*parts)
 
 
+def _geometric(lo, hi, n):
+    """n points from lo to hi in geometric progression (lo alone if n == 1)."""
+    return [lo * (hi / lo) ** (i / (n - 1)) if n > 1 else lo
+            for i in range(n)]
+
+
+def _z_pair(z):
+    return [z.real, z.imag] if isinstance(z, complex) else [z, 0.0]
+
+
 def _meta(args, cfg):
     return {"schema": dpio.SCHEMA_VERSION, "version": __version__,
             "problem": dpio.problem_hash(cfg),
@@ -150,8 +160,7 @@ def cmd_resolvent_study(args):
     else:
         doc = dpio.result_envelope(
             "resolvent-study", dpio.problem_hash(cfg), args.seed,
-            {"z": [z.real, z.imag] if isinstance(z, complex) else [z, 0.0],
-             "rows": [list(r) for r in table]})
+            {"z": _z_pair(z), "rows": [list(r) for r in table]})
         text = dpio.render_json(doc)
     _emit(text, args.out)
 
@@ -165,17 +174,14 @@ def cmd_mfunction(args):
         m = complex(m)
         doc = dpio.result_envelope(
             "mfunction", dpio.problem_hash(cfg), args.seed,
-            {"z": [z.real, z.imag] if isinstance(z, complex) else [z, 0.0],
-             "m": [m.real, m.imag]})
+            {"z": _z_pair(z), "m": [m.real, m.imag]})
         _emit(dpio.render_json(doc), args.out)
         return
     r_lo, r_hi = args.window
-    n = args.count or 9
     c = asymptotics.power_constant(args.alpha)
     a, b = problem.interval
     rows = []
-    for i in range(n):
-        r = r_lo * (r_hi / r_lo) ** (i / (n - 1)) if n > 1 else r_lo
+    for r in _geometric(r_lo, r_hi, args.count or 9):
         m = complex(asymptotics.m_function(problem, -r))
         f = asymptotics.scale_function(problem.measure, r, problem.level,
                                        origin=a, span=b - a)
@@ -195,9 +201,7 @@ def cmd_asymptotics(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
     t_lo, t_hi = args.window
-    n = args.count or 5
-    ts = [t_lo * (t_hi / t_lo) ** (i / (n - 1)) if n > 1 else t_lo
-          for i in range(n)]
+    ts = _geometric(t_lo, t_hi, args.count or 5)
     samples = spectrum.spectral_function_samples(problem, ts)
     a, b = problem.interval
 

@@ -177,14 +177,14 @@ def problem_hash(doc) -> str:
 
 
 def result_envelope(command: str, cfg_hash: str, seed: int | None,
-                    result: dict, tolerances: dict | None = None) -> dict:
+                    result: dict) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "command": command,
         "problem": cfg_hash,
         "seed": seed,
-        "tolerances": tolerances or {},
+        "tolerances": {},
         "result": result,
     }
 

@@ -32,7 +32,6 @@ __all__ = [
     "PropagationResult",
     "wronskian",
     "transfer_matrix",
-    "transfer_matrix_with_dz",
     "cell_l2_integral",
 ]
 
@@ -257,22 +256,6 @@ def stretch_propagator(length: float, q_val: float, z) -> TransferMatrix:
     return TransferMatrix(C, S, -w * S, C, ls)
 
 
-def _stretch_entries_dz(length, q_val, z):
-    """Stretch factor and its z-derivative (unscaled; moderate z only)."""
-    w = z - q_val
-    L = length
-    C, S, ls = _cs(w, L)
-    if ls != 0.0:
-        raise PropagationOverflowError("z-derivative path requires moderate z")
-    dC = -0.5 * L * S
-    if abs(w) * L * L < 1e-5:
-        dS = -L ** 3 / 6.0 + w * L ** 5 / 60.0
-    else:
-        dS = (L * C - S) / (2.0 * w)
-    dB = -S - w * dS
-    return (C, S, -w * S, C), (dC, dS, dB, dC)
-
-
 def _rescale(u, u1, log_scale):
     m = max(abs(u), abs(u1))
     if m > RESCALE_LIMIT or (0.0 < m < 1.0 / RESCALE_LIMIT):
@@ -454,33 +437,6 @@ def transfer_matrix(problem: ProblemSpec, z, x0: float | None = None,
     ls = max(s1.log_scale, s2.log_scale)
     f1, f2 = math.exp(s1.log_scale - ls), math.exp(s2.log_scale - ls)
     return TransferMatrix(s1.u * f1, s2.u * f2, s1.u1 * f1, s2.u1 * f2, ls)
-
-
-def transfer_matrix_with_dz(problem: ProblemSpec, z):
-    """Full-interval transfer matrix and its analytic z-derivative.
-
-    Unscaled product (moderate z); used to certify that propagation is
-    entire in z.
-    """
-    real = realize_problem(problem)
-    M = (1.0, 0.0, 0.0, 1.0)
-    dM = (0.0, 0.0, 0.0, 0.0)
-
-    def comp(F, G):  # F @ G on entry 4-tuples
-        return (F[0] * G[0] + F[1] * G[2], F[0] * G[1] + F[1] * G[3],
-                F[2] * G[0] + F[3] * G[2], F[2] * G[1] + F[3] * G[3])
-
-    def push(F, dF):
-        nonlocal M, dM
-        dM = tuple(a + b for a, b in zip(comp(dF, M), comp(F, dM)))
-        M = comp(F, M)
-
-    for L, q_val, beta in zip(real.lengths, real.qvals, real.betas):
-        if beta:
-            push((1.0, beta, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0))
-        F, dF = _stretch_entries_dz(L, q_val, z)
-        push(F, dF)
-    return TransferMatrix(*M), dM
 
 
 def cell_l2_integral(u, u1, w, L):

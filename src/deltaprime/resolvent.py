@@ -38,6 +38,8 @@ __all__ = [
 
 GL_POINTS = 8
 SINGULAR_RTOL = 1e-13
+HS_TOL = 1e-8
+STUDY_EIGEN = 5           # eigenvalue columns of a convergence study row
 
 
 class _SolutionCache:
@@ -128,15 +130,6 @@ class GreenKernel:
         q = self.psi.values(np.array([hi]))[0]
         return p * q / self.denominator
 
-    def on_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Full kernel matrix G(x_i, x_j) on a sorted grid."""
-        phi_v = self.phi.values(xs)
-        psi_v = self.psi.values(xs)
-        X = np.arange(len(xs))
-        lower = X[:, None] >= X[None, :]
-        G = np.where(lower, np.outer(psi_v, phi_v), np.outer(phi_v, psi_v))
-        return G / self.denominator
-
 
 def green(problem: ProblemSpec, z, x: float, t: float):
     """Resolvent kernel value G(x, t; z)."""
@@ -159,27 +152,24 @@ def _panel_grid(problems, panels_per_cell):
 
 
 def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
-                panels: int = 1, tol: float = 1e-8,
                 max_doublings: int = 5) -> float:
     """Hilbert-Schmidt norm of G_1 - G_2 over the square of the interval.
 
     Tensor Gauss-Legendre quadrature on panels refined at both problems'
-    atoms; panel count doubles until the value moves less than tol.  Upper
-    bound for the operator-norm resolvent difference.
+    atoms, from one panel per cell doubling until the value moves less than
+    HS_TOL.  Upper bound for the operator-norm resolvent difference.
     """
     if problem_1.interval != problem_2.interval:
         raise ValueError("problems must share the interval")
     g1 = GreenKernel(problem_1, z)
     g2 = GreenKernel(problem_2, z)
     prev = None
-    p = panels
-    for _ in range(max_doublings + 1):
-        xs, ws = _panel_grid((problem_1, problem_2), p)
+    for doubling in range(max_doublings + 1):
+        xs, ws = _panel_grid((problem_1, problem_2), 2 ** doubling)
         val = _hs_value(g1, g2, xs, ws)
-        if prev is not None and abs(val - prev) < tol:
+        if prev is not None and abs(val - prev) < HS_TOL:
             return val
         prev = val
-        p *= 2
     return prev
 
 
@@ -266,8 +256,7 @@ class StudyRow:
     lambdas: tuple[float, ...]
 
 
-def convergence_study(problem: ProblemSpec, levels, z=-1.0,
-                      n_eigen: int = 5) -> list[StudyRow]:
+def convergence_study(problem: ProblemSpec, levels, z=-1.0) -> list[StudyRow]:
     """Level-refinement study against the finest requested level.
 
     One row per level: HS distance to the finest realization and the first
@@ -284,10 +273,10 @@ def convergence_study(problem: ProblemSpec, levels, z=-1.0,
         p = _with_level(problem, lv)
         hs = hs_distance(p, ref, z) if lv != finest else 0.0
         if p.is_nonnegative_measure():
-            data = _spectrum.eigenvalues(p, n_max=n_eigen, with_norming=False)
-            lams = data.eigenvalues
+            lams = _spectrum.eigenvalues(
+                p, n_max=STUDY_EIGEN, with_norming=False).eigenvalues
         else:
-            lams = tuple(math.nan for _ in range(n_eigen))
+            lams = tuple(math.nan for _ in range(STUDY_EIGEN))
         rows.append(StudyRow(lv, hs, lams))
     return rows
 

@@ -45,7 +45,6 @@ __all__ = [
     "quadratic_form",
     "jump_function_l2",
     "GalerkinOracle",
-    "galerkin_oracle",
     "spectral_function",
     "solution_l2_norm",
 ]
@@ -256,10 +255,10 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
     """||u||^2 over the interval for the left-BC solution at an eigenvalue z.
 
     Closed-form trig/hyperbolic antiderivatives cell by cell, integrated
-    two-sidedly: the left-launched solution covers cells up to the point of
-    largest state magnitude, the right-launched one covers the rest and is
-    rescaled by the matched ratio there.  Integrating each side in its
-    growing direction keeps hyperbolic tails from amplifying the bisection
+    two-sidedly: the left-launched solution covers the cells left of a
+    matching node, the right-launched one covers the rest and is rescaled
+    by the matched ratio there.  Integrating each side in its growing
+    direction keeps hyperbolic tails from amplifying the bisection
     residual (one-sided integration of a decaying tail is catastrophically
     ill-conditioned on wide truncations).  Returns inf when the norm
     genuinely exceeds double range (deep bound states on wide intervals).
@@ -272,7 +271,11 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
     def log_mag(st):
         return st.log_scale + math.log(max(abs(st.u), abs(st.u1), 1e-300))
 
-    k = max(range(ncells), key=lambda i: log_mag(ent_l[i]))
+    # ent_l[k] and ent_r[k - 1] are the two solutions at nodes[k]; past
+    # the state each picks up the growing component the float eigenvalue
+    # leaves, so their product peaks at the state, where both are accurate
+    k = max(range(1, ncells), default=0,
+            key=lambda i: log_mag(ent_l[i]) + log_mag(ent_r[i - 1]))
     # right-walk value just inside cell k at nodes[k]+ (same anchor as ent_l[k])
     w_k = z - qvals[k]
     u_r, u1_r, ls_r = _apply_stretch(ent_r[k].u, ent_r[k].u1,
@@ -357,8 +360,7 @@ def _default_mesh(problem: ProblemSpec) -> float:
     return max(h, (b - a) * 2.0 ** -16)
 
 
-def counting_function(problem: ProblemSpec, t: float,
-                      oracle_mesh: float | None = None) -> int:
+def counting_function(problem: ProblemSpec, t: float) -> int:
     """Signed count of eigenvalues between zero and t.
 
     For t > 0 eigenvalues in (0, t], for t < 0 eigenvalues in [t, 0); the
@@ -372,9 +374,7 @@ def counting_function(problem: ProblemSpec, t: float,
         def count_lt(s):
             return _count_below(problem, s)
     else:
-        h = oracle_mesh if oracle_mesh is not None else _default_mesh(problem)
-        oracle = GalerkinOracle(problem, h)
-        count_lt = oracle.inertia
+        count_lt = GalerkinOracle(problem, _default_mesh(problem)).inertia
 
     def widen(s):
         return s + max(abs(s), 1.0) * 1e-14
@@ -386,8 +386,7 @@ def counting_function(problem: ProblemSpec, t: float,
     return 0
 
 
-def negative_count(problem: ProblemSpec,
-                   oracle_mesh: float | None = None) -> int | float:
+def negative_count(problem: ProblemSpec) -> int | float:
     """Dimension of the negative spectral subspace.
 
     With q identically zero this equals the size of the measure's negative
@@ -396,8 +395,7 @@ def negative_count(problem: ProblemSpec,
     """
     if problem.potential.is_zero:
         return kappa_minus(problem.measure)
-    h = oracle_mesh if oracle_mesh is not None else _default_mesh(problem)
-    return GalerkinOracle(problem, h).inertia(0.0)
+    return GalerkinOracle(problem, _default_mesh(problem)).inertia(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +626,6 @@ class GalerkinOracle:
             if ok:
                 return neg
         raise MeshRefinementError("Sturm pivot breakdown; perturb t")
-
-
-def galerkin_oracle(problem: ProblemSpec, mesh_size: float,
-                    count: int = 10) -> SpectralData:
-    """Oracle eigenvalues as SpectralData (no norming constants)."""
-    oracle = GalerkinOracle(problem, mesh_size)
-    ev = oracle.eigenvalues(count)
-    ev = np.sort(ev)
-    # guard against numerically equal pairs for the strict-increase invariant
-    for i in range(1, len(ev)):
-        if ev[i] <= ev[i - 1]:
-            ev[i] = np.nextafter(ev[i - 1], np.inf)
-    return SpectralData(tuple(float(v) for v in ev), None, "oracle",
-                        tuple(range(1, len(ev) + 1)))
 
 
 # ---------------------------------------------------------------------------

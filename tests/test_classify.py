@@ -110,8 +110,7 @@ class TestCriteria:
     def test_molchanov_samples_exact(self):
         gaps = tile_gaps([0.5, 0.5, 0.5], 10.0)
         q = staircase(lambda x: x, 0.0, 12.0, 1200)
-        report = evaluate_criteria(gaps, q, epsilon_grid=(1.0,),
-                                   molchanov_grid=8)
+        report = evaluate_criteria(gaps, q, epsilon_grid=(1.0,))
         for (eps, x, val) in report.molchanov_samples:
             exact = eps * x + eps * eps / 2.0
             assert abs(val - exact) < eps * 0.02  # staircase resolution

@@ -136,7 +136,10 @@ class TestGreen:
         xs, ws = np.concatenate(xs), np.concatenate(ws)
         order = np.argsort(xs)
         xs, ws = xs[order], ws[order]
-        G = k.on_grid(xs)
+        # G(x_i, x_j) = phi(x_min) psi(x_max) / psi(a) on the sorted grid
+        i, j = np.indices((len(xs), len(xs)))
+        G = (k.phi.values(xs)[np.minimum(i, j)]
+             * k.psi.values(xs)[np.maximum(i, j)] / k.denominator)
         sym = np.sqrt(ws)[:, None] * G * np.sqrt(ws)[None, :]
         mu = np.sort(np.linalg.eigvalsh(sym))[::-1]
         lams = eigenvalues(p, n_max=3, with_norming=False).eigenvalues

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         JumpFunction, MeshRefinementError, PiecewisePotential,
                         ProblemSpec, SingularMeasure, counting_function,
-                        eigenvalues, galerkin_oracle, jump_function_l2,
+                        eigenvalues, jump_function_l2,
                         kappa_minus, negative_count, quadratic_form, shoot,
                         spectral_function, spectral_function_samples)
 from deltaprime import spectrum
@@ -533,8 +533,8 @@ class TestQuadraticForm:
 
 class TestGalerkinOracle:
     def test_free_lambda1_convergence(self):
-        orc = galerkin_oracle(free_problem(), 2.0 ** -10, count=3)
-        assert abs(orc.eigenvalues[0] / math.pi ** 2 - 1.0) < 1e-4
+        orc = GalerkinOracle(free_problem(), 2.0 ** -10).eigenvalues(3)
+        assert abs(orc[0] / math.pi ** 2 - 1.0) < 1e-4
 
     def test_bound_state(self):
         m = SingularMeasure.from_atoms([(0.0, -1.0)])
@@ -636,3 +636,37 @@ class TestNorming:
         data = eigenvalues(p, window=(-30.0, -0.5))
         analytic = math.sinh(80.0) / 16.0 - 5.0
         assert abs(data.norming_constants[0] / analytic - 1.0) < 1e-6
+
+    # deep bound states on wide truncations; references from 250-digit
+    # mpmath with the exact eigenvalue and closed-form cell integrals
+    @pytest.mark.parametrize("problem, reference", [
+        (ProblemSpec((-17.241019, 17.241019), potential=PiecewisePotential(
+            (-5.164618, 3.616741), (0.091436, -0.473356, 0.302563)),
+            measure=SingularMeasure.from_atoms(
+                [(-7.422662, -0.845402), (-3.631811, -0.228799),
+                 (1.446264, 0.9408), (4.876427, -0.538777)])),
+         1.272151363e101),
+        (ProblemSpec((-32.050739, 32.050739), potential=PiecewisePotential(
+            (), (-0.126263,)), measure=SingularMeasure.from_atoms(
+                [(-13.597012, -0.83134), (-1.780513, 0.569948),
+                 (8.407903, -0.945824)])),
+         6.536013499e36),
+    ])
+    def test_deep_state_matches_reference(self, problem, reference):
+        # the float eigenvalue leaves a growing component past the state,
+        # so matching where the left solution alone peaks (the far end)
+        # overstates these by factors of 2e34 and 3e14
+        data = eigenvalues(problem, n_max=1)
+        assert abs(data.norming_constants[0] / reference - 1.0) < 1e-6
+
+    def test_split_deep_states_positive(self):
+        # three tunnelling-split states near -181743.7 and a fourth; the
+        # far-end match gave negative constants here
+        m = SingularMeasure(
+            atoms=((0.446376, -0.315739),),
+            cantor_parts=(CantorSpec((0.0, 1.0), -0.538633, 0.313456, 12),))
+        p = ProblemSpec((0.0, 1.0), potential=PiecewisePotential(
+            (0.524773,), (-2.167677, -2.483558)), measure=m)
+        data = eigenvalues(p, n_max=4)
+        assert len(data.norming_constants) == 4
+        assert all(c > 0.0 for c in data.norming_constants)
