@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -292,23 +294,49 @@ GOLDEN = {
                                         "--format", "csv"]),
     "resolvent_study.json": (CANTOR, ["resolvent-study", "--levels",
                                       "2..4"]),
+    "resolvent_study.csv": (CANTOR, ["resolvent-study", "--levels", "2..4",
+                                     "--z=-2,1", "--format", "csv"]),
+    "spectrum_window.json": (SIGNED_Q, ["spectrum", "--window=-5,60"]),
+    "kappa_format_csv.json": (SIGNED_Q, ["kappa", "--format", "csv"]),
+    "classify.json": (CLASSIFY, ["classify"]),
+    "criteria.json": (CRITERIA, ["criteria"]),
+    "criteria_stdout.csv": (CRITERIA, ["criteria", "--format", "csv",
+                                       "--out", "-"]),
+    # the sequences go to the file, the verdict JSON to stdout
+    "criteria_out.csv": (CRITERIA, ["criteria", "--format", "csv"]),
+    "mfunction_z_format_csv.json": (ATOM_HALFLINE, ["mfunction", "--z=-40,3",
+                                                    "--format", "csv"]),
+    "mfunction_window.json": (ATOM_HALFLINE, ["mfunction", "--window",
+                                              "1e2,1e5", "--count", "4"]),
+    "asymptotics.json": (ATOM_HALFLINE, ["asymptotics", "--window",
+                                         "1e3,4e3", "--count", "3"]),
 }
 
 
 def _golden_output(tmp_dir, name):
+    """The --out file's bytes and stdout's bytes of one golden invocation.
+
+    The invocation writes to a file unless its argv says --out -; then
+    its stdout is the golden and nothing else may be printed.
+    """
     cfg_doc, argv = GOLDEN[name]
     cfg = tmp_dir / (name + ".cfg.json")
     cfg.write_text(json.dumps(cfg_doc))
     out = tmp_dir / name
-    assert main(argv + ["--config", str(cfg), "--out", str(out),
-                        "--seed", "3"]) == 0
-    return out.read_bytes()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([argv[0], "--config", str(cfg), "--out", str(out),
+                     "--seed", "3", *argv[1:]]) == 0
+    printed = stdout.getvalue().encode()
+    return (out.read_bytes(), printed) if out.exists() else (printed, b"")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output_bytes(tmp_path, name):
-    assert _golden_output(tmp_path, name) == \
-        (GOLDEN_DIR / name).read_bytes()
+    body, printed = _golden_output(tmp_path, name)
+    assert body == (GOLDEN_DIR / name).read_bytes()
+    side = GOLDEN_DIR / (name + ".stdout")
+    assert printed == (side.read_bytes() if side.exists() else b"")
 
 
 if __name__ == "__main__":
@@ -316,5 +344,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(GOLDEN):
-            (GOLDEN_DIR / name).write_bytes(
-                _golden_output(pathlib.Path(tmp), name))
+            body, printed = _golden_output(pathlib.Path(tmp), name)
+            (GOLDEN_DIR / name).write_bytes(body)
+            if printed:
+                (GOLDEN_DIR / (name + ".stdout")).write_bytes(printed)
