@@ -8,10 +8,9 @@ the low eigenvalues.  Writes a CSV table.
     python scripts/convergence_study.py --levels 2..8 --z -1 --out study.csv
 """
 import argparse
-import sys
 
 from deltaprime import CantorSpec, ProblemSpec, SingularMeasure, convergence_study
-from deltaprime.io import render_csv
+from deltaprime.io import emit, render_csv
 
 
 def main(argv=None):
@@ -31,13 +30,8 @@ def main(argv=None):
     table = [(r.level, r.hs_to_finest) + r.lambdas for r in rows]
     header = ("level", "hs_distance") + tuple(
         f"lambda_{i + 1}" for i in range(len(rows[0].lambdas)))
-    text = render_csv(header, table,
-                      {"z": args.z, "mass": args.mass, "ratio": args.ratio})
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    meta = {"z": args.z, "mass": args.mass, "ratio": args.ratio}
+    emit(render_csv(header, table, meta), args.out)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ reports m(-r) and its ratio to the predicted scale.
     python scripts/m_asymptotics.py --case near-atom --out near.csv
 """
 import argparse
-import sys
 
 from deltaprime import (ProblemSpec, SingularMeasure, m_asymptotics_check)
-from deltaprime.io import render_csv
+from deltaprime.io import emit, render_csv
 
 CASES = {
     "free": (SingularMeasure(), 1.0, (1e4, 1e5, 1e6)),
@@ -34,14 +33,8 @@ def main(argv=None):
                           measure=measure)
     fit = m_asymptotics_check(problem, alpha, r_grid)
     rows = [(r, ratio) for (r, ratio) in fit.samples]
-    text = render_csv(("r", "ratio"), rows,
-                      {"case": args.case, "alpha": alpha,
-                       "max_rel_dev": fit.max_rel_dev})
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    meta = {"case": args.case, "alpha": alpha, "max_rel_dev": fit.max_rel_dev}
+    emit(render_csv(("r", "ratio"), rows, meta), args.out)
 
 
 if __name__ == "__main__":

@@ -12,10 +12,9 @@ the atom count.
 """
 import argparse
 import math
-import sys
 
 from deltaprime import CantorSpec, ProblemSpec, SingularMeasure
-from deltaprime.io import render_csv
+from deltaprime.io import emit, render_csv
 from deltaprime.spectrum import _eigenvalue_by_index, _Samples
 
 
@@ -37,13 +36,8 @@ def main(argv=None):
     for n in range(lo, hi + 1, args.step):
         lam = _eigenvalue_by_index(problem, n, samples)
         rows.append((n, lam, n / math.sqrt(lam) * math.pi))
-    text = render_csv(("n", "lambda_n", "weyl_ratio"), rows,
-                      {"level": args.level, "mass": args.mass})
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    meta = {"level": args.level, "mass": args.mass}
+    emit(render_csv(("n", "lambda_n", "weyl_ratio"), rows, meta), args.out)
 
 
 if __name__ == "__main__":

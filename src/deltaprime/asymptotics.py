@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientDataError, NearSingularError
+from .errors import (InsufficientDataError, NearSingularError,
+                     UnsupportedHypothesisError)
 # realize stays a module attribute: perfbench/tracing.py wraps it here
-from .measures import SingularMeasure, _ptilde_segments, realize  # noqa: F401
+from .measures import _ptilde_segments, realize  # noqa: F401
 from .propagate import ProblemSpec, propagate
 from .spectrum import SpectralData
 
@@ -73,7 +74,8 @@ def m_function(problem: ProblemSpec, z):
     real z never overflows.
     """
     if problem.bc_right != "dirichlet":
-        raise ValueError("m-function needs the Dirichlet truncation at b")
+        raise UnsupportedHypothesisError(
+            "m-function needs the Dirichlet truncation at b")
     res = propagate(problem, z, from_left=False)
     u, u1 = res.state.u, res.state.u1
     if abs(u1) <= 1e-13 * max(abs(u), abs(u1)):
@@ -99,21 +101,21 @@ def power_constant(alpha: float) -> float:
             / math.gamma(1.0 / (1.0 + alpha)))
 
 
-def scale_function(measure: SingularMeasure, r: float, level: int,
-                   origin: float = 0.0, span: float = math.inf) -> float:
+def scale_function(problem: ProblemSpec, r: float) -> float:
     """f(r): peak variation at the critical length ell with ell*ptilde = 1/r.
 
-    Equivalently the nonincreasing generalized inverse of
-    F(p) = 1/(p * ptilde^{-1}(p)); when 1/r falls inside the jump of
-    xi -> xi*ptilde(xi) at an atom offset xi0, the interpolating branch
-    1/(r*xi0) is returned.  Exact on the breakpoint structure.
+    ptilde is the peak variation of the problem's measure, at its level,
+    measured from a over [a, b].  Equivalently f is the nonincreasing
+    generalized inverse of F(p) = 1/(p * ptilde^{-1}(p)); when 1/r falls
+    inside the jump of xi -> xi*ptilde(xi) at an atom offset xi0, the
+    interpolating branch 1/(r*xi0) is returned.  Exact on the breakpoint
+    structure.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     target = 1.0 / r
-    segs = _ptilde_segments(measure, level, origin, span)
-    if not segs:
-        raise ValueError("empty peak-variation structure; check span")
+    a, b = problem.interval
+    segs = _ptilde_segments(problem.measure, problem.level, a, b - a)
     for (x0, x1, flat, rise0) in segs:
         G0 = x0 * max(flat, rise0)
         if target < G0 and x0 > 0.0:
@@ -144,12 +146,10 @@ def m_asymptotics_check(problem: ProblemSpec, alpha: float, r_grid,
     counted.
     """
     c_alpha = power_constant(alpha)
-    a, b = problem.interval
     samples = []
     dropped = 0
     for r in r_grid:
-        f = scale_function(problem.measure, r, problem.level, origin=a,
-                           span=b - a)
+        f = scale_function(problem, r)
         for mu in mus:
             mu_c = complex(mu)
             z = r * mu_c

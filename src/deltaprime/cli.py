@@ -6,6 +6,7 @@ hypothesis, refinement limits), 1 on I/O and schema errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,14 +24,6 @@ def _load_config(path):
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
 
 
-def _emit(text, out_path):
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _parse_window(text):
     lo, hi = text.split(",")
     return float(lo), float(hi)
@@ -41,6 +34,13 @@ def _positive_window(text):
     if not (lo > 0.0 and hi > 0.0):
         raise ValueError("need LO > 0 and HI > 0")
     return lo, hi
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError("need N >= 1")
+    return n
 
 
 def _parse_levels(text):
@@ -65,10 +65,25 @@ def _z_pair(z):
     return [z.real, z.imag] if isinstance(z, complex) else [z, 0.0]
 
 
-def _meta(args, cfg):
-    return {"schema": dpio.SCHEMA_VERSION, "version": __version__,
-            "problem": dpio.problem_hash(cfg),
-            "seed": args.seed if args.seed is not None else "none"}
+def _write(args, cfg, command, result, header=None, rows=()):
+    """Write one result: its table as CSV if asked for and given, else JSON.
+
+    The JSON document is the result envelope; the CSV table carries the
+    same provenance in its '#' line.  criteria writing its table to a file
+    still prints its verdict (the result) to stdout.
+    """
+    cfg_hash = dpio.problem_hash(cfg)
+    out = args.out
+    if args.format == "csv" and header is not None:
+        meta = {"schema": dpio.SCHEMA_VERSION, "version": __version__,
+                "problem": cfg_hash,
+                "seed": args.seed if args.seed is not None else "none"}
+        dpio.emit(dpio.render_csv(header, rows, meta), out)
+        if command != "criteria" or out in (None, "-"):
+            return
+        out = None
+    dpio.emit(dpio.render_json(dpio.result_envelope(
+        command, cfg_hash, args.seed, result)), out)
 
 
 def cmd_spectrum(args):
@@ -76,33 +91,22 @@ def cmd_spectrum(args):
     problem = dpio.parse_problem(cfg)
     data = spectrum.eigenvalues(problem, n_max=args.count,
                                 window=args.window)
-    rows = [(n, lam, c) for n, lam, c in
-            zip(data.indices, data.eigenvalues, data.norming_constants)]
-    if args.format == "csv":
-        text = dpio.render_csv(("n", "lambda", "norming_constant"), rows,
-                               _meta(args, cfg))
-    else:
-        doc = dpio.result_envelope(
-            "spectrum", dpio.problem_hash(cfg), args.seed,
-            {"indices": list(data.indices),
-             "eigenvalues": list(data.eigenvalues),
-             "norming_constants": list(data.norming_constants),
-             "method": data.method})
-        text = dpio.render_json(doc)
-    _emit(text, args.out)
+    _write(args, cfg, "spectrum",
+           {"indices": data.indices, "eigenvalues": data.eigenvalues,
+            "norming_constants": data.norming_constants,
+            "method": data.method},
+           ("n", "lambda", "norming_constant"),
+           zip(data.indices, data.eigenvalues, data.norming_constants))
 
 
 def cmd_kappa(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
     count = spectrum.negative_count(problem)
-    method = ("exact-measure-count" if problem.potential.is_zero
-              else "numerical-inertia")
-    doc = dpio.result_envelope(
-        "kappa", dpio.problem_hash(cfg), args.seed,
-        {"kappa_minus": "inf" if count == math.inf else int(count),
-         "method": method})
-    _emit(dpio.render_json(doc), args.out)
+    _write(args, cfg, "kappa",
+           {"kappa_minus": "inf" if count == math.inf else int(count),
+            "method": ("exact-measure-count" if problem.potential.is_zero
+                       else "numerical-inertia")})
 
 
 def cmd_classify(args):
@@ -111,117 +115,73 @@ def cmd_classify(args):
     vl = classify.classify_endpoint(left)
     vr = classify.classify_endpoint(right)
     n, _ = classify.deficiency_indices(vl, vr)
-    doc = dpio.result_envelope(
-        "classify", dpio.problem_hash(cfg), args.seed,
-        {"left": {"kind": vl.kind, "reason": vl.reason},
-         "right": {"kind": vr.kind, "reason": vr.reason},
-         "deficiency_indices": [n, n],
-         "self_adjoint": n == 0})
-    _emit(dpio.render_json(doc), args.out)
+    _write(args, cfg, "classify",
+           {"left": {"kind": vl.kind, "reason": vl.reason},
+            "right": {"kind": vr.kind, "reason": vr.reason},
+            "deficiency_indices": [n, n],
+            "self_adjoint": n == 0})
 
 
 def cmd_criteria(args):
     cfg = _load_config(args.config)
     gaps, potential, eps, prefix, factor = dpio.parse_criteria_config(cfg)
     report = classify.evaluate_criteria(gaps, potential, eps, prefix, factor)
-    verdict = dpio.result_envelope(
-        "criteria", dpio.problem_hash(cfg), args.seed,
-        {"verdict": report.verdict,
-         "reasons": list(report.reasons),
-         "brinck_sup": report.brinck_sup,
-         "trend_factor": factor})
-    if args.format == "csv":
-        rows = [(k + 1, b - a, m, s) for k, ((a, b), m, s) in
-                enumerate(zip(gaps.gaps, report.gap_means,
-                              report.necessary_seq))]
-        text = dpio.render_csv(("k", "d_k", "gap_mean", "necessary_seq"),
-                               rows, _meta(args, cfg))
-        _emit(text, args.out)
-        if args.out not in (None, "-"):
-            sys.stdout.write(dpio.render_json(verdict))
-    else:
-        verdict["result"]["gap_means"] = list(report.gap_means)
-        verdict["result"]["necessary_seq"] = list(report.necessary_seq)
-        verdict["result"]["molchanov_samples"] = [
-            list(s) for s in report.molchanov_samples]
-        _emit(dpio.render_json(verdict), args.out)
+    result = {"verdict": report.verdict, "reasons": report.reasons,
+              "brinck_sup": report.brinck_sup, "trend_factor": factor}
+    if args.format == "json":
+        result.update(gap_means=report.gap_means,
+                      necessary_seq=report.necessary_seq,
+                      molchanov_samples=report.molchanov_samples)
+    rows = [(k + 1, b - a, m, s) for k, ((a, b), m, s) in
+            enumerate(zip(gaps.gaps, report.gap_means,
+                          report.necessary_seq))]
+    _write(args, cfg, "criteria", result,
+           ("k", "d_k", "gap_mean", "necessary_seq"), rows)
 
 
 def cmd_resolvent_study(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
-    z = args.z
-    rows = resolvent.convergence_study(problem, args.levels, z)
+    rows = resolvent.convergence_study(problem, args.levels, args.z)
     table = [(r.level, r.hs_to_finest) + r.lambdas for r in rows]
     header = ("level", "hs_distance") + tuple(
         f"lambda_{i}" for i in range(1, len(rows[0].lambdas) + 1))
-    if args.format == "csv":
-        text = dpio.render_csv(header, table, _meta(args, cfg))
-    else:
-        doc = dpio.result_envelope(
-            "resolvent-study", dpio.problem_hash(cfg), args.seed,
-            {"z": _z_pair(z), "rows": [list(r) for r in table]})
-        text = dpio.render_json(doc)
-    _emit(text, args.out)
+    _write(args, cfg, "resolvent-study",
+           {"z": _z_pair(args.z), "rows": table}, header, table)
 
 
 def cmd_mfunction(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
     if args.z is not None:
-        z = args.z
-        m = asymptotics.m_function(problem, z)
-        m = complex(m)
-        doc = dpio.result_envelope(
-            "mfunction", dpio.problem_hash(cfg), args.seed,
-            {"z": _z_pair(z), "m": [m.real, m.imag]})
-        _emit(dpio.render_json(doc), args.out)
+        m = complex(asymptotics.m_function(problem, args.z))
+        _write(args, cfg, "mfunction",
+               {"z": _z_pair(args.z), "m": [m.real, m.imag]})
         return
-    r_lo, r_hi = args.window
     c = asymptotics.power_constant(args.alpha)
-    a, b = problem.interval
     rows = []
-    for r in _geometric(r_lo, r_hi, args.count or 9):
+    for r in _geometric(*args.window, args.count):
         m = complex(asymptotics.m_function(problem, -r))
-        f = asymptotics.scale_function(problem.measure, r, problem.level,
-                                       origin=a, span=b - a)
+        f = asymptotics.scale_function(problem, r)
         rows.append((r, m.real, m.imag, abs(m) / (c * f)))
-    if args.format == "csv":
-        text = dpio.render_csv(("r", "re_m", "im_m", "ratio"), rows,
-                               _meta(args, cfg))
-    else:
-        doc = dpio.result_envelope(
-            "mfunction", dpio.problem_hash(cfg), args.seed,
-            {"alpha": args.alpha, "rows": [list(r) for r in rows]})
-        text = dpio.render_json(doc)
-    _emit(text, args.out)
+    _write(args, cfg, "mfunction", {"alpha": args.alpha, "rows": rows},
+           ("r", "re_m", "im_m", "ratio"), rows)
 
 
 def cmd_asymptotics(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
-    t_lo, t_hi = args.window
-    ts = _geometric(t_lo, t_hi, args.count or 5)
-    samples = spectrum.spectral_function_samples(problem, ts)
-    a, b = problem.interval
-
-    def scale(r):
-        return asymptotics.scale_function(problem.measure, r, problem.level,
-                                          origin=a, span=b - a)
-
-    fit = asymptotics.rho_asymptotics_check(samples, args.alpha, scale)
+    samples = spectrum.spectral_function_samples(
+        problem, _geometric(*args.window, args.count))
+    fit = asymptotics.rho_asymptotics_check(
+        samples, args.alpha, functools.partial(asymptotics.scale_function,
+                                               problem))
     rows = [(t, rho, ratio) for (t, rho), (_, ratio) in
             zip(samples, fit.samples)]
-    if args.format == "csv":
-        text = dpio.render_csv(("t", "rho", "ratio"), rows, _meta(args, cfg))
-    else:
-        doc = dpio.result_envelope(
-            "asymptotics", dpio.problem_hash(cfg), args.seed,
-            {"alpha": args.alpha, "model": fit.model,
-             "max_rel_dev": fit.max_rel_dev,
-             "rows": [list(r) for r in rows]})
-        text = dpio.render_json(doc)
-    _emit(text, args.out)
+    _write(args, cfg, "asymptotics",
+           {"alpha": args.alpha, "model": fit.model,
+            "max_rel_dev": fit.max_rel_dev, "rows": rows},
+           ("t", "rho", "ratio"), rows)
 
 
 def build_parser():
@@ -233,56 +193,43 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True,
-                            help="path to the JSON problem config")
+    def command(name, func, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--config", required=True,
+                        help="path to the JSON problem config")
         sp.add_argument("--out", default=None,
                         help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--seed", type=int, default=None)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("spectrum", help="indexed eigenvalues with normings")
-    common(sp)
+    sp = command("spectrum", cmd_spectrum, "indexed eigenvalues with normings")
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--window", type=_parse_window, help="LO,HI")
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("kappa", help="negative-spectrum count")
-    common(sp)
-    sp.set_defaults(func=cmd_kappa)
+    command("kappa", cmd_kappa, "negative-spectrum count")
+    command("classify", cmd_classify, "endpoint classification")
+    command("criteria", cmd_criteria, "discreteness criteria trends")
 
-    sp = sub.add_parser("classify", help="endpoint classification")
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("criteria", help="discreteness criteria trends")
-    common(sp)
-    sp.set_defaults(func=cmd_criteria)
-
-    sp = sub.add_parser("resolvent-study",
-                        help="level refinement vs the finest realization")
-    common(sp)
+    sp = command("resolvent-study", cmd_resolvent_study,
+                 "level refinement vs the finest realization")
     sp.add_argument("--levels", type=_parse_levels, required=True, help="A..B")
     sp.add_argument("--z", type=_parse_z, default="-1")
-    sp.set_defaults(func=cmd_resolvent_study)
 
-    sp = sub.add_parser("mfunction", help="Neumann m-function evaluation")
-    common(sp)
+    sp = command("mfunction", cmd_mfunction, "Neumann m-function evaluation")
     sp.add_argument("--z", type=_parse_z, help="RE[,IM] single evaluation")
     sp.add_argument("--window", type=_positive_window, default=(1e2, 1e6),
                     help="RLO,RHI for -r sweeps")
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument("--count", type=_positive_int, default=9)
     sp.add_argument("--alpha", type=float, default=1.0)
-    sp.set_defaults(func=cmd_mfunction)
 
-    sp = sub.add_parser("asymptotics", help="spectral-function asymptotics")
-    common(sp)
+    sp = command("asymptotics", cmd_asymptotics,
+                 "spectral-function asymptotics")
     sp.add_argument("--window", type=_positive_window, default=(1e3, 1e5),
                     help="TLO,THI")
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument("--count", type=_positive_int, default=5)
     sp.add_argument("--alpha", type=float, default=1.0)
-    sp.set_defaults(func=cmd_asymptotics)
     return p
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 
 from . import __version__
 from .classify import EndpointDescriptor, GapStructure
@@ -30,6 +31,14 @@ def _check_keys(obj, pointer, required, optional=()):
     for k in obj:
         if k not in allowed:
             raise SchemaError(f"{pointer}/{k}", "unknown key (strict schema)")
+
+
+def _check_document(doc, pointer, required, optional=()):
+    """_check_keys on a versioned document, then its schema version."""
+    _check_keys(doc, pointer or "/", ("schema",) + required, optional)
+    if doc["schema"] != SCHEMA_VERSION:
+        raise SchemaError(f"{pointer}/schema",
+                          f"unsupported schema {doc['schema']!r}")
 
 
 def _number(v, pointer):
@@ -88,12 +97,8 @@ def parse_potential(doc, pointer="/potential") -> PiecewisePotential:
 
 
 def parse_problem(doc, pointer="") -> ProblemSpec:
-    _check_keys(doc, pointer or "/",
-                required=("schema", "interval"),
-                optional=("bc", "level", "potential", "measure"))
-    if doc["schema"] != SCHEMA_VERSION:
-        raise SchemaError(f"{pointer}/schema",
-                          f"unsupported schema {doc['schema']!r}")
+    _check_document(doc, pointer, ("interval",),
+                    ("bc", "level", "potential", "measure"))
     a, b = _pair(doc["interval"], f"{pointer}/interval")
     bc = doc.get("bc", ["dirichlet", "dirichlet"])
     if (not isinstance(bc, list) or len(bc) != 2
@@ -106,9 +111,21 @@ def parse_problem(doc, pointer="") -> ProblemSpec:
     measure = parse_measure(doc["measure"], f"{pointer}/measure") \
         if "measure" in doc else SingularMeasure()
     try:
-        return ProblemSpec((a, b), bc[0], bc[1], potential, measure, level)
+        problem = ProblemSpec((a, b), bc[0], bc[1], potential, measure, level)
     except ValueError as exc:
         raise SchemaError(pointer or "/", str(exc)) from exc
+    # every realized atom must own a jump slot in [a, b)
+    parts = doc.get("measure", {})
+    for i, entry in enumerate(parts.get("atoms", [])):
+        if not a <= entry["x"] < b:
+            raise SchemaError(f"{pointer}/measure/atoms/{i}/x",
+                              f"atom outside [{a}, {b})")
+    for i, entry in enumerate(parts.get("cantor", [])):
+        c, d = entry["support"]
+        if not a <= c < d <= b:
+            raise SchemaError(f"{pointer}/measure/cantor/{i}/support",
+                              f"support outside [{a}, {b}]")
+    return problem
 
 
 _INF_NAMES = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
@@ -138,9 +155,7 @@ def parse_endpoint(doc, side, pointer) -> EndpointDescriptor:
 
 
 def parse_classify_config(doc) -> tuple[EndpointDescriptor, EndpointDescriptor]:
-    _check_keys(doc, "/", required=("schema", "classify"))
-    if doc["schema"] != SCHEMA_VERSION:
-        raise SchemaError("/schema", f"unsupported schema {doc['schema']!r}")
+    _check_document(doc, "", ("classify",))
     body = doc["classify"]
     _check_keys(body, "/classify", required=("left", "right"))
     return (parse_endpoint(body["left"], "left", "/classify/left"),
@@ -148,25 +163,31 @@ def parse_classify_config(doc) -> tuple[EndpointDescriptor, EndpointDescriptor]:
 
 
 def parse_criteria_config(doc):
-    _check_keys(doc, "/", required=("schema", "criteria"))
-    if doc["schema"] != SCHEMA_VERSION:
-        raise SchemaError("/schema", f"unsupported schema {doc['schema']!r}")
+    _check_document(doc, "", ("criteria",))
     body = doc["criteria"]
     _check_keys(body, "/criteria", required=("gaps", "potential"),
                 optional=("epsilons", "prefix", "trend_factor"))
-    gaps = []
-    for i, g in enumerate(body["gaps"]):
-        gaps.append(_pair(g, f"/criteria/gaps/{i}"))
+    gaps = [_pair(g, f"/criteria/gaps/{i}")
+            for i, g in enumerate(body["gaps"])]
     try:
         structure = GapStructure(tuple(gaps))
     except ValueError as exc:
         raise SchemaError("/criteria/gaps", str(exc)) from exc
     potential = parse_potential(body["potential"], "/criteria/potential")
-    eps = tuple(_number(v, f"/criteria/epsilons/{i}")
-                for i, v in enumerate(body.get("epsilons", [1.0])))
     prefix = body.get("prefix")
     if prefix is not None:
         prefix = _integer(prefix, "/criteria/prefix")
+        if prefix < 1:
+            raise SchemaError("/criteria/prefix", "expected an integer >= 1")
+    # each Molchanov window [x, x + epsilon] must fit in the gaps' span
+    lo = min(a for (a, _) in gaps[:prefix])
+    hi = max(b for (_, b) in gaps[:prefix])
+    eps = tuple(_number(v, f"/criteria/epsilons/{i}")
+                for i, v in enumerate(body.get("epsilons", [1.0])))
+    for i, e in enumerate(eps):
+        if not (e > 0.0 and hi - e > lo):
+            raise SchemaError(f"/criteria/epsilons/{i}", "expected 0 < "
+                              f"epsilon < {hi - lo}, the data window")
     factor = _number(body.get("trend_factor", 4.0), "/criteria/trend_factor")
     return structure, potential, eps, prefix, factor
 
@@ -191,11 +212,8 @@ def result_envelope(command: str, cfg_hash: str, seed: int | None,
 
 def validate_result(doc) -> None:
     """Re-validate an emitted JSON result against the published envelope."""
-    _check_keys(doc, "/", required=("schema", "version", "command",
-                                    "problem", "seed", "tolerances",
-                                    "result"))
-    if doc["schema"] != SCHEMA_VERSION:
-        raise SchemaError("/schema", "unsupported schema")
+    _check_document(doc, "", ("version", "command", "problem", "seed",
+                              "tolerances", "result"))
     if not isinstance(doc["result"], dict):
         raise SchemaError("/result", "expected object")
 
@@ -213,3 +231,12 @@ def render_csv(header, rows, meta: dict) -> str:
             repr(float(v)) if isinstance(v, float) else str(v)
             for v in row))
     return "\n".join(lines) + "\n"
+
+
+def emit(text: str, out_path: str | None) -> None:
+    """Write text to stdout (out_path None or "-") or to the file out_path."""
+    if out_path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)

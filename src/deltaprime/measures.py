@@ -90,14 +90,6 @@ class SingularMeasure:
     def empty(cls) -> "SingularMeasure":
         return cls()
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(w for (_, w) in self.atoms) + math.fsum(
-            c.mass for c in self.cantor_parts)
-
-    def is_nonnegative(self, level: int) -> bool:
-        return all(w >= 0.0 for (_, w) in realize(self, level))
-
 
 @dataclass(frozen=True)
 class HahnDecomposition:

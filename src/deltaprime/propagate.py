@@ -117,7 +117,7 @@ class ProblemSpec:
             else StateVector(1.0, 0.0)
 
     def is_nonnegative_measure(self) -> bool:
-        return self.measure.is_nonnegative(self.level)
+        return all(w >= 0.0 for (_, w) in realize_problem(self).atoms)
 
 
 class RealizedProblem:
@@ -265,17 +265,27 @@ def _rescale(u, u1, log_scale):
     return u, u1, log_scale
 
 
-def _count_stretch_zeros(u, u1, w, L, u_end):
-    """Exact number of interior zeros of u on an open stretch (real data)."""
+def _count_stretch_zeros(u, u1, w, L, u_end, closed):
+    """Exact number of zeros of u on a stretch (real data).
+
+    Zeros inside the stretch count; one exactly at its far end (u_end ==
+    0.0) counts only if closed, i.e. the stretch ends at an interior node,
+    where the next jump or stretch starts from u == 0 and does not count
+    it.  A zero at the start never counts: the stretch before owns it, or
+    it is the launch value.
+    """
     if w > 0.0:
         om = math.sqrt(w)
         phi0 = math.atan2(om * u, u1)
         phi1 = phi0 + om * L
         hi = math.ceil(phi1 / math.pi) - 1
+        if u_end == 0.0:
+            # the end zero is the multiple of pi that phi1 rounds to
+            hi = round(phi1 / math.pi) - (not closed)
         lo = math.floor(phi0 / math.pi) + 1
         return hi - lo + 1 if hi >= lo else 0
-    # hyperbolic/linear: at most one zero, present iff strict sign change
-    return 1 if u * u_end < 0.0 else 0
+    # hyperbolic/linear: at most one zero, inside iff strict sign change
+    return 1 if u * u_end < 0.0 or (closed and u_end == 0.0) else 0
 
 
 @dataclass(frozen=True)
@@ -378,7 +388,7 @@ def _sweep(real, z, state, x0, x1, from_left, count=False, entries=None):
             w = z - qvals[i]
             nu, nu1, ls = _apply_stretch(u, u1, ls, w, L)
             if count:
-                zeros += _count_stretch_zeros(u, u1, w, L, nu)
+                zeros += _count_stretch_zeros(u, u1, w, L, nu, i != last)
             u, u1, ls = _rescale(nu, nu1, ls)
     else:
         first = bisect.bisect_left(nodes, x0) - 1

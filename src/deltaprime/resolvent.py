@@ -2,30 +2,31 @@
 
 The resolvent kernel is assembled from the two boundary solutions,
 
-    G(x, t; z) = phi(z, min) * psi(z, max) / psi(z, a),
+    G(x, t; z) = phi(z, min) * psi(z, max) / W(psi, phi),
 
-with phi the left-Dirichlet solution (phi(a)=0, phi^[1](a)=1) and psi the
-right-Dirichlet solution (psi(b)=0, psi^[1](b)=1); the denominator is the
-(constant) Wronskian up to sign.  Kernel evaluations gather cached cell
-entry states and evaluate the closed-form stretch solution for a whole
-grid at once.
+with phi and psi the solutions that satisfy the problem's own left and
+right boundary conditions (launched from (0, 1) at a Dirichlet end and
+(1, 0) at a Neumann end) and W(psi, phi) = psi phi^[1] - psi^[1] phi their
+constant Wronskian, taken at a (psi(a) for a Dirichlet left end).  Kernel
+evaluations gather cached cell entry states and evaluate the closed-form
+stretch solution for a whole grid at once.
 
 On i <= j the kernel is rank one, G(x_i, x_j) = a_i b_j with a = phi and
-b = psi / psi(a), so the tensor-quadrature Hilbert-Schmidt distance of two
-kernels is a short sum of suffix sums (a semiseparable sum): O(n) time and
-memory on an n-point grid instead of the dense O(n^2) double sum.  Each
+b = psi / W(psi, phi), so the tensor-quadrature Hilbert-Schmidt distance of
+two kernels is a short sum of suffix sums (a semiseparable sum): O(n) time
+and memory on an n-point grid instead of the dense O(n^2) double sum.  Each
 grid row uses whichever of two splittings of G_1 - G_2 cancels less.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NearSingularError
-from .propagate import (ProblemSpec, StateVector, cell_entry_states,
-                        realize_problem)
+from .propagate import (ProblemSpec, cell_entry_states, realize_problem,
+                        wronskian)
 from . import spectrum as _spectrum
 
 __all__ = [
@@ -51,9 +52,11 @@ class _SolutionCache:
     """
 
     def __init__(self, problem, z, from_left):
-        init = StateVector(0.0, 1.0)  # Dirichlet data at the launch endpoint
+        # the boundary data of the problem at the launch endpoint
+        self.launch = problem.left_init() if from_left \
+            else problem.right_init()
         nodes, qvals, entries, final = cell_entry_states(
-            problem, z, init, from_left=from_left)
+            problem, z, self.launch, from_left=from_left)
         ls = [st.log_scale for st in entries]
         if any(abs(v) > 650.0 for v in ls):
             raise NearSingularError(
@@ -96,11 +99,11 @@ class _SolutionCache:
             out[sel] = u[sel] * even(m) + u1[sel] * odd(m) / om
         out *= self.scale[idx]
         # x exactly at the left endpoint: left limit is the launch value for
-        # phi (zero) and the fully walked-down state for psi
+        # phi and the fully walked-down state for psi
         at_a = xs == self.nodes[0]
         if np.any(at_a):
             if self.from_left:
-                out[at_a] = 0.0
+                out[at_a] = self.launch.u
             else:
                 u, _ = self.final.true_values()
                 out[at_a] = u
@@ -115,14 +118,13 @@ class GreenKernel:
         self.z = z
         self.phi = _SolutionCache(problem, z, from_left=True)
         self.psi = _SolutionCache(problem, z, from_left=False)
-        den_val, _ = self.psi.final.true_values()
+        self.denominator = wronskian(self.psi.final, problem.left_init())
         psi = self.psi
         scale = float(np.max(np.maximum(np.abs(psi.u), np.abs(psi.u1))
                              * psi.scale))
-        self.denominator = den_val
-        if abs(den_val) <= SINGULAR_RTOL * max(scale, 1.0):
+        if abs(self.denominator) <= SINGULAR_RTOL * max(scale, 1.0):
             raise NearSingularError(
-                f"z={z!r} is numerically at an eigenvalue (psi(a) ~ 0)")
+                f"z={z!r} is numerically at an eigenvalue (W(psi, phi) ~ 0)")
 
     def __call__(self, x: float, t: float):
         lo, hi = (x, t) if x <= t else (t, x)
@@ -267,10 +269,10 @@ def convergence_study(problem: ProblemSpec, levels, z=-1.0) -> list[StudyRow]:
     """
     levels = sorted(levels)
     finest = levels[-1]
-    ref = _with_level(problem, finest)
+    ref = replace(problem, level=finest)
     rows = []
     for lv in levels:
-        p = _with_level(problem, lv)
+        p = replace(problem, level=lv)
         hs = hs_distance(p, ref, z) if lv != finest else 0.0
         if p.is_nonnegative_measure():
             lams = _spectrum.eigenvalues(
@@ -279,8 +281,3 @@ def convergence_study(problem: ProblemSpec, levels, z=-1.0) -> list[StudyRow]:
             lams = tuple(math.nan for _ in range(STUDY_EIGEN))
         rows.append(StudyRow(lv, hs, lams))
     return rows
-
-
-def _with_level(problem: ProblemSpec, level: int) -> ProblemSpec:
-    return ProblemSpec(problem.interval, problem.bc_left, problem.bc_right,
-                       problem.potential, problem.measure, level)

@@ -12,8 +12,9 @@ one sorted store of shots serves all indices of a call.
 Independent of it is a conforming P1 Galerkin discretization with doubled
 (discontinuous) basis nodes at every atom and jump penalty |jump|^2/beta,
 solved as a symmetric tridiagonal pencil.  It serves as a test oracle and
-gives the counts of counting_function and negative_count for signed
-measures, Neumann right ends and nonzero q.
+gives the counts of counting_function for a signed measure or a Neumann
+right end (whatever q is), and of negative_count when q is not
+identically zero (whatever the signs of the atoms).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (DomainViolationError, MeshRefinementError,
-                     NearSingularError, PropagationOverflowError)
+                     NearSingularError, UnsupportedHypothesisError)
 from .measures import kappa_minus
 from .propagate import (ProblemSpec, StateVector, _apply_stretch,
                         cell_entry_states, cell_l2_integral, propagate,
@@ -250,8 +251,7 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
     return hi.z
 
 
-def solution_l2_norm(problem: ProblemSpec, z: float,
-                     init: StateVector | None = None) -> float:
+def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     """||u||^2 over the interval for the left-BC solution at an eigenvalue z.
 
     Closed-form trig/hyperbolic antiderivatives cell by cell, integrated
@@ -263,7 +263,7 @@ def solution_l2_norm(problem: ProblemSpec, z: float,
     ill-conditioned on wide truncations).  Returns inf when the norm
     genuinely exceeds double range (deep bound states on wide intervals).
     """
-    _, qvals, ent_l, _ = cell_entry_states(problem, z, init)
+    _, qvals, ent_l, _ = cell_entry_states(problem, z)
     _, _, ent_r, _ = cell_entry_states(problem, z, from_left=False)
     lengths = realize_problem(problem).lengths
     ncells = len(qvals)
@@ -366,9 +366,10 @@ def counting_function(problem: ProblemSpec, t: float) -> int:
     For t > 0 eigenvalues in (0, t], for t < 0 eigenvalues in [t, 0); the
     half-open convention places boundary hits on the side of t, resolved at
     float resolution (t is widened by one part in 1e14, since an exact
-    residual zero at a floating t happens only accidentally).  Exact for
-    nonnegative measures (zero-count route); signed measures use oracle
-    inertia, accurate away from discretization-sized neighborhoods of t.
+    residual zero at a floating t happens only accidentally).  Exact only
+    for a nonnegative measure with a Dirichlet right end (zero-count
+    route); a signed measure or a Neumann right end uses oracle inertia,
+    accurate away from discretization-sized neighborhoods of t.
     """
     if problem.is_nonnegative_measure() and problem.bc_right == "dirichlet":
         def count_lt(s):
@@ -632,6 +633,12 @@ class GalerkinOracle:
 # spectral function
 
 
+def _require_neumann_left(problem: ProblemSpec):
+    if problem.bc_left != "neumann":
+        raise UnsupportedHypothesisError(
+            "the spectral function needs a Neumann left condition")
+
+
 def spectral_function(problem: ProblemSpec, t: float) -> float:
     """Neumann spectral function rho(t) from eigenvalues and norming constants.
 
@@ -639,8 +646,7 @@ def spectral_function(problem: ProblemSpec, t: float) -> float:
     Neumann-normalized left solution; negative t accumulates the analogous
     sum over [t, 0) with a minus sign.
     """
-    if problem.bc_left != "neumann":
-        raise ValueError("spectral_function requires a Neumann left condition")
+    _require_neumann_left(problem)
     if t == 0.0:
         return 0.0
     if t > 0.0:
@@ -655,6 +661,7 @@ def spectral_function(problem: ProblemSpec, t: float) -> float:
 def spectral_function_samples(problem: ProblemSpec,
                               ts) -> list[tuple[float, float]]:
     """rho(t) on a grid of positive t values with one eigenvalue sweep."""
+    _require_neumann_left(problem)
     ts = sorted(ts)
     if ts[0] <= 0.0:
         raise ValueError("grid must be positive; negative side is per-call")

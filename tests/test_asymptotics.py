@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from deltaprime import (CantorSpec, InsufficientDataError, ProblemSpec,
-                        SingularMeasure, eigenvalues, m_asymptotics_check,
+                        SingularMeasure, UnsupportedHypothesisError,
+                        eigenvalues, m_asymptotics_check,
                         m_function, power_constant, rho_asymptotics_check,
                         scale_function, spectral_function_samples, weyl_fit)
 from deltaprime.spectrum import _eigenvalue_by_index
@@ -14,6 +15,11 @@ CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
 
 # pinned by direct evaluation of the Gamma-function formula at alpha = 1/2
 POWER_CONSTANT_HALF = 1.426647501693559
+
+
+def on(measure, span, level):
+    """The problem whose scale function is the measure's from 0 over span."""
+    return ProblemSpec((0.0, span), measure=measure, level=level)
 
 
 def halfline(R=50.0, measure=SingularMeasure(), bc_left="neumann"):
@@ -116,7 +122,7 @@ class TestMFunction:
 
     def test_requires_dirichlet_truncation(self):
         p = ProblemSpec((0.0, 10.0), bc_left="neumann", bc_right="neumann")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedHypothesisError):
             m_function(p, -1.0)
 
 
@@ -146,13 +152,13 @@ class TestPowerConstant:
 class TestScaleFunction:
     def test_free_inverse_square_root(self):
         for r in (1e2, 1e4, 1e6):
-            f = scale_function(SingularMeasure(), r, 0, span=50.0)
+            f = scale_function(on(SingularMeasure(), 50.0, 0), r)
             assert abs(f * math.sqrt(r) - 1.0) < 1e-12
 
     def test_atom_dominated_window(self):
         m = SingularMeasure.from_atoms([(1e-6, 1.0)])
         for r in (1e3, 1e4, 1e5):
-            f = scale_function(m, r, 0, span=50.0)
+            f = scale_function(on(m, 50.0, 0), r)
             assert abs(f - 1.0) < 2e-3
 
     def test_jump_band_interpolation(self):
@@ -160,7 +166,7 @@ class TestScaleFunction:
         m = SingularMeasure.from_atoms([(0.1, 1.0)])
         # band: 1/r inside (xi0^2, xi0*(xi0+1)) = (0.01, 0.11)
         r = 1.0 / 0.05
-        f = scale_function(m, r, 0, span=50.0)
+        f = scale_function(on(m, 50.0, 0), r)
         assert abs(f - 0.05 / 0.1) < 1e-12
 
     def test_weight_scaling_law(self):
@@ -170,8 +176,8 @@ class TestScaleFunction:
         c = 3.0
         mc = SingularMeasure.from_atoms([(1e-6, 3.0)])
         for r in (1e3, 1e4):
-            f1 = scale_function(m1, c * r, 0, span=50.0)
-            fc = scale_function(mc, r, 0, span=50.0)
+            f1 = scale_function(on(m1, 50.0, 0), c * r)
+            fc = scale_function(on(mc, 50.0, 0), r)
             assert abs(fc - c * f1) < 5e-3 * c
 
     def test_brute_force_bisection_oracle(self, rng):
@@ -183,7 +189,7 @@ class TestScaleFunction:
             ws = rng.uniform(0.1, 1.5, n)
             m = SingularMeasure.from_atoms(zip(xs.tolist(), ws.tolist()))
             r = float(rng.uniform(0.05, 50.0))
-            got = scale_function(m, r, 1, span=10.0)
+            got = scale_function(on(m, 10.0, 1), r)
             xis = np.linspace(1e-9, 10.0, 200001)
             pt = np.array([peak_variation(m, x, 1) for x in
                            np.linspace(1e-9, 10.0, 2001)])
@@ -248,7 +254,7 @@ class TestRhoAsymptotics:
         samples = spectral_function_samples(p, [1e3, 4e3, 1e4])
 
         def scale(r):
-            return scale_function(m, r, 0, span=50.0)
+            return scale_function(on(m, 50.0, 0), r)
 
         fit = rho_asymptotics_check(samples, 0.0, scale)
         ratios = [v for (_, v) in fit.samples]

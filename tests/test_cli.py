@@ -222,6 +222,54 @@ class TestSchemaErrors:
         assert rc == 2
 
 
+def criteria(**changes):
+    return dict(CRITERIA, criteria=dict(CRITERIA["criteria"], **changes))
+
+
+class TestTypedErrors:
+    """Schema-valid input outside what the library takes: a typed error."""
+
+    @pytest.mark.parametrize("cfg_doc, argv, code, where", [
+        (dict(FREE01, measure={"atoms": [{"x": 1.0, "beta": 0.2}]}),
+         ["spectrum"], 1, "/measure/atoms/0/x"),
+        (dict(FREE01, measure={"atoms": [{"x": 0.5, "beta": 0.2},
+                                         {"x": -0.1, "beta": -0.2}]}),
+         ["kappa"], 1, "/measure/atoms/1/x"),
+        (dict(FREE01, measure={"cantor": [{"support": [0.5, 1.5],
+                                           "mass": 1.0}]}),
+         ["spectrum"], 1, "/measure/cantor/0/support"),
+        (criteria(prefix=0), ["criteria"], 1, "/criteria/prefix"),
+        (criteria(prefix=-3), ["criteria"], 1, "/criteria/prefix"),
+        (criteria(epsilons=[0.5, 0.0]), ["criteria"], 1,
+         "/criteria/epsilons/1"),
+        (criteria(epsilons=[-1.0]), ["criteria"], 1, "/criteria/epsilons/0"),
+        (criteria(epsilons=[5.0], prefix=10), ["criteria"], 1,
+         "/criteria/epsilons/0"),
+        (dict(FREE01, bc=["neumann", "neumann"]), ["mfunction", "--z=-1"], 2,
+         "Dirichlet truncation"),
+        (FREE01, ["asymptotics"], 2, "Neumann left"),
+        (HALFLINE, ["mfunction", "--count", "0"], 2, "--count"),
+        (HALFLINE, ["mfunction", "--count", "-2"], 2, "--count"),
+        (HALFLINE, ["asymptotics", "--count", "0"], 2, "--count"),
+        (HALFLINE, ["asymptotics", "--count", "-1"], 2, "--count"),
+    ])
+    def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
+                                          argv, code, where):
+        cfg = write(tmp_path, "cfg.json", cfg_doc)
+        try:
+            rc = main(argv + ["--config", cfg])
+        except SystemExit as exc:       # argparse usage error
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert "error" in lines[-1] and where in lines[-1]
+        # one line, or argparse's usage lines before it
+        assert len(lines) == 1 or lines[0].startswith("usage:")
+        assert "Traceback" not in captured.err
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--window", "abc"],

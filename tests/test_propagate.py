@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from deltaprime import (PiecewisePotential, ProblemSpec, SingularMeasure,
                         StateVector, atom_jump, propagate, realize,
                         stretch_propagator, transfer_matrix, wronskian)
-from deltaprime.propagate import cell_entry_states
+from deltaprime.propagate import _count_stretch_zeros, cell_entry_states
 from conftest import random_problem, rk4_state
 
 
@@ -190,6 +190,21 @@ class TestSweepEdges:
         assert (res.state.u, res.state.u1) == (1.0, 0.0)
         back = propagate(pn, 0.0, StateVector(1.0, 0.0), from_left=False)
         assert (back.state.u, back.state.u1) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("L", [
+        math.pi / 2, math.nextafter(math.pi / 2, 0.0),
+        math.nextafter(math.pi / 2, 4.0)])
+    def test_stretch_end_zero_counted_once(self, L):
+        # u = cos(s) from (1, 0): the end value is taken as exactly 0.0
+        # while the phase pi/2 + L rounds to either side of pi
+        assert _count_stretch_zeros(1.0, 0.0, 1.0, L, 0.0, True) == 1
+        assert _count_stretch_zeros(1.0, 0.0, 1.0, L, 0.0, False) == 0
+        assert _count_stretch_zeros(0.0, 1.0, 1.0, 2.0 * L, 0.0, True) == 1
+
+    def test_linear_stretch_end_zero(self):
+        assert _count_stretch_zeros(-0.25, 1.0, 0.0, 0.25, 0.0, True) == 1
+        assert _count_stretch_zeros(-0.25, 1.0, 0.0, 0.25, 0.0, False) == 0
+        assert _count_stretch_zeros(0.0, 1.0, -4.0, 0.25, 0.3, True) == 0
 
     @pytest.mark.parametrize("from_left, x_from, x_to", [
         (True, 0.0, 1.5), (True, -0.5, 1.0),

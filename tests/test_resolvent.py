@@ -59,6 +59,36 @@ class TestGreen:
         for (x, t) in [(0.7, 0.2), (0.5, 0.5), (0.9, 0.3)]:
             assert abs(green(p, 0.0, x, t) - t * (1 - x)) < 1e-14
 
+    @pytest.mark.parametrize("bcs, closed", [
+        (("neumann", "dirichlet"),
+         lambda x, t: math.cosh(x) * math.sinh(1 - t) / math.cosh(1)),
+        (("dirichlet", "neumann"),
+         lambda x, t: math.sinh(x) * math.cosh(1 - t) / math.cosh(1)),
+        (("neumann", "neumann"),
+         lambda x, t: math.cosh(x) * math.cosh(1 - t) / math.sinh(1)),
+    ])
+    def test_free_kernel_honours_boundary_conditions(self, bcs, closed):
+        # (-d^2/dx^2 + 1)^{-1} on (0, 1), x <= t, endpoints included
+        k = GreenKernel(ProblemSpec((0.0, 1.0), *bcs), -1.0)
+        for (x, t) in [(0.3, 0.6), (0.5, 0.5), (0.0, 0.6), (0.2, 1.0),
+                       (0.0, 1.0)]:
+            assert k(x, t) == pytest.approx(closed(x, t), rel=1e-14)
+            assert k(t, x) == pytest.approx(closed(x, t), rel=1e-14)
+
+    def test_hs_distance_between_boundary_conditions(self):
+        # G_N - G_D is smooth, so a plain Gauss double sum of the closed
+        # forms converges
+        d = ProblemSpec((0.0, 1.0))
+        n = ProblemSpec((0.0, 1.0), bc_left="neumann")
+        x, w = np.polynomial.legendre.leggauss(200)
+        x, w = (x + 1.0) / 2.0, w / 2.0
+        lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
+        diff = (np.cosh(lo) / np.cosh(1.0) - np.sinh(lo) / np.sinh(1.0)) \
+            * np.sinh(1.0 - hi)
+        want = math.sqrt(w @ diff ** 2 @ w)
+        assert want > 0.2
+        assert hs_distance(n, d, -1.0) == pytest.approx(want, rel=1e-10)
+
     def test_symmetry(self):
         m = SingularMeasure.from_atoms([(0.3, 0.7), (0.6, -0.2)])
         p = ProblemSpec((0.0, 1.0), measure=m)

@@ -10,7 +10,8 @@ from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         ProblemSpec, SingularMeasure, counting_function,
                         eigenvalues, jump_function_l2,
                         kappa_minus, negative_count, quadratic_form, shoot,
-                        spectral_function, spectral_function_samples)
+                        spectral_function, spectral_function_samples,
+                        UnsupportedHypothesisError)
 from deltaprime import spectrum
 from deltaprime.propagate import realize_problem
 from deltaprime.spectrum import (_count_below, _eigenvalue_by_index,
@@ -255,6 +256,19 @@ def _widen(s):
 
 
 class TestCountedRoute:
+    def test_zero_exactly_on_a_node_is_counted(self):
+        # at z = 0 the solution is linear: -0.25 after the atom at 0.25,
+        # exactly 0.0 at the atom at 0.5, where the stretch owns the zero
+        m = SingularMeasure.from_atoms([(0.25, -0.5), (0.5, 0.3)])
+        p = ProblemSpec((0.0, 1.0), measure=m)
+        assert [_count_below(p, z) for z in
+                (-1.0, -1e-20, 0.0, 1e-20, 1.0)] == [1] * 5
+        data = eigenvalues(p, window=(0.0, 30.0), with_norming=False)
+        assert data.indices == (2, 3)
+        assert data.eigenvalues[0] > 16.0
+        lam1 = eigenvalues(p, n_max=1, with_norming=False).eigenvalues[0]
+        assert lam1 == pytest.approx(-13.5766, abs=1e-4)
+
     def test_weak_negative_atom_binds_deep(self):
         # a delta' coupling of weight beta < 0 binds one state at
         # -4/beta^2 = -1600, far below any coarse oracle's reach
@@ -615,8 +629,12 @@ class TestSpectralFunction:
                                    rtol=1e-9)
 
     def test_requires_neumann_left(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedHypothesisError):
             spectral_function(free_problem(), 10.0)
+
+    def test_samples_require_neumann_left(self):
+        with pytest.raises(UnsupportedHypothesisError):
+            spectral_function_samples(free_problem(), [10.0])
 
     def test_negative_side_with_sign(self):
         m = SingularMeasure.from_atoms([(0.0, -1.0)])
