@@ -205,7 +205,7 @@ def build_parser():
         return sp
 
     sp = command("spectrum", cmd_spectrum, "indexed eigenvalues with normings")
-    sp.add_argument("--count", type=int, default=10)
+    sp.add_argument("--count", type=_positive_int, default=10)
     sp.add_argument("--window", type=_parse_window, help="LO,HI")
 
     command("kappa", cmd_kappa, "negative-spectrum count")

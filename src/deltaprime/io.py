@@ -72,11 +72,15 @@ def parse_measure(doc, pointer="/measure") -> SingularMeasure:
         p = f"{pointer}/cantor/{i}"
         _check_keys(entry, p, required=("support", "mass"),
                     optional=("ratio", "level_cap"))
-        cantor.append(CantorSpec(
-            support=_pair(entry["support"], f"{p}/support"),
-            mass=_number(entry["mass"], f"{p}/mass"),
-            ratio=_number(entry.get("ratio", 1.0 / 3.0), f"{p}/ratio"),
-            level_cap=_integer(entry.get("level_cap", 12), f"{p}/level_cap")))
+        try:
+            cantor.append(CantorSpec(
+                support=_pair(entry["support"], f"{p}/support"),
+                mass=_number(entry["mass"], f"{p}/mass"),
+                ratio=_number(entry.get("ratio", 1.0 / 3.0), f"{p}/ratio"),
+                level_cap=_integer(entry.get("level_cap", 12),
+                                   f"{p}/level_cap")))
+        except ValueError as exc:
+            raise SchemaError(p, str(exc)) from exc
     try:
         return SingularMeasure(atoms=tuple(sorted(atoms)),
                                cantor_parts=tuple(cantor))

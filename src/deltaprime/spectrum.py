@@ -11,10 +11,11 @@ one sorted store of shots serves all indices of a call.
 
 Independent of it is a conforming P1 Galerkin discretization with doubled
 (discontinuous) basis nodes at every atom and jump penalty |jump|^2/beta,
-solved as a symmetric tridiagonal pencil.  It serves as a test oracle and
-gives the counts of counting_function for a signed measure or a Neumann
-right end (whatever q is), and of negative_count when q is not
-identically zero (whatever the signs of the atoms).
+solved as a symmetric tridiagonal pencil assembled from arrays.  It
+serves as a test oracle and gives the counts of counting_function for a
+signed measure (whatever q and the boundary conditions are), and of
+negative_count when q is not identically zero (whatever the signs of the
+atoms).
 """
 from __future__ import annotations
 
@@ -366,12 +367,12 @@ def counting_function(problem: ProblemSpec, t: float) -> int:
     For t > 0 eigenvalues in (0, t], for t < 0 eigenvalues in [t, 0); the
     half-open convention places boundary hits on the side of t, resolved at
     float resolution (t is widened by one part in 1e14, since an exact
-    residual zero at a floating t happens only accidentally).  Exact only
-    for a nonnegative measure with a Dirichlet right end (zero-count
-    route); a signed measure or a Neumann right end uses oracle inertia,
-    accurate away from discretization-sized neighborhoods of t.
+    residual zero at a floating t happens only accidentally).  Exact for a
+    nonnegative measure under either boundary condition (the count of
+    _Samples); a signed measure uses oracle inertia, accurate away from
+    discretization-sized neighborhoods of t.
     """
-    if problem.is_nonnegative_measure() and problem.bc_right == "dirichlet":
+    if problem.is_nonnegative_measure():
         def count_lt(s):
             return _count_below(problem, s)
     else:
@@ -538,58 +539,42 @@ class GalerkinOracle:
         pos = np.clip(np.searchsorted(mandatory, grid), 1, len(mandatory) - 1)
         dist = np.minimum(np.abs(grid - mandatory[pos - 1]),
                           np.abs(mandatory[pos] - grid))
-        cuts = sorted(set(grid[dist > 0.3 * step].tolist())
-                      | set(real.nodes))
-        atom_at = dict(real.atoms)
+        # an atom inside (a, b) carries two dofs, u(x-) and u(x+), joined by
+        # a zero-length element
+        atoms = np.asarray(real.atoms).reshape(-1, 2)
+        inner = atoms[atoms[:, 0] > a]
+        xs = np.sort(np.concatenate(
+            [grid[dist > 0.3 * step], mandatory, inner[:, 0]]))
+        lengths = np.diff(xs)
+        pot = problem.potential
+        q = np.asarray(pot.values)[np.searchsorted(
+            pot.breakpoints, 0.5 * (xs[:-1] + xs[1:]), side="right")]
+        # P1 element entries 1/L + qL/3 (diagonal), -1/L + qL/6 (off);
+        # on an atom pair qL = 0 and the jump penalty |jump|^2/beta takes
+        # the place of the 1/L stiffness
+        span = lengths.copy()
+        span[lengths == 0.0] = inner[:, 1]
+        stiff = 1.0 / span + q * lengths / 3.0
+        off = -1.0 / span + q * lengths / 6.0
+        half = lengths / 2.0
+        diag = np.pad(stiff, (0, 1)) + np.pad(stiff, (1, 0))
+        mass = np.pad(half, (0, 1)) + np.pad(half, (1, 0))
 
-        # dof list: (x, side) with side in {-1: left value, +1: right value,
-        # 0: continuous}; atoms strictly inside get a pair
-        dofs: list[tuple[float, int]] = []
-        for x in cuts:
-            if x in atom_at and a < x < b:
-                dofs.append((x, -1))
-                dofs.append((x, +1))
-            else:
-                dofs.append((x, 0))
-        n = len(dofs)
-        diag = np.zeros(n)
-        off = np.zeros(n - 1)
-        mass = np.zeros(n)
-        for i in range(n - 1):
-            x0, s0 = dofs[i]
-            x1, s1 = dofs[i + 1]
-            if x0 == x1:
-                beta = atom_at[x0]
-                diag[i] += 1.0 / beta
-                diag[i + 1] += 1.0 / beta
-                off[i] -= 1.0 / beta
-            else:
-                L = x1 - x0
-                q = problem.potential.value(0.5 * (x0 + x1))
-                diag[i] += 1.0 / L + q * L / 3.0
-                diag[i + 1] += 1.0 / L + q * L / 3.0
-                off[i] += -1.0 / L + q * L / 6.0
-                mass[i] += L / 2.0
-                mass[i + 1] += L / 2.0
-
-        keep = np.ones(n, dtype=bool)
+        lo, hi = 0, len(xs)
         if problem.bc_left == "dirichlet":
-            if cuts[0] in atom_at:
+            if real.betas[0]:
                 # atom at the endpoint: dof 0 is u(a+), free, with penalty
                 # (u(a+) - 0)^2/beta against the clamped boundary value
-                diag[0] += 1.0 / atom_at[cuts[0]]
+                diag[0] += 1.0 / real.betas[0]
             else:
-                keep[0] = False
+                lo = 1
         # Neumann left + atom at a: jump = beta*u^[1](a) = 0, atom is inert
         if problem.bc_right == "dirichlet":
-            keep[-1] = False
-        idx = np.where(keep)[0]
-        self.diag = diag[idx]
-        self.mass = mass[idx]
-        self.dof_positions = np.array([dofs[i][0] for i in idx])
-        pairs = [(i, j) for i, j in zip(idx, idx[1:])]
-        self.off = np.array([off[i] if j == i + 1 else 0.0
-                             for (i, j) in pairs])
+            hi -= 1
+        self.diag = diag[lo:hi]
+        self.off = off[lo:hi - 1]
+        self.mass = mass[lo:hi]
+        self.dof_positions = xs[lo:hi]
         if np.any(self.mass <= 0.0):
             raise MeshRefinementError("degenerate lumped mass; refine mesh")
         self.n = len(self.diag)

@@ -252,6 +252,15 @@ class TestTypedErrors:
         (HALFLINE, ["mfunction", "--count", "-2"], 2, "--count"),
         (HALFLINE, ["asymptotics", "--count", "0"], 2, "--count"),
         (HALFLINE, ["asymptotics", "--count", "-1"], 2, "--count"),
+        (dict(FREE01, measure={"cantor": [{"support": [0.0, 1.0],
+                                           "mass": 1.0, "ratio": 0.7}]}),
+         ["spectrum"], 1, "/measure/cantor/0: cantor ratio"),
+        (dict(FREE01, measure={"cantor": [{"support": [0.0, 1.0],
+                                           "mass": 1.0, "level_cap": 0}]}),
+         ["spectrum"], 1, "/measure/cantor/0: level_cap"),
+        (dict(FREE01, measure={"cantor": [{"support": [1.0, 0.0],
+                                           "mass": 1.0}]}),
+         ["kappa"], 1, "/measure/cantor/0: cantor support"),
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
                                           argv, code, where):
@@ -288,6 +297,8 @@ class TestArgumentValidation:
         ["mfunction", "--window=-1e2,1e4", "--count", "3"],
         ["asymptotics", "--window=-1,1e3", "--count", "3"],
         ["asymptotics", "--window", "1e3,0"],
+        ["spectrum", "--count", "0"],
+        ["spectrum", "--count", "-2", "--format", "csv"],
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
         cfg = write(tmp_path, "free.json", FREE01)

@@ -389,6 +389,26 @@ class TestCounting:
         lam2 = (2 * math.pi) ** 2
         assert counting_function(p, lam2) == 2
 
+    # a nonnegative measure counts exactly under a Neumann right end too;
+    # the default-mesh oracle broke down on the first and miscounted the
+    # other two (61 and 19)
+    def test_free_neumann_neumann(self):
+        p = free_problem(bc_left="neumann", bc_right="neumann")
+        assert counting_function(p, 50.0) == 2      # pi^2, 4 pi^2; not 0
+        assert counting_function(p, 5.0) == 0
+
+    def test_free_dirichlet_neumann(self):
+        p = free_problem(bc_right="neumann")
+        lam60 = (59.5 * math.pi) ** 2
+        assert counting_function(p, lam60 * (1.0 + 1e-5)) == 60
+        assert counting_function(p, lam60 * (1.0 - 1e-5)) == 59
+
+    def test_cantor_dirichlet_neumann(self):
+        p = ProblemSpec((0.0, 1.0), bc_right="neumann", measure=CANTOR1,
+                        level=5)
+        lam20 = eigenvalues(p, n_max=20, with_norming=False).eigenvalues[-1]
+        assert counting_function(p, lam20 * (1.0 + 1e-5)) == 20
+
 
 class TestNegativeCount:
     def test_signed_pair(self):
@@ -590,6 +610,34 @@ class TestGalerkinOracle:
             orcv = GalerkinOracle(p, h).eigenvalues(len(data.eigenvalues))
             for a, b in zip(data.eigenvalues, orcv):
                 assert abs(a - b) <= max(1e-5, (a * h) ** 2, 200.0 * h * h)
+
+    @pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+    def test_pencil_entries_closed_form(self, bc_left):
+        # atoms at a = 0 (beta 0.5) and 0.5 (beta -0.25), q = 2 then -3
+        # past 0.75; mesh 1/4 keeps the grid point 0.25 and drops those on
+        # nodes, so the dofs are 0, 0.25, 0.5-, 0.5+, 0.75 (1 is clamped).
+        # Elements of length L = 1/4: 1/L + qL/3 is 4 + 1/6 (q = 2) or 3.75
+        # (q = -3) on the diagonal, -1/L + qL/6 is -4 + 1/12 (q = 2) off it,
+        # lumped mass L/2; the atom pair adds 1/beta = -4 to both of its
+        # dofs and -1/beta = 4 between them
+        m = SingularMeasure.from_atoms([(0.0, 0.5), (0.5, -0.25)])
+        pot = PiecewisePotential((0.75,), (2.0, -3.0))
+        p = ProblemSpec((0.0, 1.0), bc_left=bc_left, potential=pot,
+                        measure=m)
+        orc = GalerkinOracle(p, 0.25)
+        # (u(0+) - 0)^2/beta = 2 u(0+)^2 under Dirichlet; inert under Neumann
+        end = 2.0 if bc_left == "dirichlet" else 0.0
+        np.testing.assert_array_equal(orc.dof_positions,
+                                      [0.0, 0.25, 0.5, 0.5, 0.75])
+        np.testing.assert_allclose(
+            orc.diag, [4.0 + 1.0 / 6.0 + end, 8.0 + 1.0 / 3.0, 1.0 / 6.0,
+                       1.0 / 6.0, 7.75 + 1.0 / 6.0], rtol=1e-15, atol=1e-14)
+        np.testing.assert_allclose(
+            orc.off, [-4.0 + 1.0 / 12.0, -4.0 + 1.0 / 12.0, 4.0,
+                      -4.0 + 1.0 / 12.0], rtol=1e-15)
+        np.testing.assert_array_equal(orc.mass,
+                                      [0.125, 0.25, 0.125, 0.125, 0.25])
+        assert orc.n == 5
 
     def test_mesh_refinement_error(self):
         m = SingularMeasure.from_atoms([(0.5, 1.0), (0.5005, 1.0)])
