@@ -361,12 +361,18 @@ def _default_mesh(problem: ProblemSpec) -> float:
     return max(h, (b - a) * 2.0 ** -16)
 
 
+def _widen(s: float) -> float:
+    """s moved up by one part in 1e14 (by 1e-14 near zero)."""
+    return s + max(abs(s), 1.0) * 1e-14
+
+
 def counting_function(problem: ProblemSpec, t: float) -> int:
     """Signed count of eigenvalues between zero and t.
 
-    For t > 0 eigenvalues in (0, t], for t < 0 eigenvalues in [t, 0); the
-    half-open convention places boundary hits on the side of t, resolved at
-    float resolution (t is widened by one part in 1e14, since an exact
+    For t > 0 eigenvalues in (0, t], for t < 0 eigenvalues in [t, 0); an
+    eigenvalue at zero is in neither.  The half-open convention places
+    boundary hits on the side of t, resolved at float resolution (t and the
+    lower end of (0, t] are widened by one part in 1e14, since an exact
     residual zero at a floating t happens only accidentally).  Exact for a
     nonnegative measure under either boundary condition (the count of
     _Samples); a signed measure uses oracle inertia, accurate away from
@@ -378,13 +384,10 @@ def counting_function(problem: ProblemSpec, t: float) -> int:
     else:
         count_lt = GalerkinOracle(problem, _default_mesh(problem)).inertia
 
-    def widen(s):
-        return s + max(abs(s), 1.0) * 1e-14
-
     if t > 0.0:
-        return count_lt(widen(t)) - count_lt(widen(0.0))
+        return count_lt(_widen(t)) - count_lt(_widen(0.0))
     if t < 0.0:
-        return count_lt(widen(0.0)) - count_lt(t - max(abs(t), 1.0) * 1e-14)
+        return count_lt(0.0) - count_lt(t - max(abs(t), 1.0) * 1e-14)
     return 0
 
 
@@ -578,38 +581,33 @@ class GalerkinOracle:
         if np.any(self.mass <= 0.0):
             raise MeshRefinementError("degenerate lumped mass; refine mesh")
         self.n = len(self.diag)
-        self._scale = 1.0 / np.sqrt(self.mass)
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """Lowest `count` eigenvalues of the generalized pencil."""
         count = min(count, self.n)
         if count <= 0:
             return np.zeros(0)
-        d = self.diag * self._scale * self._scale
-        e = self.off * self._scale[:-1] * self._scale[1:]
+        scale = 1.0 / np.sqrt(self.mass)
+        d = self.diag * scale * scale
+        e = self.off * scale[:-1] * scale[1:]
         return eigh_tridiagonal(d, e, select="i",
                                 select_range=(0, count - 1),
                                 eigvals_only=True)
 
     def inertia(self, t: float) -> int:
         """Number of pencil eigenvalues strictly below t (Sturm count)."""
+        # a leading zero square makes the first pivot d[0] - 0/1
+        squares = memoryview(np.concatenate(([0.0], self.off * self.off)))
         for shift in (t, t * (1.0 + 1e-14) + 1e-300):
-            d = self.diag - shift * self.mass
-            e = self.off
             neg = 0
-            piv = d[0]
-            ok = True
-            if piv == 0.0:
-                ok = False
-            else:
+            piv = 1.0
+            for d, e2 in zip(memoryview(self.diag - shift * self.mass),
+                             squares):
+                piv = d - e2 / piv
+                if piv == 0.0:
+                    break
                 neg += piv < 0.0
-                for i in range(1, self.n):
-                    piv = d[i] - e[i - 1] * e[i - 1] / piv
-                    if piv == 0.0:
-                        ok = False
-                        break
-                    neg += piv < 0.0
-            if ok:
+            else:
                 return neg
         raise MeshRefinementError("Sturm pivot breakdown; perturb t")
 
@@ -629,13 +627,14 @@ def spectral_function(problem: ProblemSpec, t: float) -> float:
 
     rho(t) = sum over 0 < lambda_n <= t of 1/||c(lambda_n)||^2 with c the
     Neumann-normalized left solution; negative t accumulates the analogous
-    sum over [t, 0) with a minus sign.
+    sum over [t, 0) with a minus sign.  The positive window opens where
+    counting_function's (0, t] does, so an eigenvalue at zero is in neither.
     """
     _require_neumann_left(problem)
     if t == 0.0:
         return 0.0
     if t > 0.0:
-        data = eigenvalues(problem, window=(0.0, t))
+        data = eigenvalues(problem, window=(_widen(0.0), t))
         return math.fsum(1.0 / c for c in data.norming_constants)
     data = eigenvalues(problem, window=(t, 0.0))
     cs = [c for l, c in zip(data.eigenvalues, data.norming_constants)
@@ -650,7 +649,7 @@ def spectral_function_samples(problem: ProblemSpec,
     ts = sorted(ts)
     if ts[0] <= 0.0:
         raise ValueError("grid must be positive; negative side is per-call")
-    data = eigenvalues(problem, window=(0.0, ts[-1]))
+    data = eigenvalues(problem, window=(_widen(0.0), ts[-1]))
     lams = data.eigenvalues
     inv = [1.0 / c for c in data.norming_constants]
     out = []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
@@ -409,6 +410,18 @@ class TestCounting:
         lam20 = eigenvalues(p, n_max=20, with_norming=False).eigenvalues[-1]
         assert counting_function(p, lam20 * (1.0 + 1e-5)) == 20
 
+    # q = 0 under Neumann ends: the constants solve at lambda = 0 whatever
+    # the atoms (u^[1] = 0, so no jumps), and zero is in neither [t, 0)
+    # nor (0, t]
+    @pytest.mark.parametrize("level", [0, 5])
+    def test_zero_eigenvalue_in_neither_side(self, level):
+        p = ProblemSpec((0.0, 1.0), bc_left="neumann", bc_right="neumann",
+                        measure=CANTOR1 if level else SingularMeasure(),
+                        level=level)
+        assert counting_function(p, -10.0) == 0
+        assert counting_function(p, -1e-3) == 0
+        assert counting_function(p, 1e-3) == 0
+
 
 class TestNegativeCount:
     def test_signed_pair(self):
@@ -472,6 +485,26 @@ class TestQuadraticForm:
         assert abs(val.kinetic - 2.0 / 0.25) < 1e-12
         assert val.potential == 0.0
         assert val.jump_sum == 0.0
+
+    def test_constant_potential_is_q_times_l2(self):
+        f = JumpFunction.hat(0.4, 0.3, 2.0)
+        p = free_problem(potential=PiecewisePotential((), (3.5,)))
+        assert quadratic_form(p, f).potential == pytest.approx(
+            3.5 * jump_function_l2(f), rel=1e-14)
+
+    def test_matches_oracle_stiffness(self, rng):
+        # a continuous P1 function on the oracle's dofs: the exact form is
+        # v @ A @ v for the oracle's stiffness with consistent q entries
+        pot = PiecewisePotential((0.3,), (-2.0, 5.0))
+        p = free_problem(potential=pot)
+        orc = GalerkinOracle(p, 0.1)
+        v = rng.uniform(-1.0, 1.0, orc.n)
+        f = JumpFunction.continuous(
+            (0.0, *orc.dof_positions.tolist(), 1.0), (0.0, *v.tolist(), 0.0))
+        A = (np.diag(orc.diag) + np.diag(orc.off, 1) + np.diag(orc.off, -1))
+        val = quadratic_form(p, f)
+        assert val.potential != 0.0
+        assert val.total() == pytest.approx(v @ A @ v, rel=1e-12)
 
     def test_paper_ramp_is_exactly_borderline(self):
         # jump of size beta at the atom, then slope 1/N over length N|beta|
@@ -646,6 +679,41 @@ class TestGalerkinOracle:
             GalerkinOracle(p, 2.0 ** -6)
 
 
+    @pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+    def test_inertia_counts_pencil_eigenvalues(self, bc_left):
+        # potential step, atoms of both signs inside and one at a; t at
+        # the midpoints between the pencil's eigenvalues and past both ends
+        m = SingularMeasure.from_atoms([(0.0, 0.5), (0.3, -0.2),
+                                        (0.7, 0.4)])
+        pot = PiecewisePotential((0.6,), (3.0, -5.0))
+        p = ProblemSpec((0.0, 1.0), bc_left=bc_left, potential=pot,
+                        measure=m)
+        orc = GalerkinOracle(p, 2.0 ** -5)
+        scale = 1.0 / np.sqrt(orc.mass)
+        lams = eigh_tridiagonal(orc.diag * scale * scale,
+                                orc.off * scale[:-1] * scale[1:],
+                                eigvals_only=True)
+        assert lams[0] < -50.0      # the negative atom's bound state
+        ts = np.concatenate(([lams[0] - 1.0], 0.5 * (lams[:-1] + lams[1:]),
+                             [lams[-1] + 1.0]))
+        assert [orc.inertia(t) for t in ts] == list(range(orc.n + 1))
+
+    def test_inertia_zero_pivot_retry(self):
+        # the first pivot at t = 128 is exactly zero, so the count comes
+        # from the perturbed second shift; the pencil's eigenvalues near
+        # 128 are 80.6 and 129.3
+        p = ProblemSpec((0.0, 1.0),
+                        potential=PiecewisePotential((0.5,), (0.0, 4.0)))
+        orc = GalerkinOracle(p, 0.125)
+        assert orc.diag[0] - 128.0 * orc.mass[0] == 0.0
+        assert orc.inertia(128.0) == 3
+
+    def test_empty_pencil(self):
+        orc = GalerkinOracle(free_problem(), 1.0)
+        assert orc.n == 0
+        assert orc.inertia(5.0) == 0
+
+
 class TestSpectralFunction:
     def test_below_first_eigenvalue(self):
         p = ProblemSpec((0.0, 50.0), bc_left="neumann")
@@ -683,6 +751,15 @@ class TestSpectralFunction:
     def test_samples_require_neumann_left(self):
         with pytest.raises(UnsupportedHypothesisError):
             spectral_function_samples(free_problem(), [10.0])
+
+    def test_zero_eigenvalue_left_out(self):
+        # free Neumann-Neumann: lambda = 0, pi^2, 4 pi^2, 9 pi^2 < 100, each
+        # with 1/||c||^2 = 2; the zero eigenvalue is not in (0, t]
+        p = ProblemSpec((0.0, 1.0), bc_left="neumann", bc_right="neumann")
+        assert counting_function(p, 100.0) == 3
+        assert spectral_function(p, 100.0) == 6.0
+        assert spectral_function_samples(p, [1e-3, 100.0]) == [
+            (1e-3, 0.0), (100.0, 6.0)]
 
     def test_negative_side_with_sign(self):
         m = SingularMeasure.from_atoms([(0.0, -1.0)])
