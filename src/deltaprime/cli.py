@@ -24,9 +24,16 @@ def _load_config(path):
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
 
 
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("need a finite number")
+    return v
+
+
 def _parse_window(text):
     lo, hi = text.split(",")
-    return float(lo), float(hi)
+    return _finite(lo), _finite(hi)
 
 
 def _positive_window(text):
@@ -43,6 +50,13 @@ def _positive_int(text):
     return n
 
 
+def _unit_interval(text):
+    v = float(text)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError("need 0 <= ALPHA <= 1")
+    return v
+
+
 def _parse_levels(text):
     lo, hi = (int(v) for v in text.split(".."))
     if not 0 <= lo <= hi:
@@ -51,7 +65,7 @@ def _parse_levels(text):
 
 
 def _parse_z(text):
-    parts = [float(v) for v in text.split(",")]
+    parts = [_finite(v) for v in text.split(",")]
     return parts[0] if len(parts) == 1 else complex(*parts)
 
 
@@ -89,8 +103,8 @@ def _write(args, cfg, command, result, header=None, rows=()):
 def cmd_spectrum(args):
     cfg = _load_config(args.config)
     problem = dpio.parse_problem(cfg)
-    data = spectrum.eigenvalues(problem, n_max=args.count,
-                                window=args.window)
+    count = 10 if args.count is None and args.window is None else args.count
+    data = spectrum.eigenvalues(problem, n_max=count, window=args.window)
     _write(args, cfg, "spectrum",
            {"indices": data.indices, "eigenvalues": data.eigenvalues,
             "norming_constants": data.norming_constants,
@@ -205,7 +219,8 @@ def build_parser():
         return sp
 
     sp = command("spectrum", cmd_spectrum, "indexed eigenvalues with normings")
-    sp.add_argument("--count", type=_positive_int, default=10)
+    sp.add_argument("--count", type=_positive_int,
+                    help="highest index (default 10 without --window)")
     sp.add_argument("--window", type=_parse_window, help="LO,HI")
 
     command("kappa", cmd_kappa, "negative-spectrum count")
@@ -222,14 +237,14 @@ def build_parser():
     sp.add_argument("--window", type=_positive_window, default=(1e2, 1e6),
                     help="RLO,RHI for -r sweeps")
     sp.add_argument("--count", type=_positive_int, default=9)
-    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--alpha", type=_unit_interval, default=1.0)
 
     sp = command("asymptotics", cmd_asymptotics,
                  "spectral-function asymptotics")
     sp.add_argument("--window", type=_positive_window, default=(1e3, 1e5),
                     help="TLO,THI")
     sp.add_argument("--count", type=_positive_int, default=5)
-    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--alpha", type=_unit_interval, default=1.0)
     return p
 
 

@@ -44,6 +44,9 @@ def _check_document(doc, pointer, required, optional=()):
 def _number(v, pointer):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(pointer, "expected a number")
+    # json.load takes NaN, Infinity and integers beyond the float range
+    if not abs(v) <= sys.float_info.max:
+        raise SchemaError(pointer, "expected a finite number")
     return float(v)
 
 

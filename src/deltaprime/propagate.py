@@ -108,12 +108,10 @@ class ProblemSpec:
     def b(self) -> float:
         return self.interval[1]
 
-    def left_init(self) -> "StateVector":
-        return StateVector(0.0, 1.0) if self.bc_left == "dirichlet" \
-            else StateVector(1.0, 0.0)
-
-    def right_init(self) -> "StateVector":
-        return StateVector(0.0, 1.0) if self.bc_right == "dirichlet" \
+    def launch(self, from_left: bool = True) -> "StateVector":
+        """Boundary state at the launch end: (0, 1) Dirichlet, (1, 0) Neumann."""
+        bc = self.bc_left if from_left else self.bc_right
+        return StateVector(0.0, 1.0) if bc == "dirichlet" \
             else StateVector(1.0, 0.0)
 
     def is_nonnegative_measure(self) -> bool:
@@ -323,8 +321,8 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
         raise ValueError(f"run {x0} -> {x1} needs a <= {order} <= b "
                          f"on [{real.a}, {real.b}]")
     if init is None:
-        init = problem.left_init() if from_left else problem.right_init()
-    return _sweep(real, z, init, x0, x1, from_left,
+        init = problem.launch(from_left)
+    return _sweep(real, z, init, lo, hi, from_left,
                   count=from_left and not isinstance(z, complex))
 
 
@@ -351,77 +349,67 @@ def _split_stretch(u, u1, ls, w, L):
     return grow + decay, k * (grow - decay), ls + m
 
 
-def _sweep(real, z, state, x0, x1, from_left, count=False, entries=None):
-    """Cross the atoms in [min(x0, x1), max(x0, x1)) and the stretches between.
+def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
+    """Cross the atoms in [lo, hi) and the stretches between, in one direction.
 
-    Left to right each cell applies its jump, rescales, then runs its
-    stretch; right to left each cell runs its stretch backwards, then undoes
-    its jump, so both directions end on left-limit values.  count adds up
-    the oriented sign changes of u (real data, left to right only); a
-    stretch that cancels a decaying state to zero is redone in split
-    exponential form (_split_stretch); entries[i], when
-    given, receives the state just before cell i's stretch.  Only the first
-    and last cells of a run can be partial.
+    The cells of the run are walked in the run's order.  Left to right each
+    cell applies its jump +beta, rescales, then runs its stretch; right to
+    left each cell runs its stretch backwards, then undoes its jump with
+    -beta, so both directions end on left-limit values.  count adds up the
+    oriented sign changes of u (real data, left to right only); a stretch
+    that cancels a decaying state to zero is redone in split exponential
+    form (_split_stretch); entries[i], when given, receives the state just
+    before cell i's stretch.  Only the first and last cells of a run can be
+    partial.
     """
     u, u1, ls = state.u, state.u1, state.log_scale
     zeros = 0 if count else None
-    if x0 == x1:
+    if lo == hi:
         return PropagationResult(StateVector(u, u1, ls), zeros)
     nodes, lengths, qvals, betas = real.nodes, real.lengths, real.qvals, \
         real.betas
-    if from_left:
-        first = bisect.bisect_right(nodes, x0) - 1
-        last = bisect.bisect_left(nodes, x1) - 1
-        for i in range(first, last + 1):
-            beta = betas[i] if i != first or x0 == nodes[i] else 0.0
-            if beta:
-                up = u + beta * u1
-                # a jump moves the Pruefer angle in the direction of beta
-                if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)):
-                    zeros += 1 if beta > 0.0 else -1
-                u, u1, ls = _rescale(up, u1, ls)
-            if entries is not None:
-                entries[i] = StateVector(u, u1, ls)
-            L = lengths[i]
-            if i == first or i == last:
-                L = min(nodes[i + 1], x1) - max(nodes[i], x0)
-            w = z - qvals[i]
-            nu, nu1, ls = _apply_stretch(u, u1, ls, w, L)
-            if count:
-                zeros += _count_stretch_zeros(u, u1, w, L, nu, i != last)
-            u, u1, ls = _rescale(nu, nu1, ls)
-    else:
-        first = bisect.bisect_left(nodes, x0) - 1
-        last = bisect.bisect_right(nodes, x1) - 1
-        for i in range(first, last - 1, -1):
-            if entries is not None:
-                entries[i] = StateVector(u, u1, ls)
-            L = lengths[i]
-            if i == first or i == last:
-                L = min(nodes[i + 1], x0) - max(nodes[i], x1)
-            u, u1, ls = _rescale(*_apply_stretch(u, u1, ls, z - qvals[i], -L))
-            beta = betas[i] if i != last or x1 == nodes[i] else 0.0
-            if beta:
-                u, u1, ls = _rescale(u - beta * u1, u1, ls)
+    first = bisect.bisect_right(nodes, lo) - 1
+    last = bisect.bisect_left(nodes, hi) - 1
+    cells = range(first, last + 1) if from_left \
+        else range(last, first - 1, -1)
+    for i in cells:
+        # an atom at the low end is crossed only if it sits on the node
+        beta = betas[i] if i != first or lo == nodes[i] else 0.0
+        if beta and from_left:
+            up = u + beta * u1
+            # a jump moves the Pruefer angle in the direction of beta
+            if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)):
+                zeros += 1 if beta > 0.0 else -1
+            u, u1, ls = _rescale(up, u1, ls)
+        if entries is not None:
+            entries[i] = StateVector(u, u1, ls)
+        L = lengths[i]
+        if i == first or i == last:
+            L = min(nodes[i + 1], hi) - max(nodes[i], lo)
+        w = z - qvals[i]
+        nu, nu1, ls = _apply_stretch(u, u1, ls, w, L if from_left else -L)
+        if count:
+            zeros += _count_stretch_zeros(u, u1, w, L, nu, i != last)
+        u, u1, ls = _rescale(nu, nu1, ls)
+        if beta and not from_left:
+            u, u1, ls = _rescale(u - beta * u1, u1, ls)
     return PropagationResult(StateVector(u, u1, ls), zeros)
 
 
-def cell_entry_states(problem: ProblemSpec, z, init: StateVector | None = None,
-                      from_left: bool = True):
-    """One full propagation, capturing the state entering every cell.
+def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
+    """One full propagation from the problem's launch state at one end.
 
-    Left-to-right: entry i is the state at nodes[i] *after* the atom there
-    (the smooth value inside cell i).  Right-to-left: entry i is the
-    left-limit state at nodes[i+1] as seen walking down from b.  Returns
-    (nodes, qvals, entries, final_state).
+    Captures the state entering every cell.  Left-to-right: entry i is the
+    state at nodes[i] *after* the atom there (the smooth value inside cell
+    i).  Right-to-left: entry i is the left-limit state at nodes[i+1] as
+    seen walking down from b.  Returns (entries, final_state); the cells are
+    those of realize_problem(problem).
     """
     real = realize_problem(problem)
     entries: list[StateVector | None] = [None] * len(real.qvals)
-    if init is None:
-        init = problem.left_init() if from_left else problem.right_init()
-    x0, x1 = (real.a, real.b) if from_left else (real.b, real.a)
-    final = _sweep(real, z, init, x0, x1, from_left, entries=entries).state
-    return real.nodes, real.qvals, entries, final
+    final = _sweep(real, z, problem.launch(from_left), real.a, real.b,
+                   from_left, entries=entries).state
+    return entries, final
 
 
 def wronskian(s1: StateVector, s2: StateVector):

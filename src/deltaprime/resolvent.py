@@ -53,15 +53,14 @@ class _SolutionCache:
 
     def __init__(self, problem, z, from_left):
         # the boundary data of the problem at the launch endpoint
-        self.launch = problem.left_init() if from_left \
-            else problem.right_init()
-        nodes, qvals, entries, final = cell_entry_states(
-            problem, z, self.launch, from_left=from_left)
+        self.launch = problem.launch(from_left)
+        entries, final = cell_entry_states(problem, z, from_left)
+        real = realize_problem(problem)
         ls = [st.log_scale for st in entries]
         if any(abs(v) > 650.0 for v in ls):
             raise NearSingularError(
                 "solution scale too large for kernel assembly at this z")
-        self.nodes = np.asarray(nodes)
+        self.nodes = np.asarray(real.nodes)
         self.final = final
         self.z = z
         self.from_left = from_left
@@ -69,7 +68,7 @@ class _SolutionCache:
         self.u = np.array([st.u for st in entries], dtype=dtype)
         self.u1 = np.array([st.u1 for st in entries], dtype=dtype)
         self.scale = np.array([math.exp(v) for v in ls])
-        self.q = np.asarray(qvals, dtype=float)
+        self.q = np.asarray(real.qvals, dtype=float)
         self.anchor = self.nodes[:-1] if from_left else self.nodes[1:]
 
     def values(self, xs: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ class GreenKernel:
         self.z = z
         self.phi = _SolutionCache(problem, z, from_left=True)
         self.psi = _SolutionCache(problem, z, from_left=False)
-        self.denominator = wronskian(self.psi.final, problem.left_init())
+        self.denominator = wronskian(self.psi.final, problem.launch())
         psi = self.psi
         scale = float(np.max(np.maximum(np.abs(psi.u), np.abs(psi.u1))
                              * psi.scale))

@@ -264,9 +264,10 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     ill-conditioned on wide truncations).  Returns inf when the norm
     genuinely exceeds double range (deep bound states on wide intervals).
     """
-    _, qvals, ent_l, _ = cell_entry_states(problem, z)
-    _, _, ent_r, _ = cell_entry_states(problem, z, from_left=False)
-    lengths = realize_problem(problem).lengths
+    ent_l, _ = cell_entry_states(problem, z)
+    ent_r, _ = cell_entry_states(problem, z, from_left=False)
+    real = realize_problem(problem)
+    qvals, lengths = real.qvals, real.lengths
     ncells = len(qvals)
 
     def log_mag(st):
@@ -323,27 +324,29 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
     of eigenvalues below z reaches n (see _Samples; any measure sign, either
     boundary condition), found by count-safeguarded regula falsi down to
     float adjacency: about a dozen sweeps each, shots shared across
-    indices.
+    indices.  An eigenvalue exactly at the top of the window (a zero
+    residual there) is reported as that end.
     """
     if n_max is None and window is None:
         raise ValueError("need n_max and/or window")
     samples = _Samples(problem)
+    n_lo, n_hi, top = 1, n_max, None
     if window is not None:
         w0, w1 = window
         n_lo = samples.at(w0).count + 1
         top = samples.at(w1)
         n_hi = top.count + (top.residual == 0)
-    else:
-        n_lo, n_hi = 1, 0
-    if n_max is not None:
-        if window is None:
-            n_lo, n_hi = 1, n_max
-        else:
+        if n_max is not None:
             n_hi = min(n_hi, n_max)
     lams = []
     for n in range(n_lo, n_hi + 1):
-        lams.append(_eigenvalue_by_index(problem, n, samples))
-        samples.drop_below(n + 1)
+        if top is not None and n > top.count:
+            # a root exactly at w1 is not below w1: the least float whose
+            # count reaches it lies one ulp above, outside the window
+            lams.append(float(w1))
+        else:
+            lams.append(_eigenvalue_by_index(problem, n, samples))
+            samples.drop_below(n + 1)
     for i in range(1, len(lams)):
         # sub-ulp splittings: keep the reported list strictly ordered
         if lams[i] <= lams[i - 1]:
@@ -634,8 +637,7 @@ def spectral_function(problem: ProblemSpec, t: float) -> float:
     if t == 0.0:
         return 0.0
     if t > 0.0:
-        data = eigenvalues(problem, window=(_widen(0.0), t))
-        return math.fsum(1.0 / c for c in data.norming_constants)
+        return spectral_function_samples(problem, [t])[0][1]
     data = eigenvalues(problem, window=(t, 0.0))
     cs = [c for l, c in zip(data.eigenvalues, data.norming_constants)
           if t <= l < 0.0]

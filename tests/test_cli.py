@@ -75,6 +75,17 @@ class TestSpectrumCommand:
                                     "--format", "csv"])
         assert out1.encode() == out2.encode()
 
+    def test_window_without_count_is_not_capped(self, tmp_path, capsys):
+        # lambda_11 ... lambda_22 = (n pi)^2 lie in [1000, 5000]; the
+        # default of 10 applies only without --window
+        cfg = write(tmp_path, "free.json", FREE01)
+        rc, out = run_json(capsys, ["spectrum", "--config", cfg,
+                                    "--window", "1000,5000"])
+        assert rc == 0
+        assert json.loads(out)["result"]["indices"] == list(range(11, 23))
+        rc, out = run_json(capsys, ["spectrum", "--config", cfg])
+        assert json.loads(out)["result"]["indices"] == list(range(1, 11))
+
 
 class TestKappaCommand:
     def test_signed_measure(self, tmp_path, capsys):
@@ -261,6 +272,19 @@ class TestTypedErrors:
         (dict(FREE01, measure={"cantor": [{"support": [1.0, 0.0],
                                            "mass": 1.0}]}),
          ["kappa"], 1, "/measure/cantor/0: cantor support"),
+        # json.load takes NaN and Infinity; the schema does not
+        (dict(FREE01, potential={"values": [math.nan]}), ["kappa"], 1,
+         "/potential/values/0"),
+        (dict(FREE01, measure={"atoms": [{"x": 0.5, "beta": math.nan}]}),
+         ["spectrum"], 1, "/measure/atoms/0/beta"),
+        (dict(FREE01, potential={"breakpoints": [math.nan],
+                                 "values": [1.0, 2.0]}),
+         ["spectrum"], 1, "/potential/breakpoints/0"),
+        (dict(FREE01, measure={"cantor": [{"support": [0.0, 1.0],
+                                           "mass": math.inf}]}),
+         ["spectrum"], 1, "/measure/cantor/0/mass"),
+        (dict(FREE01, interval=[0.0, 10 ** 400]), ["spectrum"], 1,
+         "/interval/1"),
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
                                           argv, code, where):
@@ -299,6 +323,15 @@ class TestArgumentValidation:
         ["asymptotics", "--window", "1e3,0"],
         ["spectrum", "--count", "0"],
         ["spectrum", "--count", "-2", "--format", "csv"],
+        ["spectrum", "--window=-inf,10"],
+        ["mfunction", "--z=nan"],
+        ["mfunction", "--z=inf"],
+        ["resolvent-study", "--levels", "2..4", "--z=-1,nan"],
+        ["asymptotics", "--window", "1e3,inf"],
+        ["mfunction", "--alpha", "2"],
+        ["mfunction", "--alpha", "nan"],
+        ["asymptotics", "--alpha", "1.5"],
+        ["asymptotics", "--alpha=-0.5"],
     ])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
         cfg = write(tmp_path, "free.json", FREE01)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaprime import (PiecewisePotential, ProblemSpec, SingularMeasure,
-                        StateVector, atom_jump, propagate, realize,
-                        stretch_propagator, transfer_matrix, wronskian)
-from deltaprime.propagate import _count_stretch_zeros, cell_entry_states
+                        StateVector, TransferMatrix, atom_jump, propagate,
+                        realize, stretch_propagator, transfer_matrix,
+                        wronskian)
+from deltaprime.propagate import (_count_stretch_zeros, cell_entry_states,
+                                  realize_problem)
 from conftest import random_problem, rk4_state
 
 
@@ -229,23 +231,87 @@ class TestSweepEdges:
                                                 (0.8, 0.1)])))
         for p in problems:
             beta = dict(realize(p.measure, p.level))
+            nodes = realize_problem(p).nodes
             for z in (7.5, complex(-3.0, 2.0), -1.0e5):
-                init = StateVector(0.3, 1.1)
-                nodes, _, ent, final = cell_entry_states(p, z, init)
+                # both walks launch from the problem's own boundary state
+                ent, final = cell_entry_states(p, z)
                 for i, st in enumerate(ent):
-                    left = propagate(p, z, init, x_from=p.a,
-                                     x_to=nodes[i]).state
+                    left = propagate(p, z, x_from=p.a, x_to=nodes[i]).state
                     want = atom_jump(beta.get(nodes[i], 0.0)).apply(left)
                     assert _close(st, want)
-                assert _close(final, propagate(p, z, init).state)
-                nodes, _, ent, final = cell_entry_states(p, z, init,
-                                                         from_left=False)
+                assert _close(final, propagate(p, z).state)
+                ent, final = cell_entry_states(p, z, from_left=False)
                 for i, st in enumerate(ent):
-                    want = propagate(p, z, init, from_left=False,
-                                     x_from=p.b, x_to=nodes[i + 1]).state
+                    want = propagate(p, z, from_left=False, x_from=p.b,
+                                     x_to=nodes[i + 1]).state
                     assert _close(st, want)
-                assert _close(final, propagate(p, z, init,
-                                               from_left=False).state)
+                assert _close(final, propagate(p, z, from_left=False).state)
+
+
+def _inverse(m):
+    """Inverse of a unimodular factor: its adjugate, with the same scale."""
+    return TransferMatrix(m.a22, -m.a12, -m.a21, m.a11, m.log_scale)
+
+
+def _reference_run(p, z, init, lo, hi, from_left):
+    """A run from a product of atom_jump/stretch_propagator factors.
+
+    The factors come from the measure's realization and the potential,
+    not from the realized cells; the right-to-left run applies the inverse
+    factors in reverse order.  The state is renormalized after each factor.
+    """
+    atoms = dict(realize(p.measure, p.level))
+    cuts = sorted({lo, hi} | {x for x in atoms if lo < x < hi}
+                  | {c for c in p.potential.breakpoints if lo < c < hi})
+    steps = [(atom_jump(atoms.get(x, 0.0)),
+              stretch_propagator(y - x, p.potential.value(0.5 * (x + y)), z))
+             for x, y in zip(cuts, cuts[1:])]
+    if from_left:
+        factors = [f for jump, stretch in steps for f in (jump, stretch)]
+    else:
+        factors = [_inverse(f) for jump, stretch in reversed(steps)
+                   for f in (stretch, jump)]
+    st = init
+    for f in factors:
+        st = f.apply(st)
+        m = max(abs(st.u), abs(st.u1))
+        st = StateVector(st.u / m, st.u1 / m, st.log_scale + math.log(m))
+    return st
+
+
+class TestWalkReference:
+    """Full and partial runs in both directions against factor products."""
+
+    ATOMS = SingularMeasure.from_atoms([(0.0, 0.4), (0.5, -0.3),
+                                        (1.2, 0.25)])
+    POT = PiecewisePotential((0.7,), (3.0, -2.0))
+    RUNS = [
+        (0.0, 2.0),     # full run, atom at a
+        (0.0, 0.9),     # from a, ends inside a cell
+        (0.5, 1.2),     # atoms at both run ends: only the low one crossed
+        (1.2, 2.0),     # from an atom to b
+        (0.3, 1.6),     # both ends inside cells
+        (0.6, 0.65),    # inside one cell
+    ]
+
+    @pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("z", [7.5, 60.0, -1.0e6, complex(-3.0, 2.0),
+                                   complex(-1.0e6, 40.0)])
+    def test_runs_match_factor_products(self, bc_left, z):
+        p = ProblemSpec((0.0, 2.0), bc_left, "neumann", potential=self.POT,
+                        measure=self.ATOMS)
+        for lo, hi in self.RUNS:
+            for from_left in (True, False):
+                x0, x1 = (lo, hi) if from_left else (hi, lo)
+                for init in (p.launch(from_left), StateVector(0.3, -1.1, 2.0)):
+                    got = propagate(p, z, init, from_left, x0, x1).state
+                    want = _reference_run(p, z, init, lo, hi, from_left)
+                    assert _close(got, want, rtol=1e-12), (lo, hi, from_left)
+
+    def test_launch_rule(self):
+        p = ProblemSpec((0.0, 1.0), "neumann", "dirichlet")
+        assert p.launch() == StateVector(1.0, 0.0)
+        assert p.launch(from_left=False) == StateVector(0.0, 1.0)
 
 
 class TestWronskian:

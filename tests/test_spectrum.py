@@ -123,6 +123,16 @@ class TestEigenvalues:
                            with_norming=False)
         assert data.indices == (2, 3)
 
+    def test_eigenvalue_at_window_top_is_that_end(self):
+        # a zero residual at the window top: the eigenvalue is the end
+        # itself, not the least float above it
+        q5 = ProblemSpec((0.0, 1.0), "neumann", "neumann",
+                         potential=PiecewisePotential((), (5.0,)))
+        assert eigenvalues(q5, window=(1.0, 5.0)).eigenvalues == (5.0,)
+        free_nn = free_problem(bc_left="neumann", bc_right="neumann")
+        data = eigenvalues(free_nn, window=(-1.0, 0.0), with_norming=False)
+        assert data.eigenvalues == (0.0,) and data.indices == (1,)
+
     def test_empty_window_is_not_an_error(self):
         data = eigenvalues(free_problem(), window=(11.0, 20.0),
                            with_norming=False)
@@ -760,6 +770,16 @@ class TestSpectralFunction:
         assert spectral_function(p, 100.0) == 6.0
         assert spectral_function_samples(p, [1e-3, 100.0]) == [
             (1e-3, 0.0), (100.0, 6.0)]
+
+    def test_eigenvalue_at_t_counts_on_both_routes(self):
+        # lambda_1 = 5 exactly (the constant state): rho(5) takes it, as
+        # counting_function does, whether asked for alone or on a grid
+        p = ProblemSpec((0.0, 1.0), "neumann", "neumann",
+                        potential=PiecewisePotential((), (5.0,)))
+        assert counting_function(p, 5.0) == 1
+        assert spectral_function(p, 5.0) == pytest.approx(1.0, rel=1e-12)
+        assert spectral_function_samples(p, [5.0]) == [
+            (5.0, spectral_function(p, 5.0))]
 
     def test_negative_side_with_sign(self):
         m = SingularMeasure.from_atoms([(0.0, -1.0)])
