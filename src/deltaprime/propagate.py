@@ -9,12 +9,25 @@ deep-z shooting never overflows; signs, zero counts and Weyl ratios are
 scale-invariant.  Zero counts are oriented (a negative atom that flips the
 sign of u counts -1), so they track the lifted Pruefer angle, which rises
 with z whatever the signs of the atoms.
+
+_sweep is the one walk over the realized cells.  A realization with a
+Cantor part also carries a z-independent block plan (_BlockPlan): each
+subtree of a Cantor construction tree whose span holds no foreign node (a
+q breakpoint or the end b inside it, an explicit atom or an atom of
+another Cantor part on it) is one block of its family (one per part and q
+value), B_0 = stretch(r^L*len)*jump(m/2^L) and B_h =
+B_{h-1}*stretch(gap_h)*B_{h-1}; a subtree that holds a foreign node splits
+into its children, down to single cells.  A full left-to-right run at real
+z crosses the plan's top-level segments (_plan_sweep), each block with its
+log scale and the lifted angle of a reference vector, so the count stays
+the walk's; every other run walks the cells.
 """
 from __future__ import annotations
 
 import bisect
 import cmath
 import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -38,6 +51,12 @@ __all__ = [
 RESCALE_LIMIT = 1e100
 SERIES_THRESHOLD = 1e-8   # |w| L^2 below which the entire-series branch is used
 EXP_SPLIT = 300.0         # hyperbolic phase beyond which factors are scaled
+PLAN_SLACK = 64.0         # ulps per cell a block's image may be off by
+_EPS = 2.0 ** -52
+_SPLIT = 134217729.0      # 2^27 + 1, Dekker's splitter
+_LN2 = math.log(2.0)
+
+_log = logging.getLogger("deltaprime")
 
 
 @dataclass(frozen=True)
@@ -152,6 +171,13 @@ class RealizedProblem:
         self.negative_jumps = sum(
             w < 0.0 and not (x == a and problem.bc_left == "neumann")
             for (x, w) in atoms)
+        self.plan = None
+        if problem.measure.cantor_parts:
+            plan = _BlockPlan(problem, self)
+            # a block costs about five cell steps (two double-double
+            # products and a stretch), a top-level segment about one
+            if 5 * plan.blocks + len(plan.segments) < len(self.qvals):
+                self.plan = plan
 
 
 @functools.lru_cache(maxsize=128)
@@ -309,7 +335,9 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
     of u.  zero_count (exact oriented interior sign changes of u, atoms
     included; see PropagationResult) is returned for real z on
     left-to-right runs and None otherwise.
-    Both run endpoints must lie in [a, b], in the run's direction.
+    Both run endpoints must lie in [a, b], in the run's direction.  A full
+    left-to-right run at real z crosses the realization's block plan when
+    it has one (same count, same state to rounding), the cells otherwise.
     """
     real = realize_problem(problem)
     ends = (real.a, real.b) if from_left else (real.b, real.a)
@@ -322,6 +350,9 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
                          f"on [{real.a}, {real.b}]")
     if init is None:
         init = problem.launch(from_left)
+    if real.plan is not None and from_left and (lo, hi) == (real.a, real.b) \
+            and not isinstance(z, complex):
+        return _plan_sweep(real.plan, z, init)
     return _sweep(real, z, init, lo, hi, from_left,
                   count=from_left and not isinstance(z, complex))
 
@@ -393,6 +424,242 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
         u, u1, ls = _rescale(nu, nu1, ls)
         if beta and not from_left:
             u, u1, ls = _rescale(u - beta * u1, u1, ls)
+    return PropagationResult(StateVector(u, u1, ls), zeros)
+
+
+class _BlockPlan:
+    """The z-independent block plan of a realization with Cantor parts.
+
+    Each Cantor part's construction tree is cut into maximal subtrees whose
+    span [lo, hi) holds no foreign node: no q breakpoint, end a or b inside
+    (lo, hi), and no explicit atom or atom of another part in [lo, hi).  A
+    subtree of height h is the block B_h of its family (one per part and q
+    value): B_0 = stretch(leaf)*jump(beta), B_h =
+    B_{h-1}*stretch(gaps[h-1])*B_{h-1}.  families[k] = (beta, leaf, gaps,
+    q); segments run from a to b, (k, h) for the block B_h of family k and
+    (beta, length, q) for a piece of a realized cell, its jump first.
+    """
+
+    def __init__(self, problem: ProblemSpec, real: "RealizedProblem"):
+        a, b, level = real.a, real.b, problem.level
+        parts = problem.measure.cantor_parts
+        cuts = sorted({a, b}.union(p for p in problem.potential.breakpoints
+                                   if a < p < b))
+        explicit = [x for x, _ in problem.measure.atoms]
+        # the atoms of each part, foreign to the other parts
+        own = [[x for x, _ in part.atoms(level)] for part in parts] \
+            if len(parts) > 1 else [[]]
+        self.foreign = len(set(cuts).union(explicit, *own))
+        heights: dict[tuple[int, float], int] = {}   # (part, q) -> top
+        placed = []
+        for k, part in enumerate(parts):
+            others = sorted(explicit + [x for j, xs in enumerate(own)
+                                        if j != k for x in xs])
+            stack = [(*part.support, 0)]
+            while stack:
+                lo, hi, depth = stack.pop()
+                i = bisect.bisect_left(others, lo)
+                j = bisect.bisect_right(cuts, lo)
+                if not ((i < len(others) and others[i] < hi)
+                        or (j < len(cuts) and cuts[j] < hi)):
+                    key = (k, problem.potential.value(0.5 * (lo + hi)))
+                    heights[key] = max(heights.get(key, 0), level - depth)
+                    placed.append((lo, hi, key, level - depth))
+                elif depth < level:
+                    keep = (hi - lo) * part.ratio
+                    stack.append((hi - keep, hi, depth + 1))
+                    stack.append((lo, lo + keep, depth + 1))
+        self.families = []
+        for (k, q), top in heights.items():
+            part = parts[k]
+            # construction lengths by depth; B_h spans lengths[level - h]
+            lengths = [part.support[1] - part.support[0]]
+            for _ in range(level):
+                lengths.append(lengths[-1] * part.ratio)
+            gaps = [lengths[level - h] - 2.0 * lengths[level - h + 1]
+                    for h in range(1, top + 1)]
+            self.families.append((part.mass / 2 ** level, lengths[level],
+                                  gaps, q))
+        index = {key: n for n, key in enumerate(heights)}
+        self.segments = []
+        x = a
+        for lo, hi, key, h in sorted(placed):
+            self._cells(real, x, lo)
+            self.segments.append((index[key], h))
+            x = hi
+        self._cells(real, x, b)
+        self.blocks = sum(len(f[2]) + 1 for f in self.families)
+        self.depth = level
+        _log.debug("block plan: %d blocks, %d top-level segments, depth %d, "
+                   "%d foreign nodes, %d cells", self.blocks,
+                   len(self.segments), self.depth, self.foreign,
+                   len(real.qvals))
+
+    def _cells(self, real, x, y):
+        """Pieces of the realized cells covering [x, y)."""
+        nodes = real.nodes
+        i = bisect.bisect_right(nodes, x) - 1
+        while x < y:
+            end = min(nodes[i + 1], y)
+            beta = real.betas[i] if nodes[i] == x else 0.0
+            self.segments.append((beta, end - x, real.qvals[i]))
+            x, i = end, i + 1
+
+
+# A lifted factor is a tuple (a11, a12, a21, a22, l11, l12, l21, l22, ls,
+# det, turn, err, s): a double-double matrix (a + l) times exp(ls), scaled
+# by a power of two to largest entry in [1/2, 1) in the energy metric
+# |(u, u^[1])| = max(|s*u|, |u^[1]|); det = exp(-2*ls) is its determinant
+# in exact arithmetic; turn is the lifted Pruefer angle atan2(u, u^[1]) of
+# the image of v0 = (0, 1); err bounds the rounding of the double-double
+# entries in units of that largest entry.
+_LS, _DET, _TURN, _ERR, _S = range(8, 13)
+
+
+def _factor(a11, a12, a21, a22, l11, l12, l21, l22, ls, det, turn, s,
+            err=0.0):
+    m = max(abs(a11), abs(a12 * s), abs(a21 / s), abs(a22))
+    if not 0.0 < m < math.inf:
+        # cancelled or overflowed beyond use: crossed by its parts only
+        return (a11, a12, a21, a22, l11, l12, l21, l22, ls, det, turn,
+                math.inf, s)
+    k = math.frexp(m)[1]
+    c = math.ldexp(1.0, -k)
+    return (a11 * c, a12 * c, a21 * c, a22 * c, l11 * c, l12 * c, l21 * c,
+            l22 * c, ls + k * _LN2, det * c * c, turn, err / m + _EPS * _EPS,
+            s)
+
+
+def _stretch_factor(w, L, s):
+    C, S, ls = _cs(w, L)
+    # the angle of (S, C) lies in the quadrant of the modified angle
+    # atan2(om*u, u^[1]) of the image, which rises by om*L
+    phi = math.atan2(S, C)
+    rise = math.sqrt(w) * L if w > 0.0 else 0.0
+    turn = phi + 2.0 * math.pi * round((rise - phi) / (2.0 * math.pi))
+    return _factor(C, S, -w * S, C, 0.0, 0.0, 0.0, 0.0, ls,
+                   math.exp(-2.0 * ls), turn, s)
+
+
+def _jump_factor(beta, s):
+    return _factor(1.0, beta, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+                   math.atan2(beta, 1.0), s)
+
+
+def _dd_dot(ah, al, bh, bl, ch, cl, dh, dl):
+    """a*b + c*d in double-double: Dekker's exact products, Knuth's sum."""
+    p = ah * bh
+    t = _SPLIT * ah
+    ahh = t - (t - ah)
+    t = _SPLIT * bh
+    bhh = t - (t - bh)
+    ep = ((ahh * bhh - p) + ahh * (bh - bhh) + (ah - ahh) * bhh) \
+        + (ah - ahh) * (bh - bhh)
+    q = ch * dh
+    t = _SPLIT * ch
+    chh = t - (t - ch)
+    t = _SPLIT * dh
+    dhh = t - (t - dh)
+    eq = ((chh * dhh - q) + chh * (dh - dhh) + (ch - chh) * dhh) \
+        + (ch - chh) * (dh - dhh)
+    hi = p + q
+    v = hi - p
+    lo = ((p - (hi - v)) + (q - v)) + ep + eq \
+        + (ah * bl + al * bh) + (ch * dl + cl * dh)
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+def _compose(g, f):
+    """The lifted factor g*f (f first), normed in f's metric.
+
+    Blocks of one family reuse their halves, so a rounding error of B_h
+    recurs in all 2^(L-h) copies; double-double entries keep that below
+    the rounding of one cell step.
+    """
+    g11, g12, g21, g22, m11, m12, m21, m22 = g[:8]
+    f11, f12, f21, f22, n11, n12, n21, n22 = f[:8]
+    c11, d11 = _dd_dot(g11, m11, f11, n11, g12, m12, f21, n21)
+    c12, d12 = _dd_dot(g11, m11, f12, n12, g12, m12, f22, n22)
+    c21, d21 = _dd_dot(g21, m21, f11, n11, g22, m22, f21, n21)
+    c22, d22 = _dd_dot(g21, m21, f12, n12, g22, m22, f22, n22)
+    turn = f[_TURN] + _lift(g, f12, f22, c12, c22)
+    return _factor(c11, c12, c21, c22, d11, d12, d21, d22, f[_LS] + g[_LS],
+                   f[_DET] * g[_DET], turn, f[_S], f[_ERR] + g[_ERR])
+
+
+def _lift(f, u, u1, nu, nu1):
+    """Lifted angle gained by (u, u^[1]) under f, whose image is (nu, nu1).
+
+    The image of v0 has turned by f's turn; v and its image keep their
+    orientation against v0 (det > 0), so the angle between the images is
+    atan2(det * cross, dot), exact in sign even where det underflows.
+    """
+    return (f[_TURN] + math.atan2(f[_DET] * u, f[1] * nu + f[3] * nu1)
+            - math.atan2(u, u1))
+
+
+def _plan_sweep(plan, z, state):
+    """A full left-to-right run across the plan's top-level segments (real z).
+
+    Each family's blocks are composed bottom-up in the energy metric s =
+    sqrt(max(|z - q|, 1)).  A block of 2^h cells whose rounding, relative
+    to the image of the state, could pass PLAN_SLACK*2^h ulps (the state
+    near its contracting direction, or a product that cancels beyond
+    double-double) is crossed as its halves and the gap between them, down
+    to a jump and a stretch.  The state's lifted angle theta starts at
+    atan2(u, u^[1]) and gains each factor's lift; the zero count is
+    ceil(theta(b)/pi) - floor(theta(a)/pi) - 1, theta(b) taken at the
+    final state's angle on the branch nearest the tracked value.
+    """
+    blocks, parts = [], []
+    for beta, leaf, lengths, q in plan.families:
+        w = z - q
+        s = math.sqrt(max(abs(w), 1.0))
+        fparts = [(_jump_factor(beta, s), _stretch_factor(w, leaf, s))]
+        fparts.extend(_stretch_factor(w, g, s) for g in lengths)
+        block = _compose(fparts[0][1], fparts[0][0])
+        fam = [block]
+        for gap in fparts[1:]:
+            block = _compose(block, _compose(gap, block))
+            fam.append(block)
+        blocks.append(fam)
+        parts.append(fparts)
+
+    def step(f, u, u1, ls, theta):
+        nu, nu1 = f[0] * u + f[1] * u1, f[2] * u + f[3] * u1
+        return (*_rescale(nu, nu1, ls + f[_LS]),
+                theta + _lift(f, u, u1, nu, nu1))
+
+    def cross(k, h, st):
+        f, u, u1 = blocks[k][h], st[0], st[1]
+        s = f[_S]
+        if (f[_ERR] + _EPS) * max(abs(s * u), abs(u1)) \
+                <= PLAN_SLACK * _EPS * 2 ** h * max(
+                    abs(s * (f[0] * u + f[1] * u1)),
+                    abs(f[2] * u + f[3] * u1)):
+            return step(f, *st)
+        if h == 0:
+            jump, leaf = parts[k][0]
+            return step(leaf, *step(jump, *st))
+        return cross(k, h - 1, step(parts[k][h], *cross(k, h - 1, st)))
+
+    u, u1 = state.u, state.u1
+    st = (u, u1, state.log_scale, math.atan2(u + 0.0, u1))
+    start = -1 if u < 0.0 else int(u == 0.0 and u1 < 0.0)
+    for seg in plan.segments:
+        if len(seg) == 2:
+            st = cross(*seg, st)
+        else:
+            beta, L, q = seg
+            s = math.sqrt(max(abs(z - q), 1.0))
+            if beta:
+                st = step(_jump_factor(beta, s), *st)
+            st = step(_stretch_factor(z - q, L, s), *st)
+    u, u1, ls, theta = st
+    phi = math.atan2(u + 0.0, u1)
+    turns = round((theta - phi) / (2.0 * math.pi))
+    zeros = 2 * turns + (u > 0.0 or (u == 0.0 and u1 < 0.0)) - start - 1
     return PropagationResult(StateVector(u, u1, ls), zeros)
 
 
