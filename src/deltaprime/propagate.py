@@ -18,9 +18,11 @@ another Cantor part on it) is one block of its family (one per part and q
 value), B_0 = stretch(r^L*len)*jump(m/2^L) and B_h =
 B_{h-1}*stretch(gap_h)*B_{h-1}; a subtree that holds a foreign node splits
 into its children, down to single cells.  A full left-to-right run at real
-z crosses the plan's top-level segments (_plan_sweep), each block with its
-log scale and the lifted angle of a reference vector, so the count stays
-the walk's; every other run walks the cells.
+z crosses the plan's top-level segments (_plan_sweep): each block as one
+factor with its log scale and the lifted angle of a reference vector, the
+cells between blocks as partial runs of _sweep, whose counts become lifted
+angles at the block boundaries, so the count stays the walk's.  Every
+other run walks the cells.
 """
 from __future__ import annotations
 
@@ -174,9 +176,14 @@ class RealizedProblem:
         self.plan = None
         if problem.measure.cantor_parts:
             plan = _BlockPlan(problem, self)
-            # a block costs about five cell steps (two double-double
-            # products and a stretch), a top-level segment about one
-            if 5 * plan.blocks + len(plan.segments) < len(self.qvals):
+            # a cell step takes about 1.6 us (CPython, 2 shared CPUs),
+            # composing a block about 13 us, crossing a segment up to 4 us
+            # beyond the cells of its run: a level-5 staircase (6 blocks,
+            # 32 cells) keeps the walk, level 6 takes the plan.  Blocks
+            # crossed as halves (near eigenvalues of negative masses: up to
+            # 229 leaves per shot at level 12) are left out of this rule
+            if 8 * plan.blocks + 3 * len(plan.segments) + plan.walked \
+                    < len(self.qvals):
                 self.plan = plan
 
 
@@ -352,7 +359,7 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
         init = problem.launch(from_left)
     if real.plan is not None and from_left and (lo, hi) == (real.a, real.b) \
             and not isinstance(z, complex):
-        return _plan_sweep(real.plan, z, init)
+        return _plan_sweep(real, real.plan, z, init)
     return _sweep(real, z, init, lo, hi, from_left,
                   count=from_left and not isinstance(z, complex))
 
@@ -436,8 +443,8 @@ class _BlockPlan:
     subtree of height h is the block B_h of its family (one per part and q
     value): B_0 = stretch(leaf)*jump(beta), B_h =
     B_{h-1}*stretch(gaps[h-1])*B_{h-1}.  families[k] = (beta, leaf, gaps,
-    q); segments run from a to b, (k, h) for the block B_h of family k and
-    (beta, length, q) for a piece of a realized cell, its jump first.
+    q, ratio); segments run from a to b, (lo, hi, k, h) for the block B_h
+    of family k on [lo, hi) and (x, y) for a run of the cell walk.
     """
 
     def __init__(self, problem: ProblemSpec, real: "RealizedProblem"):
@@ -466,6 +473,7 @@ class _BlockPlan:
                     heights[key] = max(heights.get(key, 0), level - depth)
                     placed.append((lo, hi, key, level - depth))
                 elif depth < level:
+                    # the children of CantorSpec.atoms, to the last bit
                     keep = (hi - lo) * part.ratio
                     stack.append((hi - keep, hi, depth + 1))
                     stack.append((lo, lo + keep, depth + 1))
@@ -479,31 +487,27 @@ class _BlockPlan:
             gaps = [lengths[level - h] - 2.0 * lengths[level - h + 1]
                     for h in range(1, top + 1)]
             self.families.append((part.mass / 2 ** level, lengths[level],
-                                  gaps, q))
+                                  gaps, q, part.ratio))
         index = {key: n for n, key in enumerate(heights)}
         self.segments = []
         x = a
         for lo, hi, key, h in sorted(placed):
-            self._cells(real, x, lo)
-            self.segments.append((index[key], h))
+            if x < lo:
+                self.segments.append((x, lo))
+            self.segments.append((lo, hi, index[key], h))
             x = hi
-        self._cells(real, x, b)
+        if x < b:
+            self.segments.append((x, b))
+        # cells touched by the runs of the walk
+        self.walked = sum(bisect.bisect_left(real.nodes, seg[1])
+                          - bisect.bisect_right(real.nodes, seg[0]) + 1
+                          for seg in self.segments if len(seg) == 2)
         self.blocks = sum(len(f[2]) + 1 for f in self.families)
         self.depth = level
         _log.debug("block plan: %d blocks, %d top-level segments, depth %d, "
                    "%d foreign nodes, %d cells", self.blocks,
                    len(self.segments), self.depth, self.foreign,
                    len(real.qvals))
-
-    def _cells(self, real, x, y):
-        """Pieces of the realized cells covering [x, y)."""
-        nodes = real.nodes
-        i = bisect.bisect_right(nodes, x) - 1
-        while x < y:
-            end = min(nodes[i + 1], y)
-            beta = real.betas[i] if nodes[i] == x else 0.0
-            self.segments.append((beta, end - x, real.qvals[i]))
-            x, i = end, i + 1
 
 
 # A lifted factor is a tuple (a11, a12, a21, a22, l11, l12, l21, l22, ls,
@@ -599,39 +603,56 @@ def _lift(f, u, u1, nu, nu1):
             - math.atan2(u, u1))
 
 
-def _plan_sweep(plan, z, state):
+def _floor_turn(u, u1):
+    """floor(atan2(u, u^[1]) / pi) on (-pi, pi], u = -0.0 read as 0."""
+    return -1 if u < 0.0 else int(u == 0.0 and u1 < 0.0)
+
+
+def _plan_sweep(real, plan, z, state):
     """A full left-to-right run across the plan's top-level segments (real z).
 
     Each family's blocks are composed bottom-up in the energy metric s =
     sqrt(max(|z - q|, 1)).  A block of 2^h cells whose rounding, relative
     to the image of the state, could pass PLAN_SLACK*2^h ulps (the state
-    near its contracting direction, or a product that cancels beyond
-    double-double) is crossed as its halves and the gap between them, down
-    to a jump and a stretch.  The state's lifted angle theta starts at
-    atan2(u, u^[1]) and gains each factor's lift; the zero count is
-    ceil(theta(b)/pi) - floor(theta(a)/pi) - 1, theta(b) taken at the
-    final state's angle on the branch nearest the tracked value.
+    near its contracting direction, a product that cancels beyond
+    double-double, or an image of exactly zero) is crossed as its halves
+    and the gap between them; the gaps, the leaves and the runs between
+    blocks are crossed by _sweep, whose split stretch keeps a collapsed
+    decaying state.  The state carries its whole turns j: its lifted angle
+    is theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to theta; a
+    walk run's count n, which leaves out a zero at the run's end, puts
+    theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.  The
+    zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
     """
-    blocks, parts = [], []
-    for beta, leaf, lengths, q in plan.families:
+    blocks = []
+    for beta, leaf, gaps, q, _ in plan.families:
         w = z - q
         s = math.sqrt(max(abs(w), 1.0))
-        fparts = [(_jump_factor(beta, s), _stretch_factor(w, leaf, s))]
-        fparts.extend(_stretch_factor(w, g, s) for g in lengths)
-        block = _compose(fparts[0][1], fparts[0][0])
+        block = _compose(_stretch_factor(w, leaf, s), _jump_factor(beta, s))
         fam = [block]
-        for gap in fparts[1:]:
-            block = _compose(block, _compose(gap, block))
+        for gap in gaps:
+            block = _compose(block, _compose(_stretch_factor(w, gap, s),
+                                             block))
             fam.append(block)
         blocks.append(fam)
-        parts.append(fparts)
 
-    def step(f, u, u1, ls, theta):
+    def step(f, u, u1, ls, j):
         nu, nu1 = f[0] * u + f[1] * u1, f[2] * u + f[3] * u1
-        return (*_rescale(nu, nu1, ls + f[_LS]),
-                theta + _lift(f, u, u1, nu, nu1))
+        theta = math.atan2(u + 0.0, u1) + _lift(f, u, u1, nu, nu1)
+        nu, nu1, ls = _rescale(nu, nu1, ls + f[_LS])
+        phi = math.atan2(nu + 0.0, nu1)
+        return nu, nu1, ls, j + round((theta - phi) / (2.0 * math.pi))
 
-    def cross(k, h, st):
+    def walk(x, y, st):
+        u, u1, ls, j = st
+        run = _sweep(real, z, StateVector(u, u1, ls), x, y, True, count=True)
+        v = run.state
+        k = 2 * j + _floor_turn(u, u1) + run.zero_count
+        phi = math.atan2(v.u + 0.0, v.u1)
+        return v.u, v.u1, v.log_scale, \
+            round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
+
+    def cross(lo, hi, k, h, st):
         f, u, u1 = blocks[k][h], st[0], st[1]
         s = f[_S]
         if (f[_ERR] + _EPS) * max(abs(s * u), abs(u1)) \
@@ -640,26 +661,17 @@ def _plan_sweep(plan, z, state):
                     abs(f[2] * u + f[3] * u1)):
             return step(f, *st)
         if h == 0:
-            jump, leaf = parts[k][0]
-            return step(leaf, *step(jump, *st))
-        return cross(k, h - 1, step(parts[k][h], *cross(k, h - 1, st)))
+            return walk(lo, hi, st)
+        keep = (hi - lo) * plan.families[k][4]
+        st = walk(lo + keep, hi - keep, cross(lo, lo + keep, k, h - 1, st))
+        return cross(hi - keep, hi, k, h - 1, st)
 
-    u, u1 = state.u, state.u1
-    st = (u, u1, state.log_scale, math.atan2(u + 0.0, u1))
-    start = -1 if u < 0.0 else int(u == 0.0 and u1 < 0.0)
+    st = (state.u, state.u1, state.log_scale, 0)
     for seg in plan.segments:
-        if len(seg) == 2:
-            st = cross(*seg, st)
-        else:
-            beta, L, q = seg
-            s = math.sqrt(max(abs(z - q), 1.0))
-            if beta:
-                st = step(_jump_factor(beta, s), *st)
-            st = step(_stretch_factor(z - q, L, s), *st)
-    u, u1, ls, theta = st
-    phi = math.atan2(u + 0.0, u1)
-    turns = round((theta - phi) / (2.0 * math.pi))
-    zeros = 2 * turns + (u > 0.0 or (u == 0.0 and u1 < 0.0)) - start - 1
+        st = cross(*seg, st) if len(seg) == 4 else walk(*seg, st)
+    u, u1, ls, j = st
+    zeros = 2 * j + (u > 0.0 or (u == 0.0 and u1 < 0.0)) \
+        - _floor_turn(state.u, state.u1) - 1
     return PropagationResult(StateVector(u, u1, ls), zeros)
 
 

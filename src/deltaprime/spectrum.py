@@ -162,13 +162,12 @@ def _secant(lo: _Sample, hi: _Sample, g_lo: float,
     Both residuals are taken relative to the larger log scale, so nothing
     overflows.  The point is clamped into the open bracket: one that rounds
     onto an end says the root is within an ulp of it, and the neighbouring
-    float tests that; so does a residual of exactly zero at one end.  None
-    when the residuals show no sign change.
+    float tests that.  None when the residuals show no sign change.
     """
     m = max(lo.log_scale, hi.log_scale)
     f_lo = g_lo * lo.residual * math.exp(lo.log_scale - m)
     f_hi = g_hi * hi.residual * math.exp(hi.log_scale - m)
-    if f_lo == f_hi or not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
+    if not f_lo * f_hi < 0.0:
         return None
     x = lo.z + (hi.z - lo.z) * (f_lo / (f_lo - f_hi))
     return min(max(x, math.nextafter(lo.z, hi.z)), math.nextafter(hi.z, lo.z))

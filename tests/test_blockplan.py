@@ -66,9 +66,10 @@ def _walk(p, z):
 def test_counts_equal_cell_walk(i):
     # the plan itself, whether or not it is cheaper than the walk here
     p = CASES[i]
-    plan = PROPAGATE._BlockPlan(p, realize_problem(p))
+    real = realize_problem(p)
+    plan = PROPAGATE._BlockPlan(p, real)
     for z in _grid(p):
-        got = PROPAGATE._plan_sweep(plan, z, p.launch()).zero_count
+        got = PROPAGATE._plan_sweep(real, plan, z, p.launch()).zero_count
         assert got == _walk(p, z).zero_count, z
 
 
@@ -78,9 +79,9 @@ def test_explicit_atom_on_a_cantor_atom_splits_its_blocks():
     assert x in dict(p.measure.cantor_parts[0].atoms(p.level))
     plan = PROPAGATE._BlockPlan(p, realize_problem(p))
     assert (plan.foreign, plan.depth) == (7, 5)
-    # the merged atom is crossed as a cell piece with the merged weight
-    weight = dict(realize_problem(p).atoms)[x]
-    assert any(len(seg) == 3 and seg[0] == weight for seg in plan.segments)
+    # the merged atom is crossed by a run of the cell walk
+    assert any(len(seg) == 2 and seg[0] <= x < seg[1]
+               for seg in plan.segments)
 
 
 @pytest.mark.parametrize("i", [0, 2, 4, 6, 8, 10])
@@ -105,6 +106,35 @@ def test_no_cantor_part_takes_the_cell_walk():
     # and a shallow realization with many foreign nodes keeps the walk too
     assert realize_problem(CASES[1]).plan is None
     assert realize_problem(CASES[11]).plan is not None
+
+
+def _agree(got, want):
+    (u, u1), (v, v1) = got.state.true_values(), want.state.true_values()
+    assert u == pytest.approx(v, rel=1e-12)
+    assert u1 == pytest.approx(v1, rel=1e-12)
+    assert got.zero_count == want.zero_count
+
+
+def test_collapsed_stretch_between_blocks_keeps_the_decaying_state():
+    # at z = -4 the cosh/sinh form cancels the state past the atom at 0 to
+    # exactly zero on the way to the Cantor part; the run between the
+    # blocks is walked, so the split form keeps the decaying state
+    m = SingularMeasure(atoms=((0.0, -1.0),),
+                        cantor_parts=(CantorSpec((19.0, 19.9), 0.1),))
+    p = ProblemSpec((-20.0, 20.0), measure=m, level=8)
+    assert realize_problem(p).plan is not None
+    _agree(propagate(p, -4.0), _walk(p, -4.0))
+
+
+def test_collapsed_leaf_keeps_the_decaying_state():
+    # a Cantor atom of weight -1 at 0 turns the state grown from -20 into
+    # the decaying one, which the leaf stretch (phase 19.5) and so the
+    # block B_0 cancel to exactly zero: the leaf is walked instead
+    m = SingularMeasure(cantor_parts=(CantorSpec((0.0, 39.0), -2.0, 0.25),))
+    p = ProblemSpec((-20.0, 40.0), measure=m, level=1)
+    real = realize_problem(p)
+    _agree(PROPAGATE._plan_sweep(real, PROPAGATE._BlockPlan(p, real), -4.0,
+                                 p.launch()), _walk(p, -4.0))
 
 
 STAIRCASE = ProblemSpec((0.0, 1.0), measure=SingularMeasure(
