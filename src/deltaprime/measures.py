@@ -42,6 +42,8 @@ class CantorSpec:
 
     def __post_init__(self):
         c, d = self.support
+        if not all(map(math.isfinite, (c, d, self.mass))):
+            raise ValueError("cantor support and mass must be finite")
         if not (c < d):
             raise ValueError("cantor support must be a nondegenerate interval")
         if not (0.0 < self.ratio < 0.5):
@@ -76,6 +78,9 @@ class SingularMeasure:
     cantor_parts: tuple[CantorSpec, ...] = ()
 
     def __post_init__(self):
+        if not all(math.isfinite(x) and math.isfinite(w)
+                   for (x, w) in self.atoms):
+            raise ValueError("atom positions and weights must be finite")
         xs = [x for (x, _) in self.atoms]
         if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
             raise ValueError("atom positions must be strictly increasing")

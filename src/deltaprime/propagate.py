@@ -77,6 +77,8 @@ class PiecewisePotential:
             raise ValueError("need len(values) == len(breakpoints) + 1")
         if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, (*self.breakpoints, *self.values))):
+            raise ValueError("potential breakpoints and values must be finite")
 
     def value(self, x: float) -> float:
         return self.values[bisect.bisect_right(self.breakpoints, x)]

@@ -11,23 +11,24 @@ one sorted store of shots serves all indices of a call.
 
 Independent of it is a conforming P1 Galerkin discretization with doubled
 (discontinuous) basis nodes at every atom and jump penalty |jump|^2/beta,
-solved as a symmetric tridiagonal pencil assembled from arrays.  It
-serves as a test oracle and gives the counts of counting_function for a
-signed measure (whatever q and the boundary conditions are), and of
-negative_count when q is not identically zero (whatever the signs of the
-atoms).
+solved as a symmetric tridiagonal pencil assembled from arrays.  Its one
+solver is a Sturm count (inertia); its eigenvalues are bisections of that
+count.  It serves as a test oracle and gives the counts of
+counting_function for a signed measure (whatever q and the boundary
+conditions are), and of negative_count when q is not identically zero
+(whatever the signs of the atoms).
 """
 from __future__ import annotations
 
 import bisect as _bisect
 import logging
 import math
+import sys
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
@@ -162,15 +163,20 @@ def _secant(lo: _Sample, hi: _Sample, g_lo: float,
     Both residuals are taken relative to the larger log scale, so nothing
     overflows.  The point is clamped into the open bracket: one that rounds
     onto an end says the root is within an ulp of it, and the neighbouring
-    float tests that.  None when the residuals show no sign change.
+    float tests that.  A residual of exactly zero at one end says the same,
+    so that end's neighbour inside the bracket is the point.  None when the
+    residuals show no sign change (or are both zero).
     """
+    inner_lo, inner_hi = math.nextafter(lo.z, hi.z), math.nextafter(hi.z, lo.z)
+    if (lo.residual == 0.0) != (hi.residual == 0.0):
+        return inner_lo if lo.residual == 0.0 else inner_hi
     m = max(lo.log_scale, hi.log_scale)
     f_lo = g_lo * lo.residual * math.exp(lo.log_scale - m)
     f_hi = g_hi * hi.residual * math.exp(hi.log_scale - m)
     if not f_lo * f_hi < 0.0:
         return None
     x = lo.z + (hi.z - lo.z) * (f_lo / (f_lo - f_hi))
-    return min(max(x, math.nextafter(lo.z, hi.z)), math.nextafter(hi.z, lo.z))
+    return min(max(x, inner_lo), inner_hi)
 
 
 def _eigenvalue_by_index(problem: ProblemSpec, n: int,
@@ -333,6 +339,8 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
     n_lo, n_hi, top = 1, n_max, None
     if window is not None:
         w0, w1 = window
+        if not (math.isfinite(w0) and math.isfinite(w1)):
+            raise ValueError("window ends must be finite")
         n_lo = samples.at(w0).count + 1
         top = samples.at(w1)
         n_hi = top.count + (top.residual == 0)
@@ -381,6 +389,8 @@ def counting_function(problem: ProblemSpec, t: float) -> int:
     _Samples); a signed measure uses oracle inertia, accurate away from
     discretization-sized neighborhoods of t.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if problem.is_nonnegative_measure():
         def count_lt(s):
             return _count_below(problem, s)
@@ -522,7 +532,8 @@ class GalerkinOracle:
     keeping the pencil tridiagonal in position ordering.  Inertia counts
     use a Sturm sequence on A - t*B and are exact at t = 0 for q == 0
     because the continuum negative subspace is spanned by piecewise-linear
-    functions with jumps at the atoms.
+    functions with jumps at the atoms.  The eigenvalues are bisections of
+    the same count, so they and the inertia cannot disagree.
     """
 
     def __init__(self, problem: ProblemSpec, mesh_size: float):
@@ -586,16 +597,43 @@ class GalerkinOracle:
         self.n = len(self.diag)
 
     def eigenvalues(self, count: int) -> np.ndarray:
-        """Lowest `count` eigenvalues of the generalized pencil."""
+        """Lowest `count` eigenvalues of the generalized pencil.
+
+        Sturm-sequence bisection of inertia (Barth, Martin & Wilkinson
+        1967; LAPACK dstebz) inside the pencil's Gershgorin bounds
+        [min (diag - r)/mass, max (diag + r)/mass], r_i = |off_{i-1}| +
+        |off_i|.  lambda_k is the upper end of a bracket with
+        inertia(lo) < k <= inertia(hi) that is no wider than
+        eps * max(|lo_0|, |hi_0|) or has adjacent float ends; the width
+        rule keeps an eigenvalue at 0 from bisecting towards the
+        subnormals, where diag - t*mass no longer changes with t and the
+        pivots break down.  Every count seen narrows the brackets of all
+        later indices.
+        """
         count = min(count, self.n)
         if count <= 0:
             return np.zeros(0)
-        scale = 1.0 / np.sqrt(self.mass)
-        d = self.diag * scale * scale
-        e = self.off * scale[:-1] * scale[1:]
-        return eigh_tridiagonal(d, e, select="i",
-                                select_range=(0, count - 1),
-                                eigvals_only=True)
+        r = np.abs(np.pad(self.off, (1, 0))) + np.abs(np.pad(self.off, (0, 1)))
+        lo = float(np.min((self.diag - r) / self.mass))
+        hi = float(np.max((self.diag + r) / self.mass))
+        width = sys.float_info.epsilon * max(abs(lo), abs(hi))
+        seen = [(lo, 0), (hi, self.n)]     # (t, inertia(t)), sorted by t
+        out = np.empty(count)
+        for k in range(1, count + 1):
+            i = _bisect.bisect_left(seen, k, key=itemgetter(1))
+            lo, hi = seen[i - 1][0], seen[i][0]
+            while hi - lo > width:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                c = self.inertia(mid)
+                _bisect.insort(seen, (mid, c))
+                if c >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            out[k - 1] = hi
+        return out
 
     def inertia(self, t: float) -> int:
         """Number of pencil eigenvalues strictly below t (Sturm count)."""

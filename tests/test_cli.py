@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -429,6 +432,18 @@ def test_golden_output_bytes(tmp_path, name):
     assert body == (GOLDEN_DIR / name).read_bytes()
     side = GOLDEN_DIR / (name + ".stdout")
     assert printed == (side.read_bytes() if side.exists() else b"")
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the library and the CLI run on numpy
+    import deltaprime
+    src = str(pathlib.Path(deltaprime.__file__).parent.parent)
+    code = ("import sys, deltaprime, deltaprime.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "[]"
 
 
 if __name__ == "__main__":

@@ -195,6 +195,21 @@ class TestPeakVariation:
                 assert v >= abs(p) - 1e-12
 
 
+class TestFiniteValues:
+    @pytest.mark.parametrize("atom", [(math.nan, 0.5), (math.inf, 0.5),
+                                      (0.5, math.nan), (0.5, -math.inf)])
+    def test_atom_position_and_weight(self, atom):
+        with pytest.raises(ValueError, match="finite"):
+            SingularMeasure.from_atoms([atom])
+
+    @pytest.mark.parametrize("support, mass", [
+        ((0.0, math.inf), 1.0), ((math.nan, 1.0), 1.0),
+        ((0.0, 1.0), math.nan), ((0.0, 1.0), -math.inf)])
+    def test_cantor_support_and_mass(self, support, mass):
+        with pytest.raises(ValueError, match="finite"):
+            CantorSpec(support, mass)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(-2.0, 2.0)),
                 min_size=1, max_size=6,

@@ -454,6 +454,16 @@ class TestPiecewisePotential:
         with pytest.raises(ValueError):
             PiecewisePotential((0.5,), (1.0,))
 
+    @pytest.mark.parametrize("breakpoints, values", [
+        ((), (math.nan,)),
+        ((0.5,), (1.0, math.inf)),
+        ((math.nan,), (1.0, 2.0)),
+        ((0.2, math.inf), (1.0, 2.0, 3.0)),
+    ])
+    def test_non_finite_rejected(self, breakpoints, values):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewisePotential(breakpoints, values)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-30.0, 60.0), st.floats(0.05, 2.0), st.floats(-4.0, 4.0))

@@ -233,6 +233,20 @@ class TestRootFinder:
         samples.drop_below(6)
         assert samples.points[:2] == pair and len(samples.points) == kept
 
+    def test_secant_zero_residual_probes_the_neighbour(self):
+        # an exact zero residual at one end puts the root within an ulp of
+        # it: the point is that end's neighbour inside the bracket, not a
+        # bisection step; both residuals zero show no sign change
+        def sample(z, count, residual):
+            return spectrum._Sample(z, count, residual, 0.0)
+
+        lo, hi = sample(1.0, 0, 0.0), sample(2.0, 1, 3.0)
+        assert spectrum._secant(lo, hi, 1.0, 1.0) == math.nextafter(1.0, 2.0)
+        lo, hi = sample(1.0, 0, -3.0), sample(2.0, 1, 0.0)
+        assert spectrum._secant(lo, hi, 1.0, 1.0) == math.nextafter(2.0, 1.0)
+        lo, hi = sample(1.0, 0, 0.0), sample(2.0, 1, 0.0)
+        assert spectrum._secant(lo, hi, 1.0, 1.0) is None
+
     def test_debug_record_per_eigenvalue(self, caplog):
         for p in (ROOT_CASES["cantor5"][0],
                   SIGNED_NEUMANN_CASES["dn_signed_atoms"],
@@ -253,6 +267,23 @@ class TestRootFinder:
                 assert lo == math.nextafter(hi, -math.inf) and c_lo == n - 1
                 assert sweeps >= 1 and interp + bisect >= 1
                 assert f"eigenvalue {n}:" in rec.getMessage()
+
+
+# pencils for the oracle's eigenvalues against eigh_tridiagonal: both
+# Dirichlet ends, Neumann ends with the eigenvalue 0, signed atoms with a
+# potential step, and an atom at the Dirichlet end a
+ORACLE_PENCILS = {
+    "dd_free": (free_problem(), 2.0 ** -8),
+    "nn_free": (free_problem(bc_left="neumann", bc_right="neumann"),
+                2.0 ** -8),
+    "signed_atoms": (ProblemSpec(
+        (0.0, 1.0), potential=PiecewisePotential((0.6,), (3.0, -5.0)),
+        measure=SingularMeasure.from_atoms([(0.3, -0.2), (0.7, 0.4)])),
+        2.0 ** -7),
+    "atom_at_a": (ProblemSpec((0.0, 1.0), measure=SingularMeasure
+                              .from_atoms([(0.0, 0.5), (0.5, -0.25)])),
+                  2.0 ** -7),
+}
 
 
 def _richardson(problem, count, h):
@@ -419,6 +450,17 @@ class TestCounting:
                         level=5)
         lam20 = eigenvalues(p, n_max=20, with_norming=False).eigenvalues[-1]
         assert counting_function(p, lam20 * (1.0 + 1e-5)) == 20
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            counting_function(free_problem(), t)
+
+    @pytest.mark.parametrize("window", [(0.0, math.nan), (math.nan, 10.0),
+                                        (-math.inf, 10.0), (0.0, math.inf)])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues(free_problem(), window=window)
 
     # q = 0 under Neumann ends: the constants solve at lambda = 0 whatever
     # the atoms (u^[1] = 0, so no jumps), and zero is in neither [t, 0)
@@ -722,6 +764,51 @@ class TestGalerkinOracle:
         orc = GalerkinOracle(free_problem(), 1.0)
         assert orc.n == 0
         assert orc.inertia(5.0) == 0
+        assert orc.eigenvalues(3).shape == (0,)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_PENCILS))
+    def test_eigenvalues_match_eigh_tridiagonal(self, case):
+        p, h = ORACLE_PENCILS[case]
+        orc = GalerkinOracle(p, h)
+        scale = 1.0 / np.sqrt(orc.mass)
+        d = orc.diag * scale * scale
+        e = orc.off * scale[:-1] * scale[1:]
+        count = 8
+        ref = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
+                               eigvals_only=True)
+        lams = orc.eigenvalues(count)
+        assert lams.shape == (count,)
+        norm_t = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+        np.testing.assert_allclose(lams, ref, rtol=0.0,
+                                   atol=4.0 * np.finfo(float).eps * norm_t)
+        if case == "nn_free":
+            assert abs(lams[0]) <= 4.0 * np.finfo(float).eps * norm_t
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_PENCILS))
+    def test_eigenvalues_bracket_the_inertia(self, case):
+        # lambda_k is where the Sturm count reaches k, to the stopping
+        # width eps * max(|lo_0|, |hi_0|) of the Gershgorin bounds
+        p, h = ORACLE_PENCILS[case]
+        orc = GalerkinOracle(p, h)
+        r = np.abs(np.pad(orc.off, (1, 0))) + np.abs(np.pad(orc.off, (0, 1)))
+        lo0 = np.min((orc.diag - r) / orc.mass)
+        hi0 = np.max((orc.diag + r) / orc.mass)
+        w = np.finfo(float).eps * max(abs(lo0), abs(hi0))
+        for k, lam in enumerate(orc.eigenvalues(8), start=1):
+            assert orc.inertia(lam) >= k
+            if lam - w == 0.0:
+                # the Neumann pencil is singular at 0 (the constants), so
+                # no Sturm count exists there; lambda_1 is 0 to within w
+                assert case == "nn_free" and k == 1
+                continue
+            assert orc.inertia(lam - w) < k
+
+    def test_eigenvalue_count_clipped_to_pencil(self):
+        orc = GalerkinOracle(free_problem(), 0.25)
+        assert orc.n == 3
+        assert orc.eigenvalues(10).shape == (3,)
+        assert orc.eigenvalues(0).shape == (0,)
+        assert orc.eigenvalues(-2).shape == (0,)
 
 
 class TestSpectralFunction:
