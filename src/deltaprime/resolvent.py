@@ -267,6 +267,8 @@ def convergence_study(problem: ProblemSpec, levels, z=-1.0) -> list[StudyRow]:
     monotone.
     """
     levels = sorted(levels)
+    if not levels:
+        raise ValueError("need at least one level")
     finest = levels[-1]
     ref = replace(problem, level=finest)
     rows = []

@@ -13,10 +13,9 @@ Independent of it is a conforming P1 Galerkin discretization with doubled
 (discontinuous) basis nodes at every atom and jump penalty |jump|^2/beta,
 solved as a symmetric tridiagonal pencil assembled from arrays.  Its one
 solver is a Sturm count (inertia); its eigenvalues are bisections of that
-count.  It serves as a test oracle and gives the counts of
-counting_function for a signed measure (whatever q and the boundary
-conditions are), and of negative_count when q is not identically zero
-(whatever the signs of the atoms).
+count.  It serves as a test oracle, and its inertia gives the counts of
+counting_function and negative_count for a signed measure with q not
+identically zero; every other count is the exact one.
 """
 from __future__ import annotations
 
@@ -377,6 +376,15 @@ def _widen(s: float) -> float:
     return s + max(abs(s), 1.0) * 1e-14
 
 
+def _counter(problem: ProblemSpec):
+    """s -> number of eigenvalues below s: one _Samples' exact count, or the
+    default-mesh oracle's inertia for a signed measure with q not zero."""
+    if problem.is_nonnegative_measure() or problem.potential.is_zero:
+        samples = _Samples(problem)
+        return lambda s: samples.at(s).count
+    return GalerkinOracle(problem, _default_mesh(problem)).inertia
+
+
 def counting_function(problem: ProblemSpec, t: float) -> int:
     """Signed count of eigenvalues between zero and t.
 
@@ -384,19 +392,12 @@ def counting_function(problem: ProblemSpec, t: float) -> int:
     eigenvalue at zero is in neither.  The half-open convention places
     boundary hits on the side of t, resolved at float resolution (t and the
     lower end of (0, t] are widened by one part in 1e14, since an exact
-    residual zero at a floating t happens only accidentally).  Exact for a
-    nonnegative measure under either boundary condition (the count of
-    _Samples); a signed measure uses oracle inertia, accurate away from
-    discretization-sized neighborhoods of t.
+    residual zero at a floating t happens only accidentally).  Exact (see
+    _counter) unless the measure is signed and q is not identically zero.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if problem.is_nonnegative_measure():
-        def count_lt(s):
-            return _count_below(problem, s)
-    else:
-        count_lt = GalerkinOracle(problem, _default_mesh(problem)).inertia
-
+    count_lt = _counter(problem)
     if t > 0.0:
         return count_lt(_widen(t)) - count_lt(_widen(0.0))
     if t < 0.0:
@@ -408,12 +409,13 @@ def negative_count(problem: ProblemSpec) -> int | float:
     """Dimension of the negative spectral subspace.
 
     With q identically zero this equals the size of the measure's negative
-    support (exact, no computation); otherwise the count is determined
-    numerically from the Galerkin pencil's inertia at zero.
+    support (the level-independent theorem, inf for a negative Cantor part;
+    no computation); otherwise it is the number of eigenvalues of the
+    level-L operator below zero, from _counter.
     """
     if problem.potential.is_zero:
         return kappa_minus(problem.measure)
-    return GalerkinOracle(problem, _default_mesh(problem)).inertia(0.0)
+    return _counter(problem)(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +689,9 @@ def spectral_function_samples(problem: ProblemSpec,
     """rho(t) on a grid of positive t values with one eigenvalue sweep."""
     _require_neumann_left(problem)
     ts = sorted(ts)
-    if ts[0] <= 0.0:
-        raise ValueError("grid must be positive; negative side is per-call")
+    if not ts or ts[0] <= 0.0:
+        raise ValueError("grid must be non-empty and positive; negative side "
+                         "is per-call")
     data = eigenvalues(problem, window=(_widen(0.0), ts[-1]))
     lams = data.eigenvalues
     inv = [1.0 / c for c in data.norming_constants]

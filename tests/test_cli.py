@@ -100,6 +100,17 @@ class TestKappaCommand:
         assert doc["result"]["kappa_minus"] == 2
         assert doc["result"]["method"] == "exact-measure-count"
 
+    def test_nonzero_q_counts_eigenvalue_just_below_zero(self, tmp_path,
+                                                         capsys):
+        # q = -(5 pi)^2 - 1e-3: lambda_5 = -1e-3 is negative
+        doc = dict(FREE01,
+                   potential={"values": [-25.0 * math.pi ** 2 - 1e-3]})
+        cfg = write(tmp_path, "q.json", doc)
+        rc, out = run_json(capsys, ["kappa", "--config", cfg])
+        assert rc == 0
+        assert json.loads(out)["result"] == {"kappa_minus": 5,
+                                             "method": "numerical-inertia"}
+
     def test_negative_cantor_inf(self, tmp_path, capsys):
         doc = {"schema": 1, "interval": [0.0, 1.0],
                "measure": {"cantor": [{"support": [0.0, 1.0],

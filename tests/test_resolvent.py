@@ -313,6 +313,10 @@ class TestHSDistance:
 
 
 class TestConvergenceStudy:
+    def test_needs_a_level(self):
+        with pytest.raises(ValueError, match="level"):
+            convergence_study(ProblemSpec((0.0, 1.0), measure=CANTOR1), [])
+
     def test_zero_mass_rows_identical(self):
         zero = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 0.0),))
         p_zero = ProblemSpec((0.0, 1.0), measure=zero)

@@ -451,6 +451,53 @@ class TestCounting:
         lam20 = eigenvalues(p, n_max=20, with_norming=False).eigenvalues[-1]
         assert counting_function(p, lam20 * (1.0 + 1e-5)) == 20
 
+    def test_wide_signed_truncation_q_zero(self):
+        # the four negative atoms of test_wide_signed_truncation_count with
+        # q = 0: exact counts, which an h = (b - a) 2^-15 oracle confirms;
+        # the default-mesh oracle gave 251 and 76
+        m = SingularMeasure.from_atoms([
+            (-15.486156, -0.965236), (-5.556958, -0.331679),
+            (2.141711, -0.388607), (10.164699, -0.637136)])
+        p = ProblemSpec((-36.904851, 36.904851), measure=m)
+        assert counting_function(p, 49.722088) == 164
+        assert counting_function(p, 10.0) == 73
+
+    def test_signed_neumann_q_zero_counts(self):
+        # zero is an eigenvalue (the constants) and one state lies below
+        # it; the default-mesh oracle's Sturm pivots broke down at every
+        # t != 0
+        p = ProblemSpec((0.0, 1.0), "neumann", "neumann",
+                        measure=SingularMeasure.from_atoms([(0.5, -0.2)]))
+        assert [counting_function(p, t) for t in (-1.0, 5.0, -1e4, 100.0)] \
+            == [0, 0, 1, 2]
+
+    def test_counts_match_eigenvalues(self, rng):
+        # the counting function, negative_count and eigenvalues answer the
+        # same question alike: nonnegative measures with or without q, and
+        # signed measures with q = 0
+        bcs = ("dirichlet", "neumann")
+        for k in range(24):
+            signed = k % 2 == 1
+            pot = PiecewisePotential()
+            if not signed:
+                pot = PiecewisePotential((0.5,), tuple(
+                    rng.uniform(-40.0, 5.0, 2).tolist()))
+            bc = (bcs[k % 4 // 2], bcs[k % 3 == 0])
+            if pot.is_zero and bc == ("neumann", "neumann"):
+                bc = ("neumann", "dirichlet")
+            p = ProblemSpec((0.0, 1.0), *bc, potential=pot,
+                            measure=random_measure(rng, signed=signed))
+            lams = eigenvalues(p, n_max=12, with_norming=False).eigenvalues
+            for j in range(6):
+                t = rng.uniform(lams[0] - 20.0, (lams[-1], 0.0)[j % 2])
+                if min(abs(t - l) for l in lams) <= 1e-9 * max(abs(t), 1.0):
+                    continue
+                expected = (sum(1 for l in lams if 0.0 < l <= t) if t > 0.0
+                            else sum(1 for l in lams if t <= l < 0.0))
+                assert counting_function(p, t) == expected
+            if not pot.is_zero:
+                assert negative_count(p) == sum(1 for l in lams if l < 0.0)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
@@ -528,6 +575,15 @@ class TestNegativeCount:
         # +q shifts the deep bound state (~ -4/beta^2 = -1600) but not away
         # from negativity; kappa stays 1
         assert negative_count(p) == 1
+
+    def test_nonzero_q_counts_eigenvalue_just_below_zero(self):
+        # q = -(5 pi)^2 - 1e-3: lambda_n = (n^2 - 25) pi^2 - 1e-3, so
+        # lambda_5 = -1e-3 is the fifth negative eigenvalue; the
+        # default-mesh oracle lifted it above zero (4)
+        q = -25.0 * math.pi ** 2 - 1e-3
+        p = ProblemSpec((0.0, 1.0), potential=PiecewisePotential((), (q,)))
+        assert negative_count(p) == 5
+        assert counting_function(p, -1e9) == 5
 
 
 class TestQuadraticForm:
@@ -848,6 +904,11 @@ class TestSpectralFunction:
     def test_samples_require_neumann_left(self):
         with pytest.raises(UnsupportedHypothesisError):
             spectral_function_samples(free_problem(), [10.0])
+
+    def test_samples_need_a_grid(self):
+        p = ProblemSpec((0.0, 1.0), bc_left="neumann")
+        with pytest.raises(ValueError, match="non-empty"):
+            spectral_function_samples(p, [])
 
     def test_zero_eigenvalue_left_out(self):
         # free Neumann-Neumann: lambda = 0, pi^2, 4 pi^2, 9 pi^2 < 100, each
