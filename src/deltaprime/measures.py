@@ -24,6 +24,8 @@ __all__ = [
     "peak_variation",
 ]
 
+_MAX_LEVEL = 20   # deepest realization: 2^20 atoms, each a Python tuple
+
 
 @dataclass(frozen=True)
 class CantorSpec:
@@ -53,9 +55,10 @@ class CantorSpec:
 
     def atoms(self, level: int) -> list[tuple[float, float]]:
         """Level-``level`` atomic realization as (position, weight) pairs."""
-        if level > self.level_cap:
+        if level > min(self.level_cap, _MAX_LEVEL):
             raise RefinementUnavailableError(
-                f"level {level} exceeds level_cap {self.level_cap}")
+                f"level {level} exceeds level_cap {self.level_cap} or the "
+                f"deepest realizable level {_MAX_LEVEL}")
         if level < 0:
             raise ValueError("level must be nonnegative")
         intervals = [self.support]

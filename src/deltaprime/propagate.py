@@ -398,9 +398,9 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
     -beta, so both directions end on left-limit values.  count adds up the
     oriented sign changes of u (real data, left to right only); a stretch
     that cancels a decaying state to zero is redone in split exponential
-    form (_split_stretch); entries[i], when given, receives the state just
-    before cell i's stretch.  Only the first and last cells of a run can be
-    partial.
+    form (_split_stretch); entries[i], when given, receives the triple (u,
+    u1, log_scale) just before cell i's stretch.  Only the first and last
+    cells of a run can be partial.
     """
     u, u1, ls = state.u, state.u1, state.log_scale
     zeros = 0 if count else None
@@ -422,7 +422,7 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
                 zeros += 1 if beta > 0.0 else -1
             u, u1, ls = _rescale(up, u1, ls)
         if entries is not None:
-            entries[i] = StateVector(u, u1, ls)
+            entries[i] = (u, u1, ls)
         L = lengths[i]
         if i == first or i == last:
             L = min(nodes[i + 1], hi) - max(nodes[i], lo)
@@ -680,14 +680,15 @@ def _plan_sweep(real, plan, z, state):
 def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
     """One full propagation from the problem's launch state at one end.
 
-    Captures the state entering every cell.  Left-to-right: entry i is the
-    state at nodes[i] *after* the atom there (the smooth value inside cell
-    i).  Right-to-left: entry i is the left-limit state at nodes[i+1] as
-    seen walking down from b.  Returns (entries, final_state); the cells are
-    those of realize_problem(problem).
+    Captures the state entering every cell as a (u, u1, log_scale) triple.
+    Left-to-right: entry i is the state at nodes[i] *after* the atom there
+    (the smooth value inside cell i).  Right-to-left: entry i is the
+    left-limit state at nodes[i+1] as seen walking down from b.  Returns
+    (entries, final), final a StateVector; the cells are those of
+    realize_problem(problem).
     """
     real = realize_problem(problem)
-    entries: list[StateVector | None] = [None] * len(real.qvals)
+    entries: list[tuple | None] = [None] * len(real.qvals)
     final = _sweep(real, z, problem.launch(from_left), real.a, real.b,
                    from_left, entries=entries).state
     return entries, final

@@ -56,7 +56,7 @@ class _SolutionCache:
         self.launch = problem.launch(from_left)
         entries, final = cell_entry_states(problem, z, from_left)
         real = realize_problem(problem)
-        ls = [st.log_scale for st in entries]
+        u, u1, ls = zip(*entries)
         if any(abs(v) > 650.0 for v in ls):
             raise NearSingularError(
                 "solution scale too large for kernel assembly at this z")
@@ -65,8 +65,8 @@ class _SolutionCache:
         self.z = z
         self.from_left = from_left
         dtype = complex if isinstance(z, complex) else float
-        self.u = np.array([st.u for st in entries], dtype=dtype)
-        self.u1 = np.array([st.u1 for st in entries], dtype=dtype)
+        self.u = np.array(u, dtype=dtype)
+        self.u1 = np.array(u1, dtype=dtype)
         self.scale = np.array([math.exp(v) for v in ls])
         self.q = np.asarray(real.qvals, dtype=float)
         self.anchor = self.nodes[:-1] if from_left else self.nodes[1:]

@@ -276,7 +276,8 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     ncells = len(qvals)
 
     def log_mag(st):
-        return st.log_scale + math.log(max(abs(st.u), abs(st.u1), 1e-300))
+        u, u1, ls = st
+        return ls + math.log(max(abs(u), abs(u1), 1e-300))
 
     # ent_l[k] and ent_r[k - 1] are the two solutions at nodes[k]; past
     # the state each picks up the growing component the float eigenvalue
@@ -285,9 +286,8 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
             key=lambda i: log_mag(ent_l[i]) + log_mag(ent_r[i - 1]))
     # right-walk value just inside cell k at nodes[k]+ (same anchor as ent_l[k])
     w_k = z - qvals[k]
-    u_r, u1_r, ls_r = _apply_stretch(ent_r[k].u, ent_r[k].u1,
-                                     ent_r[k].log_scale, w_k, -lengths[k])
-    u_l, u1_l = ent_l[k].u, ent_l[k].u1
+    u_r, u1_r, ls_r = _apply_stretch(*ent_r[k], w_k, -lengths[k])
+    u_l, u1_l, ls_l = ent_l[k]
     s2 = max(abs(w_k), 1.0)
     den = u_r * u_r + u1_r * u1_r / s2
     if den == 0.0:
@@ -296,7 +296,7 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     if ratio == 0.0:
         raise NearSingularError("left and right solutions are orthogonal; "
                                 "z is not an eigenvalue")
-    log_ratio = ent_l[k].log_scale - ls_r
+    log_ratio = ls_l - ls_r
 
     def safe_term(value, log_factor):
         if value == 0.0:
@@ -308,15 +308,14 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
 
     total = 0.0
     for i in range(k):
-        st = ent_l[i]
-        val = cell_l2_integral(st.u, st.u1, z - qvals[i], lengths[i])
-        total += safe_term(val, 2.0 * st.log_scale)
+        u, u1, ls = ent_l[i]
+        val = cell_l2_integral(u, u1, z - qvals[i], lengths[i])
+        total += safe_term(val, 2.0 * ls)
     for i in range(k, ncells):
-        st = ent_r[i]
+        u, u1, ls = ent_r[i]
         # right-anchored cell integral: reverse orientation flips u^[1]
-        val = cell_l2_integral(st.u, -st.u1, z - qvals[i], lengths[i])
-        total += safe_term(val * ratio * ratio,
-                           2.0 * (st.log_scale + log_ratio))
+        val = cell_l2_integral(u, -u1, z - qvals[i], lengths[i])
+        total += safe_term(val * ratio * ratio, 2.0 * (ls + log_ratio))
     return total
 
 

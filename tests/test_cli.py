@@ -89,6 +89,17 @@ class TestSpectrumCommand:
         rc, out = run_json(capsys, ["spectrum", "--config", cfg])
         assert json.loads(out)["result"]["indices"] == list(range(1, 11))
 
+    def test_window_with_count(self, tmp_path, capsys):
+        # lambda_2 ... lambda_10 lie in [30, 1000]; --count 3 stops at 3
+        cfg = write(tmp_path, "free.json", FREE01)
+        rc, out = run_json(capsys, ["spectrum", "--config", cfg,
+                                    "--window", "30,1000", "--count", "3",
+                                    "--format", "csv"])
+        assert rc == 0
+        lines = out.strip().split("\n")
+        assert lines[1] == "n,lambda,norming_constant"
+        assert [row.split(",")[0] for row in lines[2:]] == ["2", "3"]
+
 
 class TestKappaCommand:
     def test_signed_measure(self, tmp_path, capsys):
@@ -299,6 +310,10 @@ class TestTypedErrors:
          ["spectrum"], 1, "/measure/cantor/0/mass"),
         (dict(FREE01, interval=[0.0, 10 ** 400]), ["spectrum"], 1,
          "/interval/1"),
+        # 2^40 atoms: refused before the realization is built
+        (dict(FREE01, level=40, measure={"cantor": [{
+            "support": [0.0, 1.0], "mass": 1.0, "level_cap": 40}]}),
+         ["spectrum"], 2, "deepest realizable level 20"),
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
                                           argv, code, where):

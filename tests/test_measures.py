@@ -74,6 +74,14 @@ class TestRealize:
         with pytest.raises(RefinementUnavailableError):
             realize(m, 4)
 
+    def test_depth_bound(self):
+        # level_cap allows 40, but 2^40 atoms are refused before any is built
+        part = CantorSpec((0.0, 1.0), 1.0, level_cap=40)
+        for level in (21, 40):
+            with pytest.raises(RefinementUnavailableError,
+                               match="deepest realizable level 20"):
+                part.atoms(level)
+
     def test_total_mass_level_independent(self):
         m = SingularMeasure(atoms=((0.05, -0.2),),
                             cantor_parts=(CantorSpec((0.1, 1.0), 0.7),))

@@ -238,13 +238,13 @@ class TestSweepEdges:
                 for i, st in enumerate(ent):
                     left = propagate(p, z, x_from=p.a, x_to=nodes[i]).state
                     want = atom_jump(beta.get(nodes[i], 0.0)).apply(left)
-                    assert _close(st, want)
+                    assert _close(StateVector(*st), want)
                 assert _close(final, propagate(p, z).state)
                 ent, final = cell_entry_states(p, z, from_left=False)
                 for i, st in enumerate(ent):
                     want = propagate(p, z, from_left=False, x_from=p.b,
                                      x_to=nodes[i + 1]).state
-                    assert _close(st, want)
+                    assert _close(StateVector(*st), want)
                 assert _close(final, propagate(p, z, from_left=False).state)
 
 

@@ -14,7 +14,8 @@ from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         spectral_function, spectral_function_samples,
                         UnsupportedHypothesisError)
 from deltaprime import spectrum
-from deltaprime.propagate import realize_problem
+from deltaprime.io import parse_problem
+from deltaprime.propagate import cell_l2_integral, realize_problem
 from deltaprime.spectrum import (_count_below, _eigenvalue_by_index,
                                  _weyl_upper_guess)
 from conftest import random_measure
@@ -137,6 +138,16 @@ class TestEigenvalues:
         data = eigenvalues(free_problem(), window=(11.0, 20.0),
                            with_norming=False)
         assert data.eigenvalues == ()
+
+    def test_window_with_count(self):
+        # every eigenvalue in the window, up to index n_max: lambda_2 and
+        # lambda_3 lie in [30, 1000] and so do lambda_4 ... lambda_10
+        data = eigenvalues(free_problem(), n_max=3, window=(30.0, 1000.0),
+                           with_norming=False)
+        assert data.indices == (2, 3)
+        data = eigenvalues(free_problem(), n_max=1, window=(30.0, 1000.0),
+                           with_norming=False)
+        assert data.eigenvalues == () and data.indices == ()
 
     def test_interval_scaling_law(self):
         base = eigenvalues(free_problem(), n_max=6, with_norming=False)
@@ -969,6 +980,48 @@ class TestNorming:
         # overstates these by factors of 2e34 and 3e14
         data = eigenvalues(problem, n_max=1)
         assert abs(data.norming_constants[0] / reference - 1.0) < 1e-6
+
+    def test_norm_beyond_double_range_is_inf(self):
+        # the bound state at -4/beta^2 grows like exp(40 (x + 20)) up to the
+        # atom, so ||u||^2 is about e^1600
+        p = ProblemSpec((-20.0, 20.0),
+                        measure=SingularMeasure.from_atoms([(0.0, -0.05)]))
+        data = eigenvalues(p, window=(-5000.0, -1.0))
+        assert data.eigenvalues == (-1599.9999999999995,)
+        assert data.norming_constants == (math.inf,)
+        # a cell whose u^2 integral, about e^2000 / 8000, has no double
+        assert cell_l2_integral(1.0, 0.0, -1e6, 1.0) == math.inf
+
+    # two cantor_deep benchmark problems (seed 0, ops 6 and 9) at levels 10
+    # and 12, past the goldens' levels; the second has a q step and an
+    # explicit atom.  Both shoot across a block plan; norming walks the cells
+    @pytest.mark.parametrize("config, n_max, lams, norms", [
+        ({"schema": 1, "interval": [0.0, 1.0],
+          "bc": ["dirichlet", "dirichlet"], "level": 10,
+          "potential": {"breakpoints": [0.174896, 0.579524, 0.618666],
+                        "values": [3.851255, 2.182915, 1.094443, 3.386677]},
+          "measure": {"atoms": [{"x": 0.776111, "beta": 0.782323}],
+                      "cantor": [{"support": [0.0, 1.0], "mass": 1.309207,
+                                  "ratio": 0.276501, "level_cap": 12}]}},
+         3, ["0x1.4bd9e7d485144p+2", "0x1.4abc4b07d5762p+4",
+             "0x1.b55e8a16ede42p+4"],
+         ["0x1.f60d83b7b49afp-2", "0x1.7113984bf7b38p-3",
+          "0x1.66993bb66a4ffp-5"]),
+        ({"schema": 1, "interval": [0.0, 1.0],
+          "bc": ["dirichlet", "dirichlet"], "level": 12,
+          "potential": {"breakpoints": [0.142361, 0.249452, 0.285353],
+                        "values": [0.491034, 2.067544, 2.709662, 1.813702]},
+          "measure": {"atoms": [{"x": 0.910227, "beta": 0.350237}],
+                      "cantor": [{"support": [0.0, 1.0], "mass": 1.473168,
+                                  "ratio": 0.280473, "level_cap": 12}]}},
+         1, ["0x1.18e728ecab1b3p+2"], ["0x1.14b9abe3c5f3ep-1"]),
+    ])
+    def test_deep_cantor_pinned(self, config, n_max, lams, norms):
+        p = parse_problem(config)
+        assert realize_problem(p).plan is not None
+        data = eigenvalues(p, n_max=n_max)
+        assert [lam.hex() for lam in data.eigenvalues] == lams
+        assert [c.hex() for c in data.norming_constants] == norms
 
     def test_split_deep_states_positive(self):
         # three tunnelling-split states near -181743.7 and a fourth; the
