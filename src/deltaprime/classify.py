@@ -106,10 +106,6 @@ class GapStructure:
             if a1 < b0:
                 raise ValueError("gaps must be pairwise disjoint")
 
-    @property
-    def lengths(self) -> list[float]:
-        return [b - a for (a, b) in self.gaps]
-
 
 @dataclass(frozen=True)
 class CriteriaReport:

@@ -307,7 +307,7 @@ def _count_stretch_zeros(u, u1, w, L, u_end, closed):
     it.  A zero at the start never counts: the stretch before owns it, or
     it is the launch value.
     """
-    if w > 0.0:
+    if w * L * L >= SERIES_THRESHOLD:
         om = math.sqrt(w)
         phi0 = math.atan2(om * u, u1)
         phi1 = phi0 + om * L
@@ -317,7 +317,9 @@ def _count_stretch_zeros(u, u1, w, L, u_end, closed):
             hi = round(phi1 / math.pi) - (not closed)
         lo = math.floor(phi0 / math.pi) + 1
         return hi - lo + 1 if hi >= lo else 0
-    # hyperbolic/linear: at most one zero, inside iff strict sign change
+    # hyperbolic, or short enough for the series branch of _cs (om*L <
+    # 1e-4), where the angle near pi can miss the zero: at most one zero,
+    # inside iff strict sign change
     return 1 if u * u_end < 0.0 or (closed and u_end == 0.0) else 0
 
 
@@ -723,16 +725,17 @@ def cell_l2_integral(u, u1, w, L):
     """Exact integral of u(s)^2 over a stretch of length L (real data).
 
     u(s) = u*cos(om s) + u1*sin(om s)/om with om = sqrt(w); closed-form
-    antiderivatives, series near w = 0.  Returns inf beyond double range.
+    antiderivatives, series near w = 0.  Returns (value, log_scale), the
+    integral being value*e^log_scale: log_scale is the hyperbolic phase of
+    the doubled stretch where _cs scales it, 0.0 elsewhere.
     """
-    C2, S2, ls2 = _cs(w, 2.0 * L)
-    if ls2 != 0.0:
-        return math.inf
-    _, S1, _ = _cs(w, L)
-    icc = L / 2.0 + S2 / 4.0
-    ics = S1 * S1 / 2.0
+    _, S2, ls2 = _cs(w, 2.0 * L)
+    _, S1, ls1 = _cs(w, L)
+    f = math.exp(-ls2)
+    icc = L / 2.0 * f + S2 / 4.0
+    ics = S1 * S1 / 2.0 * math.exp(2.0 * ls1 - ls2)
     if abs(w) * L * L < 1e-6:
         iss = L ** 3 / 3.0 - w * L ** 5 / 15.0 + 2.0 * w * w * L ** 7 / 315.0
     else:
-        iss = (L - S2 / 2.0) / (2.0 * w)
-    return u * u * icc + 2.0 * u * u1 * ics + u1 * u1 * iss
+        iss = (L * f - S2 / 2.0) / (2.0 * w)
+    return u * u * icc + 2.0 * u * u1 * ics + u1 * u1 * iss, ls2

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
 from .measures import kappa_minus
-from .propagate import (ProblemSpec, StateVector, _apply_stretch,
+from .propagate import (ProblemSpec, _apply_stretch,
                         cell_entry_states, cell_l2_integral, propagate,
                         realize_problem)
 
@@ -72,30 +72,35 @@ class SpectralData:
                 raise ValueError("norming constants must be positive")
 
 
-@dataclass(frozen=True)
-class ShootResult:
-    residual: float | complex   # scaled boundary functional
-    log_scale: float
-    zero_count: int | None
-    state: StateVector
+class _Sample(NamedTuple):
+    z: float
+    count: int          # eigenvalues strictly below z
+    residual: float     # u(b) (Dirichlet right) or u^[1](b) (Neumann) ...
+    log_scale: float    # ... times exp(log_scale)
 
 
-def shoot(problem: ProblemSpec, z) -> ShootResult:
-    """Boundary residual of the left-BC solution, entire in z.
+def shoot(problem: ProblemSpec, z: float) -> _Sample:
+    """The exact count of eigenvalues below a real z, and the residual there.
 
-    Dirichlet right condition reads off u(b), Neumann reads u^[1](b).  The
-    returned residual carries a log-scale factor; its sign and zero set are
-    scale-invariant.
+    One sweep of the left-BC solution.  The count is its oriented zero
+    count (the integer part of the lifted Pruefer angle theta(b) over pi,
+    which tends to -negative_jumps as z -> -inf) plus negative_jumps; a
+    Neumann right end adds one where theta(b) mod pi lies past pi/2
+    (u*u^[1] < 0) or at zero (u == 0).  The residual is u(b) for a
+    Dirichlet right end and u^[1](b) for a Neumann one; it carries a
+    log-scale factor, and its sign and zero set are scale-invariant.
+    propagate gives the state itself, at complex z too.
     """
+    if isinstance(z, complex):
+        raise TypeError("shoot takes real z; propagate takes complex z")
     res = propagate(problem, z)
-    st = res.state
-    val = st.u if problem.bc_right == "dirichlet" else st.u1
-    return ShootResult(val, st.log_scale, res.zero_count, st)
-
-
-def _count_below(problem: ProblemSpec, z: float) -> int:
-    """Number of eigenvalues strictly below z."""
-    return _Samples(problem).at(z).count
+    u, u1, log_scale = res.state.u, res.state.u1, res.state.log_scale
+    count = res.zero_count + realize_problem(problem).negative_jumps
+    if problem.bc_right == "dirichlet":
+        return _Sample(z, count, u, log_scale)
+    if u * u1 < 0.0 or u == 0.0:
+        count += 1
+    return _Sample(z, count, u1, log_scale)
 
 
 def _weyl_upper_guess(problem: ProblemSpec, n: int) -> float:
@@ -104,31 +109,17 @@ def _weyl_upper_guess(problem: ProblemSpec, n: int) -> float:
     return ((n + 2) * math.pi / (b - a)) ** 2 + max(qmax, 0.0) + 1.0
 
 
-class _Sample(NamedTuple):
-    z: float
-    count: int          # eigenvalues strictly below z
-    residual: float     # u(b) (Dirichlet right) or u^[1](b) (Neumann) ...
-    log_scale: float    # ... times exp(log_scale)
-
-
 class _Samples:
-    """Shots of one problem, by z.
+    """Shots of one problem, sorted by z.
 
-    The count of eigenvalues below z is the oriented zero count of the
-    sweep (the integer part of the lifted Pruefer angle theta(b) over pi,
-    which tends to -negative_jumps as z -> -inf) plus negative_jumps.  A
-    Neumann right end adds one where theta(b) mod pi lies past pi/2
-    (u*u^[1] < 0) or at zero (u == 0).  The count is monotone in z, so the
-    samples sorted by z are sorted by count as well, and the tightest
-    sampled bracket of any index is one bisect lookup away.  One store
-    serves every index of a call, as in simultaneous Sturm bisection
-    (LAPACK dstebz).
+    The count is monotone in z, so the samples sorted by z are sorted by
+    count as well, and the tightest sampled bracket of any index is one
+    bisect lookup away.  One store serves every index of a call, as in
+    simultaneous Sturm bisection (LAPACK dstebz).
     """
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
-        self.offset = realize_problem(problem).negative_jumps
-        self.neumann = problem.bc_right == "neumann"
         self.points: list[_Sample] = []
 
     def at(self, z: float) -> _Sample:
@@ -136,13 +127,7 @@ class _Samples:
         i = _bisect.bisect_left(self.points, (z,))
         if i < len(self.points) and self.points[i].z == z:
             return self.points[i]
-        res = shoot(self.problem, z)
-        count = res.zero_count + self.offset
-        if self.neumann:
-            u = res.state.u
-            if u * res.residual < 0.0 or u == 0.0:
-                count += 1
-        s = _Sample(z, count, res.residual, res.log_scale)
+        s = shoot(self.problem, z)
         self.points.insert(i, s)
         return s
 
@@ -309,13 +294,13 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     total = 0.0
     for i in range(k):
         u, u1, ls = ent_l[i]
-        val = cell_l2_integral(u, u1, z - qvals[i], lengths[i])
-        total += safe_term(val, 2.0 * ls)
+        val, ls2 = cell_l2_integral(u, u1, z - qvals[i], lengths[i])
+        total += safe_term(val, 2.0 * ls + ls2)
     for i in range(k, ncells):
         u, u1, ls = ent_r[i]
         # right-anchored cell integral: reverse orientation flips u^[1]
-        val = cell_l2_integral(u, -u1, z - qvals[i], lengths[i])
-        total += safe_term(val * ratio * ratio, 2.0 * (ls + log_ratio))
+        val, ls2 = cell_l2_integral(u, -u1, z - qvals[i], lengths[i])
+        total += safe_term(val * ratio * ratio, 2.0 * (ls + log_ratio) + ls2)
     return total
 
 
@@ -325,7 +310,7 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
     """All eigenvalues up to index n_max and/or inside a window.
 
     Each eigenvalue lambda_n is the least float z at which the exact count
-    of eigenvalues below z reaches n (see _Samples; any measure sign, either
+    of eigenvalues below z reaches n (see shoot; any measure sign, either
     boundary condition), found by count-safeguarded regula falsi down to
     float adjacency: about a dozen sweeps each, shots shared across
     indices.  An eigenvalue exactly at the top of the window (a zero

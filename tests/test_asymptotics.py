@@ -169,6 +169,21 @@ class TestScaleFunction:
         f = scale_function(on(m, 50.0, 0), r)
         assert abs(f - 0.05 / 0.1) < 1e-12
 
+    # P(t) = t + nu(t) on [0, 50] drops by 1 at the negative atom, which
+    # stays its largest variation up to well past 0.2
+    FLAT = ProblemSpec((0.0, 50.0), "neumann",
+                       measure=SingularMeasure.from_atoms([(0.1, -1.0),
+                                                           (0.5, 0.05)]))
+
+    def test_flat_branch(self):
+        # ell = 0.2 with ptilde(0.2) = 1.0: ptilde is flat there (the
+        # rising branch would give 0.4)
+        assert scale_function(self.FLAT, 5.0) == 1.0
+
+    def test_far_end_clamp(self):
+        # 1/r beyond the window's G(50): ptilde at the far end
+        assert abs(scale_function(self.FLAT, 1e-6) / 49.95 - 1.0) < 1e-15
+
     def test_weight_scaling_law(self):
         # scaling the measure by c maps f(r) -> c*f(c*r) in the
         # atom-dominated window (pure-power regime of the inverse)

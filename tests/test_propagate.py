@@ -101,6 +101,15 @@ class TestPropagate:
                           for z in np.linspace(-3000.0, 400.0, 80)]
                 assert all(b >= a for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize("q", [-2.525290802926595e-94, -1e-30])
+    def test_zero_in_a_near_linear_stretch_is_counted(self, q):
+        # at z = 0 the last stretch has w = -q > 0 and a phase advance
+        # om*L below 1e-14: the angle atan2(om*u, u^[1]), near pi there,
+        # misses the zero of u that the sign change shows (lambda_1 < 0)
+        p = ProblemSpec((0.0, 3.0), potential=PiecewisePotential(
+            (0.06, 1.08), (0.0, -3.0, q)))
+        assert propagate(p, 0.0).zero_count == 1
+
     def test_deep_z_renormalizes_without_overflow(self):
         p = ProblemSpec((0.0, 50.0))
         res = propagate(p, -1.0e6)

@@ -10,14 +10,14 @@ from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         JumpFunction, MeshRefinementError, PiecewisePotential,
                         ProblemSpec, SingularMeasure, counting_function,
                         eigenvalues, jump_function_l2,
-                        kappa_minus, negative_count, quadratic_form, shoot,
+                        kappa_minus, negative_count, propagate,
+                        quadratic_form, shoot,
                         spectral_function, spectral_function_samples,
                         UnsupportedHypothesisError)
 from deltaprime import spectrum
 from deltaprime.io import parse_problem
 from deltaprime.propagate import cell_l2_integral, realize_problem
-from deltaprime.spectrum import (_count_below, _eigenvalue_by_index,
-                                 _weyl_upper_guess)
+from deltaprime.spectrum import _eigenvalue_by_index, _weyl_upper_guess
 from conftest import random_measure
 
 CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
@@ -25,6 +25,10 @@ CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
 # frozen before the build: shooting and the independent FEM oracle agree on
 # these to their respective tolerances (see test_oracle_agreement)
 CANTOR4_LAMBDA_1 = 4.14099359121
+
+
+def _count_below(problem, z):
+    return shoot(problem, z).count
 
 
 def free_problem(a=0.0, b=1.0, **kw):
@@ -95,6 +99,11 @@ class TestShoot:
         m = SingularMeasure.from_atoms([(0.5, -1.0)])
         p = ProblemSpec((0.0, 1.0), measure=m)
         assert abs(shoot(p, 0.0).residual) < 1e-15
+
+    def test_complex_z_is_refused(self):
+        # the count exists for real z only; propagate takes complex z
+        with pytest.raises(TypeError, match="propagate"):
+            shoot(free_problem(), 1.0 + 1.0j)
 
 
 class TestEigenvalues:
@@ -395,7 +404,7 @@ class TestCountedRoute:
         # (k tanh k = 1) and below lambda_2 = w^2 (w tan w = -1)
         p = ProblemSpec((0.0, 1.0), bc_right="neumann",
                         measure=SingularMeasure.from_atoms([(0.0, -1.0)]))
-        assert shoot(p, 0.0).state.u == 0.0
+        assert propagate(p, 0.0).state.u == 0.0
         assert _count_below(p, 0.0) == 1
         k = brentq(lambda k: k * math.tanh(k) - 1.0, 0.5, 2.0, xtol=1e-15)
         w = brentq(lambda w: w * math.sin(w) + math.cos(w),
@@ -989,8 +998,24 @@ class TestNorming:
         data = eigenvalues(p, window=(-5000.0, -1.0))
         assert data.eigenvalues == (-1599.9999999999995,)
         assert data.norming_constants == (math.inf,)
-        # a cell whose u^2 integral, about e^2000 / 8000, has no double
-        assert cell_l2_integral(1.0, 0.0, -1e6, 1.0) == math.inf
+        # a cell whose u^2 integral, about e^2000 / 8000, has no double:
+        # its value comes back scaled by e^2000
+        val, log_scale = cell_l2_integral(1.0, 0.0, -1e6, 1.0)
+        assert log_scale == 2000.0
+        assert abs(math.log(val) + log_scale - (2000.0 - math.log(8000.0))) \
+            < 1e-12
+
+    # u = sinh(10 (L - |x|)) / 10 at lambda_1 = -100: its hyperbolic phase
+    # 2kL = 20L takes the scaled branch of the doubled stretch, and
+    # ||u||^2 = sinh(20 L) / 2000 - L / 100 still has a double
+    @pytest.mark.parametrize("L, closed_form", [
+        (16.0, 2.3559942040407636e135), (20.0, 1.3053674224409623e170)])
+    def test_scaled_cell_integrals_stay_finite(self, L, closed_form):
+        p = ProblemSpec((-L, L),
+                        measure=SingularMeasure.from_atoms([(0.0, -0.2)]))
+        data = eigenvalues(p, n_max=1)
+        assert data.eigenvalues == (-99.99999999999997,)
+        assert abs(data.norming_constants[0] / closed_form - 1.0) < 1e-12
 
     # two cantor_deep benchmark problems (seed 0, ops 6 and 9) at levels 10
     # and 12, past the goldens' levels; the second has a q step and an
