@@ -248,9 +248,12 @@ def build_parser():
     return p
 
 
+# main parses with one tree per process: parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except SchemaError as exc:

@@ -21,7 +21,10 @@ into its children, down to single cells.  A full left-to-right run at real
 z crosses the plan's top-level segments (_plan_sweep): each block as one
 factor with its log scale and the lifted angle of a reference vector, the
 cells between blocks as partial runs of _sweep, whose counts become lifted
-angles at the block boundaries, so the count stays the walk's.  Every
+angles at the block boundaries, so the count stays the walk's.  The two
+runs of a norming constant, from a and from b, cross the plan too: each
+block also carries its Gram form G, with int u^2 = v^T G v over the block
+for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f.  Every
 other run walks the cells.
 """
 from __future__ import annotations
@@ -54,6 +57,9 @@ RESCALE_LIMIT = 1e100
 SERIES_THRESHOLD = 1e-8   # |w| L^2 below which the entire-series branch is used
 EXP_SPLIT = 300.0         # hyperbolic phase beyond which factors are scaled
 PLAN_SLACK = 64.0         # ulps per cell a block's image may be off by
+# a norming run walks a block of up to 2^3 cells that fails its test as one
+# run: cheaper than its halves, gaps and leaves (deep negative masses)
+_NORM_WALK_HEIGHT = 3
 _EPS = 2.0 ** -52
 _SPLIT = 134217729.0      # 2^27 + 1, Dekker's splitter
 _LN2 = math.log(2.0)
@@ -612,71 +618,205 @@ def _floor_turn(u, u1):
     return -1 if u < 0.0 else int(u == 0.0 and u1 < 0.0)
 
 
-def _plan_sweep(real, plan, z, state):
-    """A full left-to-right run across the plan's top-level segments (real z).
+# A Gram form is a tuple (g11, g12, g22, gls, err): the symmetric matrix g
+# times exp(gls) with int u^2 = v^T G v over its span for the state v that
+# enters it; err bounds the rounding of each entry, |dG_ij| <= err *
+# sqrt(G_ii G_jj).  A jump spans nothing: its form is _NO_GRAM.
+_NO_GRAM = (0.0, 0.0, 0.0, -math.inf, 0.0)
 
-    Each family's blocks are composed bottom-up in the energy metric s =
-    sqrt(max(|z - q|, 1)).  A block of 2^h cells whose rounding, relative
-    to the image of the state, could pass PLAN_SLACK*2^h ulps (the state
-    near its contracting direction, a product that cancels beyond
-    double-double, or an image of exactly zero) is crossed as its halves
-    and the gap between them; the gaps, the leaves and the runs between
-    blocks are crossed by _sweep, whose split stretch keeps a collapsed
-    decaying state.  The state carries its whole turns j: its lifted angle
-    is theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to theta; a
-    walk run's count n, which leaves out a zero at the run's end, puts
-    theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.  The
-    zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
+
+def _gram(gf, f, gg):
+    """The Gram form of g*f (f first): G_f + M_f^T G_g M_f.
+
+    M_f is f's leading double times exp(f's log scale).  Both terms are
+    sums of squares, so the diagonal of the result does not cancel, and the
+    rounding of M_f^T G_g M_f is bounded through |M_f|^T sqrt(diag G_g).
     """
-    blocks = []
+    a11, a12, a21, a22 = f[:4]
+    g11, g12, g22, gls, gerr = gg
+    r11, r12 = g11 * a11 + g12 * a21, g11 * a12 + g12 * a22
+    r21, r22 = g12 * a11 + g22 * a21, g12 * a12 + g22 * a22
+    d1, d2 = math.sqrt(abs(g11)), math.sqrt(abs(g22))
+    k1, k2 = abs(a11) * d1 + abs(a21) * d2, abs(a12) * d1 + abs(a22) * d2
+    f11, f12, f22, fls, ferr = gf
+    m = max(fls, 2.0 * f[_LS] + gls)
+    cf, ct = math.exp(fls - m), math.exp(2.0 * f[_LS] + gls - m)
+    n11 = f11 * cf + (a11 * r11 + a21 * r21) * ct
+    n12 = f12 * cf + (a11 * r12 + a21 * r22) * ct
+    n22 = f22 * cf + (a12 * r12 + a22 * r22) * ct
+    if not (0.0 < n11 < math.inf and 0.0 < n22 < math.inf):
+        # cancelled or overflowed beyond use: crossed by its parts only
+        return n11, n12, n22, m, math.inf
+    e = (gerr + 4.0 * _EPS) * ct
+    # the bounds of both diagonal entries (a NaN of inf * 0 stays NaN and
+    # fails every test); they bound the off-diagonal one, G being PSD
+    err = (ferr * f11 * cf + e * k1 * k1) / n11 \
+        + (ferr * f22 * cf + e * k2 * k2) / n22 + _EPS
+    k = math.frexp(max(n11, n22))[1]
+    c = math.ldexp(1.0, -k)
+    return n11 * c, n12 * c, n22 * c, m + k * _LN2, err
+
+
+@functools.lru_cache(maxsize=16)
+def _plan_factors(plan, z):
+    """Each family's blocks B_0..B_top at real z, as (lifted factor, the
+    factor it was composed from last) pairs: the jump of B_0, the half
+    stretch(gap)*B_{h-1} of B_h.  Composed bottom-up in the energy metric s
+    = sqrt(max(|z - q|, 1)).  The last 16 (plan, z) of the process are
+    kept, as tuples (shared by every caller): a norming constant at an
+    eigenvalue finds the blocks of the shoot there, and the memory stays
+    bounded however many realizations are cached."""
+    fams = []
     for beta, leaf, gaps, q, _ in plan.families:
         w = z - q
         s = math.sqrt(max(abs(w), 1.0))
-        block = _compose(_stretch_factor(w, leaf, s), _jump_factor(beta, s))
-        fam = [block]
+        jump = _jump_factor(beta, s)
+        block = _compose(_stretch_factor(w, leaf, s), jump)
+        fam = [(block, jump)]
         for gap in gaps:
-            block = _compose(block, _compose(_stretch_factor(w, gap, s),
-                                             block))
-            fam.append(block)
-        blocks.append(fam)
+            half = _compose(_stretch_factor(w, gap, s), block)
+            block = _compose(block, half)
+            fam.append((block, half))
+        fams.append(tuple(fam))
+    return tuple(fams)
 
-    def step(f, u, u1, ls, j):
-        nu, nu1 = f[0] * u + f[1] * u1, f[2] * u + f[3] * u1
-        theta = math.atan2(u + 0.0, u1) + _lift(f, u, u1, nu, nu1)
-        nu, nu1, ls = _rescale(nu, nu1, ls + f[_LS])
-        phi = math.atan2(nu + 0.0, nu1)
-        return nu, nu1, ls, j + round((theta - phi) / (2.0 * math.pi))
 
-    def walk(x, y, st):
-        u, u1, ls, j = st
-        run = _sweep(real, z, StateVector(u, u1, ls), x, y, True, count=True)
-        v = run.state
-        k = 2 * j + _floor_turn(u, u1) + run.zero_count
-        phi = math.atan2(v.u + 0.0, v.u1)
-        return v.u, v.u1, v.log_scale, \
-            round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
+def _plan_grams(plan, z):
+    """The Gram form of each block of _plan_factors(plan, z)."""
+    grams = []
+    for (beta, leaf, gaps, q, _), fam in zip(plan.families,
+                                             _plan_factors(plan, z)):
+        w = z - q
+        g = _gram(_NO_GRAM, fam[0][1], (*_stretch_gram(w, leaf), 0.0))
+        tower = [g]
+        for gap, (block, _), (_, half) in zip(gaps, fam, fam[1:]):
+            g = _gram(_gram(g, block, (*_stretch_gram(w, gap), 0.0)), half, g)
+            tower.append(g)
+        grams.append(tower)
+    return grams
 
-    def cross(lo, hi, k, h, st):
-        f, u, u1 = blocks[k][h], st[0], st[1]
-        s = f[_S]
-        if (f[_ERR] + _EPS) * max(abs(s * u), abs(u1)) \
-                <= PLAN_SLACK * _EPS * 2 ** h * max(
-                    abs(s * (f[0] * u + f[1] * u1)),
-                    abs(f[2] * u + f[3] * u1)):
-            return step(f, *st)
-        if h == 0:
-            return walk(lo, hi, st)
-        keep = (hi - lo) * plan.families[k][4]
-        st = walk(lo + keep, hi - keep, cross(lo, lo + keep, k, h - 1, st))
-        return cross(hi - keep, hi, k, h - 1, st)
+
+def _gram_value(g, u, u1, h):
+    """v^T G v for v = (u, u1), without G's scale; None where its rounding,
+    relative to it, could pass PLAN_SLACK*2^h ulps."""
+    g11, g12, g22, _, err = g
+    val = (g11 * u + 2.0 * g12 * u1) * u + g22 * u1 * u1
+    top = math.sqrt(abs(g11)) * abs(u) + math.sqrt(abs(g22)) * abs(u1)
+    if (err + 3.0 * _EPS) * top * top <= PLAN_SLACK * _EPS * 2 ** h * val:
+        return val
+    return None
+
+
+def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
+                grams=None, segments=None):
+    """A full run across the plan's top-level segments (real z).
+
+    A block of 2^h cells (from _plan_factors) whose rounding, relative to
+    the image of the state, could pass PLAN_SLACK*2^h ulps (the state near
+    its contracting direction, a product that cancels beyond double-double,
+    or an image of exactly zero) is crossed as its halves and the gap
+    between them; the gaps, the leaves and the runs between blocks are
+    crossed by _sweep, whose split stretch keeps a collapsed decaying
+    state.  Left to right the state carries its whole turns j: its lifted
+    angle is theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to
+    theta; a walk run's count n, which leaves out a zero at the run's end,
+    puts theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.
+    The zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
+
+    pieces, when given, makes this a norming run, in either direction and
+    without a count: a block is taken whole only where v^T G v of its Gram
+    form at its entry state v passes the same test, and pieces receives
+    each piece crossed, in crossing order, as (segment, data, state after):
+    data is (v^T G v, log scale of v, log scale of G) for a block and
+    _sweep's entries for a walk run.  Right to left each block is crossed
+    by its adjugate (blocks are unimodular up to det and log scale), so its
+    entry state is the state after it.  grams (_plan_grams) may be shared
+    between runs at one z; segments, in x order and in the format
+    of plan.segments, replace them; a realization without a plan is one
+    walk segment (a, b).  A norming run walks a failing block of up to
+    2^_NORM_WALK_HEIGHT cells as one run, and returns None: its last piece
+    holds the final state.
+    """
+    count = pieces is None
+    if segments is None:
+        segments = ((real.a, real.b),) if plan is None else plan.segments
+    if plan is not None:
+        blocks = _plan_factors(plan, z)
+        if not count and grams is None:
+            grams = _plan_grams(plan, z)
+
+        def cross(lo, hi, k, h, st):
+            f, u, u1 = blocks[k][h][0], st[0], st[1]
+            if from_left:
+                nu, nu1 = f[0] * u + f[1] * u1, f[2] * u + f[3] * u1
+            else:
+                nu, nu1 = f[3] * u - f[1] * u1, f[0] * u1 - f[2] * u
+            s = f[_S]
+            if (f[_ERR] + _EPS) * max(abs(s * u), abs(u1)) <= PLAN_SLACK \
+                    * _EPS * 2 ** h * max(abs(s * nu), abs(nu1)):
+                if count:
+                    return _step(f, nu, nu1, st, True)
+                v = (u, u1, st[2]) if from_left else \
+                    (nu, nu1, st[2] + f[_LS])
+                g = grams[k][h]
+                val = _gram_value(g, v[0], v[1], h)
+                if val is not None:
+                    st = _step(f, nu, nu1, st, False)
+                    pieces.append(((lo, hi, k, h), (val, v[2], g[3]),
+                                   st[:3]))
+                    return st
+            if h == 0 or (not count and h <= _NORM_WALK_HEIGHT):
+                return _walk(real, z, lo, hi, from_left, st, pieces)
+            keep = (hi - lo) * plan.families[k][4]
+            first, last = (lo, lo + keep), (hi - keep, hi)
+            if not from_left:
+                first, last = last, first
+            st = _walk(real, z, lo + keep, hi - keep, from_left,
+                       cross(*first, k, h - 1, st), pieces)
+            return cross(*last, k, h - 1, st)
 
     st = (state.u, state.u1, state.log_scale, 0)
-    for seg in plan.segments:
-        st = cross(*seg, st) if len(seg) == 4 else walk(*seg, st)
+    for seg in segments if from_left else reversed(segments):
+        st = cross(*seg, st) if len(seg) == 4 else \
+            _walk(real, z, *seg, from_left, st, pieces)
     u, u1, ls, j = st
+    if not count:
+        return None
     zeros = 2 * j + (u > 0.0 or (u == 0.0 and u1 < 0.0)) \
         - _floor_turn(state.u, state.u1) - 1
     return PropagationResult(StateVector(u, u1, ls), zeros)
+
+
+def _step(f, nu, nu1, st, count):
+    """A block's image (nu, nu1) of st's state, rescaled; with count, the
+    whole turns of _plan_sweep follow the block's lift."""
+    u, u1, ls, j = st
+    if count:
+        theta = math.atan2(u + 0.0, u1) + _lift(f, u, u1, nu, nu1)
+    nu, nu1, ls = _rescale(nu, nu1, ls + f[_LS])
+    if count:
+        phi = math.atan2(nu + 0.0, nu1)
+        j += round((theta - phi) / (2.0 * math.pi))
+    return nu, nu1, ls, j
+
+
+def _walk(real, z, x, y, from_left, st, pieces):
+    """The cells of [x, y) crossed by _sweep for _plan_sweep: a piece of a
+    norming run if pieces is given, else a counted left-to-right run whose
+    count sets the whole turns."""
+    u, u1, ls, j = st
+    if pieces is not None:
+        entries = {}
+        v = _sweep(real, z, StateVector(u, u1, ls), x, y, from_left,
+                   entries=entries).state
+        pieces.append(((x, y), entries, (v.u, v.u1, v.log_scale)))
+        return v.u, v.u1, v.log_scale, j
+    run = _sweep(real, z, StateVector(u, u1, ls), x, y, True, count=True)
+    v = run.state
+    k = 2 * j + _floor_turn(u, u1) + run.zero_count
+    phi = math.atan2(v.u + 0.0, v.u1)
+    return v.u, v.u1, v.log_scale, \
+        round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
 
 
 def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
@@ -721,14 +861,10 @@ def transfer_matrix(problem: ProblemSpec, z, x0: float | None = None,
     return TransferMatrix(s1.u * f1, s2.u * f2, s1.u1 * f1, s2.u1 * f2, ls)
 
 
-def cell_l2_integral(u, u1, w, L):
-    """Exact integral of u(s)^2 over a stretch of length L (real data).
-
-    u(s) = u*cos(om s) + u1*sin(om s)/om with om = sqrt(w); closed-form
-    antiderivatives, series near w = 0.  Returns (value, log_scale), the
-    integral being value*e^log_scale: log_scale is the hyperbolic phase of
-    the doubled stretch where _cs scales it, 0.0 elsewhere.
-    """
+def _stretch_gram(w, L):
+    """The integrals (icc, ics, iss, log_scale) of cos^2, cos*sin/om and
+    (sin/om)^2 over a stretch of length L, om = sqrt(w); see
+    cell_l2_integral."""
     _, S2, ls2 = _cs(w, 2.0 * L)
     _, S1, ls1 = _cs(w, L)
     f = math.exp(-ls2)
@@ -738,4 +874,16 @@ def cell_l2_integral(u, u1, w, L):
         iss = L ** 3 / 3.0 - w * L ** 5 / 15.0 + 2.0 * w * w * L ** 7 / 315.0
     else:
         iss = (L * f - S2 / 2.0) / (2.0 * w)
+    return icc, ics, iss, ls2
+
+
+def cell_l2_integral(u, u1, w, L):
+    """Exact integral of u(s)^2 over a stretch of length L (real data).
+
+    u(s) = u*cos(om s) + u1*sin(om s)/om with om = sqrt(w); closed-form
+    antiderivatives, series near w = 0.  Returns (value, log_scale), the
+    integral being value*e^log_scale: log_scale is the hyperbolic phase of
+    the doubled stretch where _cs scales it, 0.0 elsewhere.
+    """
+    icc, ics, iss, ls2 = _stretch_gram(w, L)
     return u * u * icc + 2.0 * u * u1 * ics + u1 * u1 * iss, ls2

@@ -162,11 +162,16 @@ def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
     """
     if problem_1.interval != problem_2.interval:
         raise ValueError("problems must share the interval")
-    g1 = GreenKernel(problem_1, z)
-    g2 = GreenKernel(problem_2, z)
+    return _hs_between(GreenKernel(problem_1, z), GreenKernel(problem_2, z),
+                       max_doublings)
+
+
+def _hs_between(g1, g2, max_doublings=5):
+    """hs_distance of the problems of two built kernels at one z."""
+    problems = (g1.problem, g2.problem)
     prev = None
     for doubling in range(max_doublings + 1):
-        xs, ws = _panel_grid((problem_1, problem_2), 2 ** doubling)
+        xs, ws = _panel_grid(problems, 2 ** doubling)
         val = _hs_value(g1, g2, xs, ws)
         if prev is not None and abs(val - prev) < HS_TOL:
             return val
@@ -271,10 +276,16 @@ def convergence_study(problem: ProblemSpec, levels, z=-1.0) -> list[StudyRow]:
         raise ValueError("need at least one level")
     finest = levels[-1]
     ref = replace(problem, level=finest)
+    g_ref = None        # the finest kernel, built once for the study
     rows = []
     for lv in levels:
         p = replace(problem, level=lv)
-        hs = hs_distance(p, ref, z) if lv != finest else 0.0
+        hs = 0.0
+        if lv != finest:
+            g = GreenKernel(p, z)
+            if g_ref is None:
+                g_ref = GreenKernel(ref, z)
+            hs = _hs_between(g, g_ref)
         if p.is_nonnegative_measure():
             lams = _spectrum.eigenvalues(
                 p, n_max=STUDY_EIGEN, with_norming=False).eigenvalues

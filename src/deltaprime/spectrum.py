@@ -32,9 +32,10 @@ import numpy as np
 from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
 from .measures import kappa_minus
-from .propagate import (ProblemSpec, _apply_stretch,
-                        cell_entry_states, cell_l2_integral, propagate,
-                        realize_problem)
+# cell_entry_states stays a module attribute for tracers that wrap it
+from .propagate import (ProblemSpec, _apply_stretch, _plan_grams,  # noqa
+                        _plan_sweep, cell_entry_states, cell_l2_integral,
+                        propagate, realize_problem)
 
 __all__ = [
     "SpectralData",
@@ -242,37 +243,84 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
     return hi.z
 
 
+def _log_mag(st):
+    u, u1, ls = st
+    return ls + math.log(max(abs(u), abs(u1), 1e-300))
+
+
+def _safe_term(value, log_factor):
+    if value == 0.0:
+        return 0.0
+    arg = log_factor + math.log(abs(value))
+    if arg > 709.0:
+        return math.inf
+    return math.copysign(math.exp(arg), value)
+
+
 def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     """||u||^2 over the interval for the left-BC solution at an eigenvalue z.
 
-    Closed-form trig/hyperbolic antiderivatives cell by cell, integrated
-    two-sidedly: the left-launched solution covers the cells left of a
-    matching node, the right-launched one covers the rest and is rescaled
-    by the matched ratio there.  Integrating each side in its growing
-    direction keeps hyperbolic tails from amplifying the bisection
+    Integrated two-sidedly: the left-launched solution covers the pieces
+    left of a matching node, the right-launched one covers the rest and is
+    rescaled by the matched ratio there.  Integrating each side in its
+    growing direction keeps hyperbolic tails from amplifying the bisection
     residual (one-sided integration of a decaying tail is catastrophically
-    ill-conditioned on wide truncations).  Returns inf when the norm
+    ill-conditioned on wide truncations).  Both solutions are norming runs
+    of propagate._plan_sweep across the realization's block plan, or its
+    cells where it has none: a block taken whole adds v^T G v of its Gram
+    form, a walked cell its closed-form trig/hyperbolic integral.  The
+    right run crosses the left run's pieces, split further where its own
+    tests ask, so both solutions are known at every boundary of the left
+    run's pieces and every node inside its walk runs; the match is where
+    log|left| + log|right| peaks among these.  Returns inf when the norm
     genuinely exceeds double range (deep bound states on wide intervals).
     """
-    ent_l, _ = cell_entry_states(problem, z)
-    ent_r, _ = cell_entry_states(problem, z, from_left=False)
     real = realize_problem(problem)
-    qvals, lengths = real.qvals, real.lengths
-    ncells = len(qvals)
+    plan, nodes, qvals = real.plan, real.nodes, real.qvals
+    grams = None if plan is None else _plan_grams(plan, z)
+    launch = problem.launch()
+    left, right = [], []
+    _plan_sweep(real, plan, z, launch, True, left, grams)
+    _plan_sweep(real, plan, z, problem.launch(False), False, right, grams,
+                [seg for seg, _, _ in left])
+    right.reverse()
+    at = {piece[0][0]: m for m, piece in enumerate(right)}
 
-    def log_mag(st):
-        u, u1, ls = st
-        return ls + math.log(max(abs(u), abs(u1), 1e-300))
-
-    # ent_l[k] and ent_r[k - 1] are the two solutions at nodes[k]; past
-    # the state each picks up the growing component the float eigenvalue
-    # leaves, so their product peaks at the state, where both are accurate
-    k = max(range(1, ncells), default=0,
-            key=lambda i: log_mag(ent_l[i]) + log_mag(ent_r[i - 1]))
-    # right-walk value just inside cell k at nodes[k]+ (same anchor as ent_l[k])
-    w_k = z - qvals[k]
-    u_r, u1_r, ls_r = _apply_stretch(*ent_r[k], w_k, -lengths[k])
-    u_l, u1_l, ls_l = ent_l[k]
+    # candidates (n, k): node k inside left[n]'s walk run, or left[n]'s
+    # start where k is None.  In a run ent_l[k] and ent_r[k - 1] are the
+    # two solutions at nodes[k]; past the state each picks up the growing
+    # component the float eigenvalue leaves, so their product peaks at the
+    # state, where both are accurate.  Without candidates the match is at
+    # a, in cell 0 if a walk run starts there
+    peak, n, k = -math.inf, 0, None if len(left[0][0]) == 4 else 0
+    for i, (seg, ent_l, _) in enumerate(left):
+        if i:
+            crit = _log_mag(left[i - 1][2]) + _log_mag(right[at[seg[0]]][2])
+            if crit > peak:
+                peak, n, k = crit, i, None
+        if len(seg) == 2:
+            ent_r = right[at[seg[0]]][1]
+            nodes_in = range(_bisect.bisect_right(nodes, seg[0]),
+                             _bisect.bisect_left(nodes, seg[1]))
+            crits = [_log_mag(ent_l[j]) + _log_mag(ent_r[j - 1])
+                     for j in nodes_in]
+            if crits and max(crits) > peak:
+                peak = max(crits)
+                n, k = i, nodes_in[crits.index(peak)]
+    x, y = left[n][0][:2]
+    m = at[x]
+    if k is None:
+        # both runs reach x on its left limit
+        u_l, u1_l, ls_l = left[n - 1][2] if n else \
+            (launch.u, launch.u1, launch.log_scale)
+        u_r, u1_r, ls_r = right[m][2]
+        w_k = z - qvals[_bisect.bisect_right(nodes, x) - 1]
+    else:
+        # the right run's value just inside cell k (same anchor as ent_l[k])
+        w_k = z - qvals[k]
+        u_r, u1_r, ls_r = _apply_stretch(*right[m][1][k], w_k,
+                                         nodes[k] - min(nodes[k + 1], y))
+        u_l, u1_l, ls_l = left[n][1][k]
     s2 = max(abs(w_k), 1.0)
     den = u_r * u_r + u1_r * u1_r / s2
     if den == 0.0:
@@ -282,25 +330,57 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
         raise NearSingularError("left and right solutions are orthogonal; "
                                 "z is not an eigenvalue")
     log_ratio = ls_l - ls_r
+    if _log.isEnabledFor(logging.DEBUG):
+        top = 1 if plan is None else len(plan.segments)
+        _log.debug(
+            "norming constant at %r: %s route, match at %r, blocks whole "
+            "%d and %d, as halves %d and %d (left and right runs), "
+            "%d cells walked", z, "walk" if plan is None else "plan",
+            x if k is None else nodes[k],
+            *(sum(len(seg) == 4 for seg, _, _ in run)
+              for run in (left, right)),
+            *((len(run) - top) // 2 for run in (left, right)),
+            sum(len(data) for run in (left, right) for seg, data, _ in run
+                if len(seg) == 2))
 
-    def safe_term(value, log_factor):
-        if value == 0.0:
-            return 0.0
-        arg = log_factor + math.log(abs(value))
-        if arg > 709.0:
-            return math.inf
-        return math.copysign(math.exp(arg), value)
-
+    # the left run up to the match, the right run from it on: in the walk
+    # run of a match at node k, the cells before k and from k on.  Left
+    # entries come in increasing cell order, right ones in decreasing
+    # order; the right-anchored integrals flip u^[1] with the orientation
     total = 0.0
-    for i in range(k):
-        u, u1, ls = ent_l[i]
-        val, ls2 = cell_l2_integral(u, u1, z - qvals[i], lengths[i])
-        total += safe_term(val, 2.0 * ls + ls2)
-    for i in range(k, ncells):
-        u, u1, ls = ent_r[i]
-        # right-anchored cell integral: reverse orientation flips u^[1]
-        val, ls2 = cell_l2_integral(u, -u1, z - qvals[i], lengths[i])
-        total += safe_term(val * ratio * ratio, 2.0 * (ls + log_ratio) + ls2)
+    lengths = real.lengths
+    for seg, data, _ in left[:n] if k is None else left[:n + 1]:
+        if len(seg) == 4:
+            val, ls, ls2 = data
+            total += _safe_term(val, 2.0 * ls + ls2)
+            continue
+        x0, x1 = seg
+        first = _bisect.bisect_right(nodes, x0) - 1
+        last = _bisect.bisect_left(nodes, x1) - 1
+        for i in range(first, last + 1 if k is None else min(k, last + 1)):
+            u, u1, ls = data[i]
+            L = lengths[i]
+            if i == first or i == last:
+                L = min(nodes[i + 1], x1) - max(nodes[i], x0)
+            val, ls2 = cell_l2_integral(u, u1, z - qvals[i], L)
+            total += _safe_term(val, 2.0 * ls + ls2)
+    for seg, data, _ in right[m:]:
+        if len(seg) == 4:
+            val, ls, ls2 = data
+            total += _safe_term(val * ratio * ratio,
+                                2.0 * (ls + log_ratio) + ls2)
+            continue
+        x0, x1 = seg
+        first = _bisect.bisect_right(nodes, x0) - 1
+        last = _bisect.bisect_left(nodes, x1) - 1
+        for i in range(first if k is None else max(first, k), last + 1):
+            u, u1, ls = data[i]
+            L = lengths[i]
+            if i == first or i == last:
+                L = min(nodes[i + 1], x1) - max(nodes[i], x0)
+            val, ls2 = cell_l2_integral(u, -u1, z - qvals[i], L)
+            total += _safe_term(val * ratio * ratio,
+                                2.0 * (ls + log_ratio) + ls2)
     return total
 
 
@@ -329,23 +409,24 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
         n_hi = top.count + (top.residual == 0)
         if n_max is not None:
             n_hi = min(n_hi, n_max)
-    lams = []
+    lams, norm = [], []
     for n in range(n_lo, n_hi + 1):
         if top is not None and n > top.count:
             # a root exactly at w1 is not below w1: the least float whose
             # count reaches it lies one ulp above, outside the window
-            lams.append(float(w1))
+            lam = float(w1)
         else:
-            lams.append(_eigenvalue_by_index(problem, n, samples))
+            lam = _eigenvalue_by_index(problem, n, samples)
             samples.drop_below(n + 1)
-    for i in range(1, len(lams)):
-        # sub-ulp splittings: keep the reported list strictly ordered
-        if lams[i] <= lams[i - 1]:
-            lams[i] = math.nextafter(lams[i - 1], math.inf)
-    norm = tuple(solution_l2_norm(problem, l) for l in lams) \
-        if with_norming else None
-    return SpectralData(tuple(lams), norm, "shooting",
-                        tuple(range(n_lo, n_hi + 1)))
+        if lams and lam <= lams[-1]:
+            # sub-ulp splittings: keep the reported list strictly ordered
+            lam = math.nextafter(lams[-1], math.inf)
+        lams.append(lam)
+        if with_norming:
+            # right after the search, whose last shots' blocks are kept
+            norm.append(solution_l2_norm(problem, lam))
+    return SpectralData(tuple(lams), tuple(norm) if with_norming else None,
+                        "shooting", tuple(range(n_lo, n_hi + 1)))
 
 
 def _default_mesh(problem: ProblemSpec) -> float:

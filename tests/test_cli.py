@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from deltaprime import cli
 from deltaprime.cli import main
 from deltaprime.io import validate_result
 
@@ -380,6 +381,36 @@ class TestArgumentValidation:
                   "--tol", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_one_parser_per_process_gives_the_bytes_of_fresh_ones(tmp_path):
+    """main keeps one argparse tree per process; a sequence of calls (other
+    subcommands, a usage error between them) prints what calls on a newly
+    built tree print."""
+    free = write(tmp_path, "free.json", FREE01)
+    signed = write(tmp_path, "signed.json", SIGNED)
+    calls = [["spectrum", "--config", free, "--count", "3"],
+             ["kappa", "--config", signed, "--format", "csv"],
+             ["spectrum", "--config", free, "--window", "abc"],
+             ["mfunction", "--config", write(tmp_path, "half.json", HALFLINE),
+              "--z=-2,1"],
+             ["spectrum", "--config", signed, "--count", "2",
+              "--format", "csv"]]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:       # argparse usage error
+                rc = exc.code
+        return rc, out.getvalue(), err.getvalue()
+
+    reused = [run(argv, False) for argv in calls]
+    assert [rc for rc, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert reused == [run(argv, True) for argv in calls]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
 from deltaprime import spectrum
 from deltaprime.io import parse_problem
 from deltaprime.propagate import cell_l2_integral, realize_problem
-from deltaprime.spectrum import _eigenvalue_by_index, _weyl_upper_guess
+from deltaprime.spectrum import (_eigenvalue_by_index, _weyl_upper_guess,
+                                 solution_l2_norm)
 from conftest import random_measure
 
 CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
@@ -1019,7 +1020,8 @@ class TestNorming:
 
     # two cantor_deep benchmark problems (seed 0, ops 6 and 9) at levels 10
     # and 12, past the goldens' levels; the second has a q step and an
-    # explicit atom.  Both shoot across a block plan; norming walks the cells
+    # explicit atom.  Both shoot and norm across a block plan; the norming
+    # constants agree with the cell walk's to 5e-14
     @pytest.mark.parametrize("config, n_max, lams, norms", [
         ({"schema": 1, "interval": [0.0, 1.0],
           "bc": ["dirichlet", "dirichlet"], "level": 10,
@@ -1030,8 +1032,8 @@ class TestNorming:
                                   "ratio": 0.276501, "level_cap": 12}]}},
          3, ["0x1.4bd9e7d485144p+2", "0x1.4abc4b07d5762p+4",
              "0x1.b55e8a16ede42p+4"],
-         ["0x1.f60d83b7b49afp-2", "0x1.7113984bf7b38p-3",
-          "0x1.66993bb66a4ffp-5"]),
+         ["0x1.f60d83b7b48b9p-2", "0x1.7113984bf7c14p-3",
+          "0x1.66993bb66a57cp-5"]),
         ({"schema": 1, "interval": [0.0, 1.0],
           "bc": ["dirichlet", "dirichlet"], "level": 12,
           "potential": {"breakpoints": [0.142361, 0.249452, 0.285353],
@@ -1039,7 +1041,7 @@ class TestNorming:
           "measure": {"atoms": [{"x": 0.910227, "beta": 0.350237}],
                       "cantor": [{"support": [0.0, 1.0], "mass": 1.473168,
                                   "ratio": 0.280473, "level_cap": 12}]}},
-         1, ["0x1.18e728ecab1b3p+2"], ["0x1.14b9abe3c5f3ep-1"]),
+         1, ["0x1.18e728ecab1b3p+2"], ["0x1.14b9abe3c5e6ep-1"]),
     ])
     def test_deep_cantor_pinned(self, config, n_max, lams, norms):
         p = parse_problem(config)
@@ -1047,6 +1049,34 @@ class TestNorming:
         data = eigenvalues(p, n_max=n_max)
         assert [lam.hex() for lam in data.eigenvalues] == lams
         assert [c.hex() for c in data.norming_constants] == norms
+        real = realize_problem(p)
+        real.plan = None
+        try:
+            walked = [solution_l2_norm(p, lam) for lam in data.eigenvalues]
+        finally:
+            realize_problem.cache_clear()
+        for c, w in zip(data.norming_constants, walked):
+            assert abs(c / w - 1.0) < 1e-12
+
+    def test_debug_record_per_norming_constant(self, caplog):
+        staircase = ProblemSpec((0.0, 1.0), level=8, measure=SingularMeasure(
+            cantor_parts=(CantorSpec((0.0, 1.0), 1.3, 0.3),)))
+        assert realize_problem(staircase).plan is not None
+        for p, route in ((staircase, "plan"), (free_problem(), "walk")):
+            lams = eigenvalues(p, n_max=2, with_norming=False).eigenvalues
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="deltaprime"):
+                solution_l2_norm(p, lams[0])
+            assert caplog.records == []
+            with caplog.at_level(logging.DEBUG, logger="deltaprime"):
+                for lam in lams:
+                    solution_l2_norm(p, lam)
+            assert len(caplog.records) == 2
+            for lam, rec in zip(lams, caplog.records):
+                assert rec.name == "deltaprime"
+                assert rec.levelno == logging.DEBUG
+                assert rec.args[:2] == (lam, route)
+                assert f"{route} route, match at" in rec.getMessage()
 
     def test_split_deep_states_positive(self):
         # three tunnelling-split states near -181743.7 and a fourth; the
