@@ -397,7 +397,7 @@ def _split_stretch(u, u1, ls, w, L):
     return grow + decay, k * (grow - decay), ls + m
 
 
-def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
+def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
     """Cross the atoms in [lo, hi) and the stretches between, in one direction.
 
     The cells of the run are walked in the run's order.  Left to right each
@@ -406,9 +406,12 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
     -beta, so both directions end on left-limit values.  count adds up the
     oriented sign changes of u (real data, left to right only); a stretch
     that cancels a decaying state to zero is redone in split exponential
-    form (_split_stretch); entries[i], when given, receives the triple (u,
-    u1, log_scale) just before cell i's stretch.  Only the first and last
-    cells of a run can be partial.
+    form (_split_stretch).  Only the first and last cells of a run can be
+    partial.  cells, when given, receives a record (x, at, w, L, entry) per
+    cell in crossing order: its start x in the run, w = z - q, its crossed
+    length, the (u, u1, log_scale) triple just before its stretch, and at
+    the state at x past an atom there (entry left to right, the backward
+    stretch's image before the jump is undone right to left).
     """
     u, u1, ls = state.u, state.u1, state.log_scale
     zeros = 0 if count else None
@@ -418,9 +421,8 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
         real.betas
     first = bisect.bisect_right(nodes, lo) - 1
     last = bisect.bisect_left(nodes, hi) - 1
-    cells = range(first, last + 1) if from_left \
-        else range(last, first - 1, -1)
-    for i in cells:
+    for i in range(first, last + 1) if from_left \
+            else range(last, first - 1, -1):
         # an atom at the low end is crossed only if it sits on the node
         beta = betas[i] if i != first or lo == nodes[i] else 0.0
         if beta and from_left:
@@ -429,16 +431,18 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, entries=None):
             if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)):
                 zeros += 1 if beta > 0.0 else -1
             u, u1, ls = _rescale(up, u1, ls)
-        if entries is not None:
-            entries[i] = (u, u1, ls)
         L = lengths[i]
         if i == first or i == last:
             L = min(nodes[i + 1], hi) - max(nodes[i], lo)
         w = z - qvals[i]
-        nu, nu1, ls = _apply_stretch(u, u1, ls, w, L if from_left else -L)
+        nu, nu1, nls = _apply_stretch(u, u1, ls, w, L if from_left else -L)
+        if cells is not None:
+            entry = (u, u1, ls)
+            cells.append((lo if i == first else nodes[i],
+                          entry if from_left else (nu, nu1, nls), w, L, entry))
         if count:
             zeros += _count_stretch_zeros(u, u1, w, L, nu, i != last)
-        u, u1, ls = _rescale(nu, nu1, ls)
+        u, u1, ls = _rescale(nu, nu1, nls)
         if beta and not from_left:
             u, u1, ls = _rescale(u - beta * u1, u1, ls)
     return PropagationResult(StateVector(u, u1, ls), zeros)
@@ -725,21 +729,27 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
 
     pieces, when given, makes this a norming run, in either direction and
     without a count: a block is taken whole only where v^T G v of its Gram
-    form at its entry state v passes the same test, and pieces receives
-    each piece crossed, in crossing order, as (segment, data, state after):
-    data is (v^T G v, log scale of v, log scale of G) for a block and
-    _sweep's entries for a walk run.  Right to left each block is crossed
-    by its adjugate (blocks are unimodular up to det and log scale), so its
-    entry state is the state after it.  grams (_plan_grams) may be shared
-    between runs at one z; segments, in x order and in the format
-    of plan.segments, replace them; a realization without a plan is one
-    walk segment (a, b).  A norming run walks a failing block of up to
-    2^_NORM_WALK_HEIGHT cells as one run, and returns None: its last piece
-    holds the final state.
+    form at its entry state v passes the same test, and pieces receives,
+    in crossing order, one entry (x, at, w, L, data, score) per block taken
+    whole (L None, data (v^T G v, log scale of v, log scale of G), at and
+    score its left-limit state at x) and per walked cell (_walk's).  Right
+    to left each block is crossed by its adjugate (blocks are unimodular up
+    to det and log scale), so its entry state is the state after it.  grams (_plan_grams) may be shared between runs at
+    one z; segments, in x order and in the format of plan.segments,
+    replace them; a realization without a plan is one walk segment (a, b).
+    A norming run walks a failing block of up to 2^_NORM_WALK_HEIGHT cells
+    as one run, and returns the segments it crossed whole (blocks and walk
+    runs), in crossing order.
     """
     count = pieces is None
     if segments is None:
         segments = ((real.a, real.b),) if plan is None else plan.segments
+    crossed = []
+
+    def walk(x, y, st):
+        crossed.append((x, y))
+        return _walk(real, z, x, y, from_left, st, pieces)
+
     if plan is not None:
         blocks = _plan_factors(plan, z)
         if not count and grams is None:
@@ -761,27 +771,27 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
                 g = grams[k][h]
                 val = _gram_value(g, v[0], v[1], h)
                 if val is not None:
-                    st = _step(f, nu, nu1, st, False)
-                    pieces.append(((lo, hi, k, h), (val, v[2], g[3]),
-                                   st[:3]))
-                    return st
+                    after = _step(f, nu, nu1, st, False)
+                    at = (st if from_left else after)[:3]
+                    crossed.append((lo, hi, k, h))
+                    pieces.append((lo, at, z - plan.families[k][3], None,
+                                   (val, v[2], g[3]), at))
+                    return after
             if h == 0 or (not count and h <= _NORM_WALK_HEIGHT):
-                return _walk(real, z, lo, hi, from_left, st, pieces)
+                return walk(lo, hi, st)
             keep = (hi - lo) * plan.families[k][4]
             first, last = (lo, lo + keep), (hi - keep, hi)
             if not from_left:
                 first, last = last, first
-            st = _walk(real, z, lo + keep, hi - keep, from_left,
-                       cross(*first, k, h - 1, st), pieces)
+            st = walk(lo + keep, hi - keep, cross(*first, k, h - 1, st))
             return cross(*last, k, h - 1, st)
 
     st = (state.u, state.u1, state.log_scale, 0)
     for seg in segments if from_left else reversed(segments):
-        st = cross(*seg, st) if len(seg) == 4 else \
-            _walk(real, z, *seg, from_left, st, pieces)
+        st = cross(*seg, st) if len(seg) == 4 else walk(*seg, st)
     u, u1, ls, j = st
     if not count:
-        return None
+        return crossed
     zeros = 2 * j + (u > 0.0 or (u == 0.0 and u1 < 0.0)) \
         - _floor_turn(state.u, state.u1) - 1
     return PropagationResult(StateVector(u, u1, ls), zeros)
@@ -801,16 +811,26 @@ def _step(f, nu, nu1, st, count):
 
 
 def _walk(real, z, x, y, from_left, st, pieces):
-    """The cells of [x, y) crossed by _sweep for _plan_sweep: a piece of a
-    norming run if pieces is given, else a counted left-to-right run whose
-    count sets the whole turns."""
+    """The cells of [x, y) crossed by _sweep for _plan_sweep: a counted
+    left-to-right run whose count sets the whole turns, or, with pieces,
+    _sweep's cell records as norming entries.  A run that meets other
+    pieces (every run but that of a realization without a plan) reads its
+    cell at x at x's left limit, where it meets the piece before it (or
+    the launch), as a block's entry does; a cell's score is the state
+    where the run has crossed it."""
     u, u1, ls, j = st
     if pieces is not None:
-        entries = {}
+        cells = []
         v = _sweep(real, z, StateVector(u, u1, ls), x, y, from_left,
-                   entries=entries).state
-        pieces.append(((x, y), entries, (v.u, v.u1, v.log_scale)))
-        return v.u, v.u1, v.log_scale, j
+                   cells=cells).state
+        end = (v.u, v.u1, v.log_scale)
+        if (x, y) != (real.a, real.b):
+            k = 0 if from_left else -1
+            cells[k] = (x, st[:3] if from_left else end, *cells[k][2:])
+        scores = [c[1] for c in cells] if from_left \
+            else [c[4] for c in cells[1:]] + [end]
+        pieces.extend((*c, score) for c, score in zip(cells, scores))
+        return (*end, j)
     run = _sweep(real, z, StateVector(u, u1, ls), x, y, True, count=True)
     v = run.state
     k = 2 * j + _floor_turn(u, u1) + run.zero_count
@@ -830,10 +850,10 @@ def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
     realize_problem(problem).
     """
     real = realize_problem(problem)
-    entries: list[tuple | None] = [None] * len(real.qvals)
+    cells = []
     final = _sweep(real, z, problem.launch(from_left), real.a, real.b,
-                   from_left, entries=entries).state
-    return entries, final
+                   from_left, cells=cells).state
+    return [cell[4] for cell in (cells if from_left else cells[::-1])], final
 
 
 def wronskian(s1: StateVector, s2: StateVector):

@@ -33,9 +33,9 @@ from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
 from .measures import kappa_minus
 # cell_entry_states stays a module attribute for tracers that wrap it
-from .propagate import (ProblemSpec, _apply_stretch, _plan_grams,  # noqa
-                        _plan_sweep, cell_entry_states, cell_l2_integral,
-                        propagate, realize_problem)
+from .propagate import (ProblemSpec, _plan_grams, _plan_sweep,  # noqa
+                        cell_entry_states, cell_l2_integral, propagate,
+                        realize_problem)
 
 __all__ = [
     "SpectralData",
@@ -257,71 +257,60 @@ def _safe_term(value, log_factor):
     return math.copysign(math.exp(arg), value)
 
 
+def _l2_term(entry, flip, ratio, log_ratio):
+    """int u^2 over a norming entry for u = ratio*e^log_ratio times the
+    run's solution; flip = -1.0 reads a right-run cell, whose entry state
+    points its u^[1] the other way."""
+    _, _, w, L, data, _ = entry
+    if L is None:
+        val, ls, ls2 = data
+    else:
+        u, u1, ls = data
+        val, ls2 = cell_l2_integral(u, flip * u1, w, L)
+    return _safe_term(val * ratio * ratio, 2.0 * (ls + log_ratio) + ls2)
+
+
 def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     """||u||^2 over the interval for the left-BC solution at an eigenvalue z.
 
-    Integrated two-sidedly: the left-launched solution covers the pieces
-    left of a matching node, the right-launched one covers the rest and is
+    Integrated two-sidedly: the left-launched solution covers the entries
+    left of a matching point, the right-launched one covers the rest and is
     rescaled by the matched ratio there.  Integrating each side in its
     growing direction keeps hyperbolic tails from amplifying the bisection
     residual (one-sided integration of a decaying tail is catastrophically
     ill-conditioned on wide truncations).  Both solutions are norming runs
     of propagate._plan_sweep across the realization's block plan, or its
-    cells where it has none: a block taken whole adds v^T G v of its Gram
-    form, a walked cell its closed-form trig/hyperbolic integral.  The
-    right run crosses the left run's pieces, split further where its own
-    tests ask, so both solutions are known at every boundary of the left
-    run's pieces and every node inside its walk runs; the match is where
-    log|left| + log|right| peaks among these.  Returns inf when the norm
-    genuinely exceeds double range (deep bound states on wide intervals).
+    cells where it has none: one entry per block taken whole, adding v^T G
+    v of its Gram form, and per walked cell, adding its closed-form
+    trig/hyperbolic integral.  The right run crosses the left run's
+    segments, split further where its own tests ask, so both solutions are
+    known where each left entry starts; the match is where log|left| +
+    log|right| peaks among these.  Returns inf when the norm genuinely
+    exceeds double range (deep bound states on wide intervals).
     """
     real = realize_problem(problem)
-    plan, nodes, qvals = real.plan, real.nodes, real.qvals
+    plan = real.plan
     grams = None if plan is None else _plan_grams(plan, z)
-    launch = problem.launch()
     left, right = [], []
-    _plan_sweep(real, plan, z, launch, True, left, grams)
+    segments = _plan_sweep(real, plan, z, problem.launch(), True, left, grams)
     _plan_sweep(real, plan, z, problem.launch(False), False, right, grams,
-                [seg for seg, _, _ in left])
+                segments)
     right.reverse()
-    at = {piece[0][0]: m for m, piece in enumerate(right)}
+    at = {entry[0]: m for m, entry in enumerate(right)}
 
-    # candidates (n, k): node k inside left[n]'s walk run, or left[n]'s
-    # start where k is None.  In a run ent_l[k] and ent_r[k - 1] are the
-    # two solutions at nodes[k]; past the state each picks up the growing
-    # component the float eigenvalue leaves, so their product peaks at the
-    # state, where both are accurate.  Without candidates the match is at
-    # a, in cell 0 if a walk run starts there
-    peak, n, k = -math.inf, 0, None if len(left[0][0]) == 4 else 0
-    for i, (seg, ent_l, _) in enumerate(left):
-        if i:
-            crit = _log_mag(left[i - 1][2]) + _log_mag(right[at[seg[0]]][2])
-            if crit > peak:
-                peak, n, k = crit, i, None
-        if len(seg) == 2:
-            ent_r = right[at[seg[0]]][1]
-            nodes_in = range(_bisect.bisect_right(nodes, seg[0]),
-                             _bisect.bisect_left(nodes, seg[1]))
-            crits = [_log_mag(ent_l[j]) + _log_mag(ent_r[j - 1])
-                     for j in nodes_in]
-            if crits and max(crits) > peak:
-                peak = max(crits)
-                n, k = i, nodes_in[crits.index(peak)]
-    x, y = left[n][0][:2]
+    # past the state each solution picks up the growing component the float
+    # eigenvalue leaves, so their product peaks at the state, where both are
+    # accurate.  Without candidates the match is at a
+    peak, n = -math.inf, 0
+    for i in range(1, len(left)):
+        x, st = left[i][:2]
+        crit = _log_mag(st) + _log_mag(right[at[x]][5])
+        if crit > peak:
+            peak, n = crit, i
+    x, (u_l, u1_l, ls_l), w = left[n][:3]
     m = at[x]
-    if k is None:
-        # both runs reach x on its left limit
-        u_l, u1_l, ls_l = left[n - 1][2] if n else \
-            (launch.u, launch.u1, launch.log_scale)
-        u_r, u1_r, ls_r = right[m][2]
-        w_k = z - qvals[_bisect.bisect_right(nodes, x) - 1]
-    else:
-        # the right run's value just inside cell k (same anchor as ent_l[k])
-        w_k = z - qvals[k]
-        u_r, u1_r, ls_r = _apply_stretch(*right[m][1][k], w_k,
-                                         nodes[k] - min(nodes[k + 1], y))
-        u_l, u1_l, ls_l = left[n][1][k]
-    s2 = max(abs(w_k), 1.0)
+    u_r, u1_r, ls_r = right[m][1]
+    s2 = max(abs(w), 1.0)
     den = u_r * u_r + u1_r * u1_r / s2
     if den == 0.0:
         raise NearSingularError("degenerate matching state in norming")
@@ -331,56 +320,19 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
                                 "z is not an eigenvalue")
     log_ratio = ls_l - ls_r
     if _log.isEnabledFor(logging.DEBUG):
-        top = 1 if plan is None else len(plan.segments)
         _log.debug(
             "norming constant at %r: %s route, match at %r, blocks whole "
-            "%d and %d, as halves %d and %d (left and right runs), "
-            "%d cells walked", z, "walk" if plan is None else "plan",
-            x if k is None else nodes[k],
-            *(sum(len(seg) == 4 for seg, _, _ in run)
-              for run in (left, right)),
-            *((len(run) - top) // 2 for run in (left, right)),
-            sum(len(data) for run in (left, right) for seg, data, _ in run
-                if len(seg) == 2))
+            "%d and %d, cells walked %d and %d (left and right runs)", z,
+            "walk" if plan is None else "plan", x,
+            *(sum(e[3] is None for e in run) for run in (left, right)),
+            *(sum(e[3] is not None for e in run) for run in (left, right)))
 
-    # the left run up to the match, the right run from it on: in the walk
-    # run of a match at node k, the cells before k and from k on.  Left
-    # entries come in increasing cell order, right ones in decreasing
-    # order; the right-anchored integrals flip u^[1] with the orientation
+    # the left run up to the match, the right run from it on
     total = 0.0
-    lengths = real.lengths
-    for seg, data, _ in left[:n] if k is None else left[:n + 1]:
-        if len(seg) == 4:
-            val, ls, ls2 = data
-            total += _safe_term(val, 2.0 * ls + ls2)
-            continue
-        x0, x1 = seg
-        first = _bisect.bisect_right(nodes, x0) - 1
-        last = _bisect.bisect_left(nodes, x1) - 1
-        for i in range(first, last + 1 if k is None else min(k, last + 1)):
-            u, u1, ls = data[i]
-            L = lengths[i]
-            if i == first or i == last:
-                L = min(nodes[i + 1], x1) - max(nodes[i], x0)
-            val, ls2 = cell_l2_integral(u, u1, z - qvals[i], L)
-            total += _safe_term(val, 2.0 * ls + ls2)
-    for seg, data, _ in right[m:]:
-        if len(seg) == 4:
-            val, ls, ls2 = data
-            total += _safe_term(val * ratio * ratio,
-                                2.0 * (ls + log_ratio) + ls2)
-            continue
-        x0, x1 = seg
-        first = _bisect.bisect_right(nodes, x0) - 1
-        last = _bisect.bisect_left(nodes, x1) - 1
-        for i in range(first if k is None else max(first, k), last + 1):
-            u, u1, ls = data[i]
-            L = lengths[i]
-            if i == first or i == last:
-                L = min(nodes[i + 1], x1) - max(nodes[i], x0)
-            val, ls2 = cell_l2_integral(u, -u1, z - qvals[i], L)
-            total += _safe_term(val * ratio * ratio,
-                                2.0 * (ls + log_ratio) + ls2)
+    for entry in left[:n]:
+        total += _l2_term(entry, 1.0, 1.0, 0.0)
+    for entry in right[m:]:
+        total += _l2_term(entry, -1.0, ratio, log_ratio)
     return total
 
 
