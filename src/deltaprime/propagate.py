@@ -730,9 +730,9 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
     pieces, when given, makes this a norming run, in either direction and
     without a count: a block is taken whole only where v^T G v of its Gram
     form at its entry state v passes the same test, and pieces receives,
-    in crossing order, one entry (x, at, w, L, data, score) per block taken
-    whole (L None, data (v^T G v, log scale of v, log scale of G), at and
-    score its left-limit state at x) and per walked cell (_walk's).  Right
+    in crossing order, one entry (x, at, w, L, data) per block taken whole
+    (L None, data (v^T G v, log scale of v, log scale of G), at its
+    left-limit state at x) and per walked cell (_walk's).  Right
     to left each block is crossed by its adjugate (blocks are unimodular up
     to det and log scale), so its entry state is the state after it.  grams (_plan_grams) may be shared between runs at
     one z; segments, in x order and in the format of plan.segments,
@@ -772,10 +772,10 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
                 val = _gram_value(g, v[0], v[1], h)
                 if val is not None:
                     after = _step(f, nu, nu1, st, False)
-                    at = (st if from_left else after)[:3]
                     crossed.append((lo, hi, k, h))
-                    pieces.append((lo, at, z - plan.families[k][3], None,
-                                   (val, v[2], g[3]), at))
+                    pieces.append((lo, (st if from_left else after)[:3],
+                                   z - plan.families[k][3], None,
+                                   (val, v[2], g[3])))
                     return after
             if h == 0 or (not count and h <= _NORM_WALK_HEIGHT):
                 return walk(lo, hi, st)
@@ -816,8 +816,7 @@ def _walk(real, z, x, y, from_left, st, pieces):
     _sweep's cell records as norming entries.  A run that meets other
     pieces (every run but that of a realization without a plan) reads its
     cell at x at x's left limit, where it meets the piece before it (or
-    the launch), as a block's entry does; a cell's score is the state
-    where the run has crossed it."""
+    the launch), as a block's entry does."""
     u, u1, ls, j = st
     if pieces is not None:
         cells = []
@@ -827,9 +826,7 @@ def _walk(real, z, x, y, from_left, st, pieces):
         if (x, y) != (real.a, real.b):
             k = 0 if from_left else -1
             cells[k] = (x, st[:3] if from_left else end, *cells[k][2:])
-        scores = [c[1] for c in cells] if from_left \
-            else [c[4] for c in cells[1:]] + [end]
-        pieces.extend((*c, score) for c, score in zip(cells, scores))
+        pieces += cells
         return (*end, j)
     run = _sweep(real, z, StateVector(u, u1, ls), x, y, True, count=True)
     v = run.state

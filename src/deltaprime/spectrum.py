@@ -261,7 +261,7 @@ def _l2_term(entry, flip, ratio, log_ratio):
     """int u^2 over a norming entry for u = ratio*e^log_ratio times the
     run's solution; flip = -1.0 reads a right-run cell, whose entry state
     points its u^[1] the other way."""
-    _, _, w, L, data, _ = entry
+    _, _, w, L, data = entry
     if L is None:
         val, ls, ls2 = data
     else:
@@ -298,13 +298,14 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     right.reverse()
     at = {entry[0]: m for m, entry in enumerate(right)}
 
-    # past the state each solution picks up the growing component the float
-    # eigenvalue leaves, so their product peaks at the state, where both are
-    # accurate.  Without candidates the match is at a
+    # scored on the states the match reads: past the state each solution
+    # picks up the growing component the float eigenvalue leaves, so their
+    # product peaks at the state, where both are accurate.  Without
+    # candidates the match is at a
     peak, n = -math.inf, 0
     for i in range(1, len(left)):
         x, st = left[i][:2]
-        crit = _log_mag(st) + _log_mag(right[at[x]][5])
+        crit = _log_mag(st) + _log_mag(right[at[x]][1])
         if crit > peak:
             peak, n = crit, i
     x, (u_l, u1_l, ls_l), w = left[n][:3]

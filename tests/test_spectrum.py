@@ -991,6 +991,25 @@ class TestNorming:
         data = eigenvalues(problem, n_max=1)
         assert abs(data.norming_constants[0] / reference - 1.0) < 1e-6
 
+    # a wide_band benchmark problem (seed 0, op 39): the match inside a walk
+    # run is scored on the states whose ratio it takes, both read past the
+    # atom at the node.  Scored on the right solution before the atom, it
+    # picked nodes where these came out 2.6e-12 and 1.8e-11 off.
+    # References: 60-digit mpmath quadrature of the left solution squared,
+    # cell by cell, at the float eigenvalue
+    @pytest.mark.parametrize("n, lam, reference", [
+        (93, 24.333397073788863, 285.24276527407547446),
+        (156, 68.75266167330301, 886.13576807029148939),
+    ])
+    def test_match_scored_on_matched_states(self, n, lam, reference):
+        p = ProblemSpec((0.0, 58.738202), "neumann", "dirichlet",
+                        measure=SingularMeasure.from_atoms(
+                            [(10.349768, 0.147484), (19.5624, 1.082943),
+                             (29.743719, 1.205631)]), level=1)
+        data = eigenvalues(p, window=(lam - 0.1, lam))
+        assert data.eigenvalues == (lam,) and data.indices == (n,)
+        assert abs(data.norming_constants[0] / reference - 1.0) < 2e-13
+
     def test_norm_beyond_double_range_is_inf(self):
         # the bound state at -4/beta^2 grows like exp(40 (x + 20)) up to the
         # atom, so ||u||^2 is about e^1600
