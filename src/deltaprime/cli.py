@@ -32,8 +32,10 @@ def _finite(text):
 
 
 def _parse_window(text):
-    lo, hi = text.split(",")
-    return _finite(lo), _finite(hi)
+    lo, hi = (_finite(v) for v in text.split(","))
+    if lo > hi:
+        raise ValueError("need LO <= HI")
+    return lo, hi
 
 
 def _positive_window(text):
@@ -120,7 +122,7 @@ def cmd_kappa(args):
     _write(args, cfg, "kappa",
            {"kappa_minus": "inf" if count == math.inf else int(count),
             "method": ("exact-measure-count" if problem.potential.is_zero
-                       else "numerical-inertia")})
+                       else spectrum._count_route(problem))})
 
 
 def cmd_classify(args):

@@ -357,6 +357,8 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
         w0, w1 = window
         if not (math.isfinite(w0) and math.isfinite(w1)):
             raise ValueError("window ends must be finite")
+        if w0 > w1:
+            raise ValueError("window needs LO <= HI")
         n_lo = samples.at(w0).count + 1
         top = samples.at(w1)
         n_hi = top.count + (top.residual == 0)
@@ -394,10 +396,18 @@ def _widen(s: float) -> float:
     return s + max(abs(s), 1.0) * 1e-14
 
 
+def _count_route(problem: ProblemSpec) -> str:
+    """The route of _counter: "sweep-count" unless the measure is signed and
+    q is not identically zero, where it is "numerical-inertia"."""
+    if problem.is_nonnegative_measure() or problem.potential.is_zero:
+        return "sweep-count"
+    return "numerical-inertia"
+
+
 def _counter(problem: ProblemSpec):
     """s -> number of eigenvalues below s: one _Samples' exact count, or the
-    default-mesh oracle's inertia for a signed measure with q not zero."""
-    if problem.is_nonnegative_measure() or problem.potential.is_zero:
+    default-mesh oracle's inertia (see _count_route)."""
+    if _count_route(problem) == "sweep-count":
         samples = _Samples(problem)
         return lambda s: samples.at(s).count
     return GalerkinOracle(problem, _default_mesh(problem)).inertia

@@ -114,14 +114,15 @@ class TestKappaCommand:
 
     def test_nonzero_q_counts_eigenvalue_just_below_zero(self, tmp_path,
                                                          capsys):
-        # q = -(5 pi)^2 - 1e-3: lambda_5 = -1e-3 is negative
+        # q = -(5 pi)^2 - 1e-3: lambda_5 = -1e-3 is negative; no atoms, so
+        # the count is the sweep's, and the label says so
         doc = dict(FREE01,
                    potential={"values": [-25.0 * math.pi ** 2 - 1e-3]})
         cfg = write(tmp_path, "q.json", doc)
         rc, out = run_json(capsys, ["kappa", "--config", cfg])
         assert rc == 0
         assert json.loads(out)["result"] == {"kappa_minus": 5,
-                                             "method": "numerical-inertia"}
+                                             "method": "sweep-count"}
 
     def test_negative_cantor_inf(self, tmp_path, capsys):
         doc = {"schema": 1, "interval": [0.0, 1.0],
@@ -351,6 +352,9 @@ class TestArgumentValidation:
         ["mfunction", "--window=-1e2,1e4", "--count", "3"],
         ["asymptotics", "--window=-1,1e3", "--count", "3"],
         ["asymptotics", "--window", "1e3,0"],
+        ["spectrum", "--window", "50,10"],
+        ["mfunction", "--window", "1e4,1e2", "--count", "3"],
+        ["asymptotics", "--window", "1e5,1e3"],
         ["spectrum", "--count", "0"],
         ["spectrum", "--count", "-2", "--format", "csv"],
         ["spectrum", "--window=-inf,10"],

@@ -149,6 +149,14 @@ class TestEigenvalues:
                            with_norming=False)
         assert data.eigenvalues == ()
 
+    def test_reversed_window_is_refused(self):
+        # lambda_2 = 39.48 lies in [10, 50]; (50, 10) is no window at all
+        with pytest.raises(ValueError, match="LO <= HI"):
+            eigenvalues(free_problem(), window=(50.0, 10.0))
+        data = eigenvalues(free_problem(), window=(10.0, 10.0),
+                           with_norming=False)
+        assert data.eigenvalues == ()
+
     def test_window_with_count(self):
         # every eigenvalue in the window, up to index n_max: lambda_2 and
         # lambda_3 lie in [30, 1000] and so do lambda_4 ... lambda_10
