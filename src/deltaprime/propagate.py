@@ -732,14 +732,15 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
     form at its entry state v passes the same test, and pieces receives,
     in crossing order, one entry (x, at, w, L, data) per block taken whole
     (L None, data (v^T G v, log scale of v, log scale of G), at its
-    left-limit state at x) and per walked cell (_walk's).  Right
-    to left each block is crossed by its adjugate (blocks are unimodular up
-    to det and log scale), so its entry state is the state after it.  grams (_plan_grams) may be shared between runs at
-    one z; segments, in x order and in the format of plan.segments,
-    replace them; a realization without a plan is one walk segment (a, b).
-    A norming run walks a failing block of up to 2^_NORM_WALK_HEIGHT cells
-    as one run, and returns the segments it crossed whole (blocks and walk
-    runs), in crossing order.
+    left-limit state at x) and per walked cell (_walk's).  Right to left
+    each block is crossed by its adjugate (blocks are unimodular up to det
+    and log scale), so its entry state is the state after it.  grams
+    (_plan_grams) may be shared between runs at one z; segments, in x
+    order and in the format of plan.segments, replace them; a realization
+    without a plan is one walk segment (a, b).  A norming run walks a
+    failing block of up to 2^_NORM_WALK_HEIGHT cells as one run, and
+    returns the segments it crossed whole (blocks and walk runs), in
+    crossing order.
     """
     count = pieces is None
     if segments is None:
