@@ -35,6 +35,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PropagationOverflowError
 from .measures import SingularMeasure, realize
@@ -200,8 +201,7 @@ def realize_problem(problem: ProblemSpec) -> RealizedProblem:
     return RealizedProblem(problem)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """Quasi-derivative state (u, u^[1]) with a log-scale factor.
 
     True values are u*exp(log_scale), u1*exp(log_scale).
@@ -329,8 +329,7 @@ def _count_stretch_zeros(u, u1, w, L, u_end, closed):
     return 1 if u * u_end < 0.0 or (closed and u_end == 0.0) else 0
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(NamedTuple):
     """Final state and the oriented zero count of a left-to-right run.
 
     zero_count is the integer part of the lifted Pruefer angle over pi:
@@ -413,7 +412,7 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
     the state at x past an atom there (entry left to right, the backward
     stretch's image before the jump is undone right to left).
     """
-    u, u1, ls = state.u, state.u1, state.log_scale
+    u, u1, ls = state
     zeros = 0 if count else None
     if lo == hi:
         return PropagationResult(StateVector(u, u1, ls), zeros)
@@ -787,14 +786,14 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
             st = walk(lo + keep, hi - keep, cross(*first, k, h - 1, st))
             return cross(*last, k, h - 1, st)
 
-    st = (state.u, state.u1, state.log_scale, 0)
+    st = (*state, 0)
     for seg in segments if from_left else reversed(segments):
         st = cross(*seg, st) if len(seg) == 4 else walk(*seg, st)
     u, u1, ls, j = st
     if not count:
         return crossed
     zeros = 2 * j + (u > 0.0 or (u == 0.0 and u1 < 0.0)) \
-        - _floor_turn(state.u, state.u1) - 1
+        - _floor_turn(state[0], state[1]) - 1
     return PropagationResult(StateVector(u, u1, ls), zeros)
 
 
@@ -818,23 +817,19 @@ def _walk(real, z, x, y, from_left, st, pieces):
     pieces (every run but that of a realization without a plan) reads its
     cell at x at x's left limit, where it meets the piece before it (or
     the launch), as a block's entry does."""
-    u, u1, ls, j = st
     if pieces is not None:
         cells = []
-        v = _sweep(real, z, StateVector(u, u1, ls), x, y, from_left,
-                   cells=cells).state
-        end = (v.u, v.u1, v.log_scale)
+        end = _sweep(real, z, st[:3], x, y, from_left, cells=cells).state
         if (x, y) != (real.a, real.b):
             k = 0 if from_left else -1
             cells[k] = (x, st[:3] if from_left else end, *cells[k][2:])
         pieces += cells
-        return (*end, j)
-    run = _sweep(real, z, StateVector(u, u1, ls), x, y, True, count=True)
-    v = run.state
-    k = 2 * j + _floor_turn(u, u1) + run.zero_count
-    phi = math.atan2(v.u + 0.0, v.u1)
-    return v.u, v.u1, v.log_scale, \
-        round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
+        return (*end, st[3])
+    run = _sweep(real, z, st[:3], x, y, True, count=True)
+    u, u1, ls = run.state
+    k = 2 * st[3] + _floor_turn(st[0], st[1]) + run.zero_count
+    phi = math.atan2(u + 0.0, u1)
+    return u, u1, ls, round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
 
 
 def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
