@@ -368,7 +368,7 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
         init = problem.launch(from_left)
     if real.plan is not None and from_left and (lo, hi) == (real.a, real.b) \
             and not isinstance(z, complex):
-        return _plan_sweep(real, real.plan, z, init)
+        return _plan_sweep(real, z, init)
     return _sweep(real, z, init, lo, hi, from_left,
                   count=from_left and not isinstance(z, complex))
 
@@ -684,8 +684,10 @@ def _plan_factors(plan, z):
     return tuple(fams)
 
 
+@functools.lru_cache(maxsize=16)
 def _plan_grams(plan, z):
-    """The Gram form of each block of _plan_factors(plan, z)."""
+    """The Gram form of each block of _plan_factors(plan, z), kept like the
+    factors: both runs of a norming constant share them."""
     grams = []
     for (beta, leaf, gaps, q, _), fam in zip(plan.families,
                                              _plan_factors(plan, z)):
@@ -695,8 +697,8 @@ def _plan_grams(plan, z):
         for gap, (block, _), (_, half) in zip(gaps, fam, fam[1:]):
             g = _gram(_gram(g, block, (*_stretch_gram(w, gap), 0.0)), half, g)
             tower.append(g)
-        grams.append(tower)
-    return grams
+        grams.append(tuple(tower))
+    return tuple(grams)
 
 
 def _gram_value(g, u, u1, h):
@@ -710,8 +712,7 @@ def _gram_value(g, u, u1, h):
     return None
 
 
-def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
-                grams=None, segments=None):
+def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     """A full run across the plan's top-level segments (real z).
 
     A block of 2^h cells (from _plan_factors) whose rounding, relative to
@@ -741,6 +742,7 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
     returns the segments it crossed whole (blocks and walk runs), in
     crossing order.
     """
+    plan = real.plan
     count = pieces is None
     if segments is None:
         segments = ((real.a, real.b),) if plan is None else plan.segments
@@ -752,8 +754,7 @@ def _plan_sweep(real, plan, z, state, from_left=True, pieces=None,
 
     if plan is not None:
         blocks = _plan_factors(plan, z)
-        if not count and grams is None:
-            grams = _plan_grams(plan, z)
+        grams = None if count else _plan_grams(plan, z)
 
         def cross(lo, hi, k, h, st):
             f, u, u1 = blocks[k][h][0], st[0], st[1]

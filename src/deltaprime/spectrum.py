@@ -33,9 +33,8 @@ from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
 from .measures import kappa_minus
 # cell_entry_states stays a module attribute for tracers that wrap it
-from .propagate import (ProblemSpec, _plan_grams, _plan_sweep,  # noqa
-                        cell_entry_states, cell_l2_integral, propagate,
-                        realize_problem)
+from .propagate import (ProblemSpec, _plan_sweep, cell_entry_states,  # noqa
+                        cell_l2_integral, propagate, realize_problem)
 
 __all__ = [
     "SpectralData",
@@ -289,12 +288,9 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
     exceeds double range (deep bound states on wide intervals).
     """
     real = realize_problem(problem)
-    plan = real.plan
-    grams = None if plan is None else _plan_grams(plan, z)
     left, right = [], []
-    segments = _plan_sweep(real, plan, z, problem.launch(), True, left, grams)
-    _plan_sweep(real, plan, z, problem.launch(False), False, right, grams,
-                segments)
+    segments = _plan_sweep(real, z, problem.launch(), True, left)
+    _plan_sweep(real, z, problem.launch(False), False, right, segments)
     right.reverse()
     at = {entry[0]: m for m, entry in enumerate(right)}
 
@@ -324,7 +320,7 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
         _log.debug(
             "norming constant at %r: %s route, match at %r, blocks whole "
             "%d and %d, cells walked %d and %d (left and right runs)", z,
-            "walk" if plan is None else "plan", x,
+            "walk" if real.plan is None else "plan", x,
             *(sum(e[3] is None for e in run) for run in (left, right)),
             *(sum(e[3] is not None for e in run) for run in (left, right)))
 

@@ -66,10 +66,10 @@ def _walk(p, z):
 def test_counts_equal_cell_walk(i):
     # the plan itself, whether or not it is cheaper than the walk here
     p = CASES[i]
-    real = realize_problem(p)
-    plan = PROPAGATE._BlockPlan(p, real)
+    real = PROPAGATE.RealizedProblem(p)
+    real.plan = PROPAGATE._BlockPlan(p, real)
     for z in _grid(p):
-        got = PROPAGATE._plan_sweep(real, plan, z, p.launch()).zero_count
+        got = PROPAGATE._plan_sweep(real, z, p.launch()).zero_count
         assert got == _walk(p, z).zero_count, z
 
 
@@ -132,9 +132,9 @@ def test_collapsed_leaf_keeps_the_decaying_state():
     # block B_0 cancel to exactly zero: the leaf is walked instead
     m = SingularMeasure(cantor_parts=(CantorSpec((0.0, 39.0), -2.0, 0.25),))
     p = ProblemSpec((-20.0, 40.0), measure=m, level=1)
-    real = realize_problem(p)
-    _agree(PROPAGATE._plan_sweep(real, PROPAGATE._BlockPlan(p, real), -4.0,
-                                 p.launch()), _walk(p, -4.0))
+    real = PROPAGATE.RealizedProblem(p)
+    real.plan = PROPAGATE._BlockPlan(p, real)
+    _agree(PROPAGATE._plan_sweep(real, -4.0, p.launch()), _walk(p, -4.0))
 
 
 STAIRCASE = ProblemSpec((0.0, 1.0), measure=SingularMeasure(

@@ -129,14 +129,14 @@ def cantor_problems(draw):
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_plan_counts_as_the_cell_walk(p, ts):
     real = PROPAGATE.RealizedProblem(p)
-    plan = PROPAGATE._BlockPlan(p, real)
+    real.plan = PROPAGATE._BlockPlan(p, real)
     # log-spaced from min q - 1e4 up to 1e6, the range of the pinned grid
     z0 = min(p.potential.values) - 1e4
     for t in ts:
         z = z0 - 1.0 + (1e6 - z0 + 1.0) ** t
         walk = PROPAGATE._sweep(real, z, p.launch(), real.a, real.b, True,
                                 count=True)
-        got = PROPAGATE._plan_sweep(real, plan, z, p.launch())
+        got = PROPAGATE._plan_sweep(real, z, p.launch())
         assert got.zero_count == walk.zero_count, z
 
 
