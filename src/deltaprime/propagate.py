@@ -713,33 +713,33 @@ def _gram_value(g, u, u1, h):
 
 
 def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
-    """A full run across the plan's top-level segments (real z).
+    """A full run across real.plan's top-level segments (real z).
 
-    A block of 2^h cells (from _plan_factors) whose rounding, relative to
-    the image of the state, could pass PLAN_SLACK*2^h ulps (the state near
-    its contracting direction, a product that cancels beyond double-double,
-    or an image of exactly zero) is crossed as its halves and the gap
-    between them; the gaps, the leaves and the runs between blocks are
-    crossed by _sweep, whose split stretch keeps a collapsed decaying
-    state.  Left to right the state carries its whole turns j: its lifted
-    angle is theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to
-    theta; a walk run's count n, which leaves out a zero at the run's end,
-    puts theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.
-    The zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
+    A block B_h (from _plan_factors) whose rounding, relative to the image
+    of the state, could pass PLAN_SLACK*2^h ulps (the state near its
+    contracting direction, a product that cancels beyond double-double, or
+    an image of exactly zero) is crossed as its halves and the gap between
+    them.  _sweep walks the gaps, the runs between blocks and the failing
+    leaves (blocks of up to 2^_NORM_WALK_HEIGHT cells in a norming run);
+    its split stretch keeps a collapsed decaying state.
+
+    Left to right the state carries its whole turns j: its lifted angle is
+    theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to theta; a
+    walk run's count n, which leaves out a zero at the run's end, puts
+    theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.  The
+    zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
 
     pieces, when given, makes this a norming run, in either direction and
     without a count: a block is taken whole only where v^T G v of its Gram
-    form at its entry state v passes the same test, and pieces receives,
-    in crossing order, one entry (x, at, w, L, data) per block taken whole
-    (L None, data (v^T G v, log scale of v, log scale of G), at its
-    left-limit state at x) and per walked cell (_walk's).  Right to left
-    each block is crossed by its adjugate (blocks are unimodular up to det
-    and log scale), so its entry state is the state after it.  grams
-    (_plan_grams) may be shared between runs at one z; segments, in x
-    order and in the format of plan.segments, replace them; a realization
-    without a plan is one walk segment (a, b).  A norming run walks a
-    failing block of up to 2^_NORM_WALK_HEIGHT cells as one run, and
-    returns the segments it crossed whole (blocks and walk runs), in
+    form (_plan_grams) at its entry state v passes the same test.  pieces
+    receives, in crossing order, one entry (x, at, w, L, data) per block
+    taken whole (L None, data (v^T G v, log scale of v, log scale of G))
+    and per walked cell (_sweep's record); at is the left-limit state at x.
+    Right to left a block is crossed by its adjugate (blocks are
+    unimodular up to det and log scale), so its entry state is the state
+    after it.  segments, in x order and in the format of plan.segments,
+    replace the plan's; a realization without a plan is one walk segment
+    (a, b).  A norming run returns the segments it crossed whole, in
     crossing order.
     """
     plan = real.plan
@@ -750,7 +750,22 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
 
     def walk(x, y, st):
         crossed.append((x, y))
-        return _walk(real, z, x, y, from_left, st, pieces)
+        cells = None if count else []
+        run = _sweep(real, z, st[:3], x, y, from_left, count, cells)
+        u, u1, ls = run.state
+        if count:
+            k = 2 * st[3] + _floor_turn(st[0], st[1]) + run.zero_count
+            phi = math.atan2(u + 0.0, u1)
+            return u, u1, ls, \
+                round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
+        if (x, y) != (real.a, real.b):
+            # a run that meets other pieces reads its cell at x at x's
+            # left limit, where it meets the piece before it (or the
+            # launch), as a block's entry does
+            k = 0 if from_left else -1
+            cells[k] = (x, st[:3] if from_left else run.state, *cells[k][2:])
+        pieces.extend(cells)
+        return u, u1, ls, st[3]
 
     if plan is not None:
         blocks = _plan_factors(plan, z)
@@ -809,28 +824,6 @@ def _step(f, nu, nu1, st, count):
         phi = math.atan2(nu + 0.0, nu1)
         j += round((theta - phi) / (2.0 * math.pi))
     return nu, nu1, ls, j
-
-
-def _walk(real, z, x, y, from_left, st, pieces):
-    """The cells of [x, y) crossed by _sweep for _plan_sweep: a counted
-    left-to-right run whose count sets the whole turns, or, with pieces,
-    _sweep's cell records as norming entries.  A run that meets other
-    pieces (every run but that of a realization without a plan) reads its
-    cell at x at x's left limit, where it meets the piece before it (or
-    the launch), as a block's entry does."""
-    if pieces is not None:
-        cells = []
-        end = _sweep(real, z, st[:3], x, y, from_left, cells=cells).state
-        if (x, y) != (real.a, real.b):
-            k = 0 if from_left else -1
-            cells[k] = (x, st[:3] if from_left else end, *cells[k][2:])
-        pieces += cells
-        return (*end, st[3])
-    run = _sweep(real, z, st[:3], x, y, True, count=True)
-    u, u1, ls = run.state
-    k = 2 * st[3] + _floor_turn(st[0], st[1]) + run.zero_count
-    phi = math.atan2(u + 0.0, u1)
-    return u, u1, ls, round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
 
 
 def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
