@@ -58,9 +58,9 @@ RESCALE_LIMIT = 1e100
 SERIES_THRESHOLD = 1e-8   # |w| L^2 below which the entire-series branch is used
 EXP_SPLIT = 300.0         # hyperbolic phase beyond which factors are scaled
 PLAN_SLACK = 64.0         # ulps per cell a block's image may be off by
-# a norming run walks a block of up to 2^3 cells that fails its test as one
+# a plan run walks a block of up to 2^3 cells that fails its test as one
 # run: cheaper than its halves, gaps and leaves (deep negative masses)
-_NORM_WALK_HEIGHT = 3
+_WALK_HEIGHT = 3
 _EPS = 2.0 ** -52
 _SPLIT = 134217729.0      # 2^27 + 1, Dekker's splitter
 _LN2 = math.log(2.0)
@@ -719,9 +719,9 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     of the state, could pass PLAN_SLACK*2^h ulps (the state near its
     contracting direction, a product that cancels beyond double-double, or
     an image of exactly zero) is crossed as its halves and the gap between
-    them.  _sweep walks the gaps, the runs between blocks and the failing
-    leaves (blocks of up to 2^_NORM_WALK_HEIGHT cells in a norming run);
-    its split stretch keeps a collapsed decaying state.
+    them.  _sweep walks the gaps, the runs between blocks and each failing
+    block of up to 2^_WALK_HEIGHT cells as one run; its split stretch keeps
+    a collapsed decaying state.
 
     Left to right the state carries its whole turns j: its lifted angle is
     theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to theta; a
@@ -793,7 +793,7 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
                                    z - plan.families[k][3], None,
                                    (val, v[2], g[3])))
                     return after
-            if h == 0 or (not count and h <= _NORM_WALK_HEIGHT):
+            if h <= _WALK_HEIGHT:
                 return walk(lo, hi, st)
             keep = (hi - lo) * plan.families[k][4]
             first, last = (lo, lo + keep), (hi - keep, hi)
