@@ -330,6 +330,11 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
         total += _l2_term(entry, 1.0, 1.0, 0.0)
     for entry in right[m:]:
         total += _l2_term(entry, -1.0, ratio, log_ratio)
+    if not total > 0.0:
+        # the two solutions do not join into one eigenfunction (tunnelling
+        # pairs of a negative Cantor mass split below float resolution)
+        raise NearSingularError(f"||u||^2 at z = {z!r} sums to {total!r}, "
+                                "not a positive norm")
     return total
 
 
@@ -400,6 +405,14 @@ def _count_route(problem: ProblemSpec) -> str:
     return "numerical-inertia"
 
 
+def _kappa_route(problem: ProblemSpec) -> str:
+    """The route of negative_count: "exact-measure-count" (the measure
+    theorem) where q is identically zero, _count_route's otherwise."""
+    if problem.potential.is_zero:
+        return "exact-measure-count"
+    return _count_route(problem)
+
+
 def _counter(problem: ProblemSpec):
     """s -> number of eigenvalues below s: one _Samples' exact count, or the
     default-mesh oracle's inertia (see _count_route)."""
@@ -437,7 +450,7 @@ def negative_count(problem: ProblemSpec) -> int | float:
     no computation); otherwise it is the number of eigenvalues of the
     level-L operator below zero, from _counter.
     """
-    if problem.potential.is_zero:
+    if _kappa_route(problem) == "exact-measure-count":
         return kappa_minus(problem.measure)
     return _counter(problem)(0.0)
 

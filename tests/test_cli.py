@@ -260,6 +260,20 @@ class TestSchemaErrors:
         assert rc == 2
 
 
+UNJOINED_PAIR = {
+    "schema": 1, "interval": [0.0, 1.0], "bc": ["dirichlet", "neumann"],
+    "level": 7,
+    "potential": {"breakpoints": [0.287261, 0.291359, 0.540605],
+                  "values": [-1.68228365687657, -3.565351399682468,
+                             2.724221208932712, -2.32089979250212]},
+    "measure": {"atoms": [{"x": 0.031286, "beta": 0.5746934301685904},
+                          {"x": 0.458903, "beta": 0.10186727791410277}],
+                "cantor": [{"support": [0.08028870000460778,
+                                        0.9342584315474214],
+                            "mass": -0.684041469691299,
+                            "ratio": 0.4023540322485164}]}}
+
+
 def criteria(**changes):
     return dict(CRITERIA, criteria=dict(CRITERIA["criteria"], **changes))
 
@@ -316,6 +330,10 @@ class TestTypedErrors:
         (dict(FREE01, level=40, measure={"cantor": [{
             "support": [0.0, 1.0], "mass": 1.0, "level_cap": 40}]}),
          ["spectrum"], 2, "deepest realizable level 20"),
+        # a tunnelling pair of a negative Cantor mass whose solutions join
+        # into a negative norm at lambda_2
+        (UNJOINED_PAIR, ["spectrum", "--count", "4"], 2,
+         "not a positive norm"),
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
                                           argv, code, where):

@@ -7,7 +7,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
-                        JumpFunction, MeshRefinementError, PiecewisePotential,
+                        JumpFunction, MeshRefinementError, NearSingularError,
+                        PiecewisePotential,
                         ProblemSpec, SingularMeasure, counting_function,
                         eigenvalues, jump_function_l2,
                         kappa_minus, negative_count, propagate,
@@ -1116,3 +1117,27 @@ class TestNorming:
         data = eigenvalues(p, n_max=4)
         assert len(data.norming_constants) == 4
         assert all(c > 0.0 for c in data.norming_constants)
+
+    def test_unjoined_pair_is_a_domain_error(self):
+        # lambda_1..4 near -325928.09 form two tunnelling pairs of the
+        # negative Cantor mass; at lambda_2 the left and right solutions
+        # join into a negative "norm" (-4.4e171), which no eigenvalue has
+        p = ProblemSpec((0.0, 1.0), "dirichlet", "neumann",
+                        potential=PiecewisePotential(
+                            (0.287261, 0.291359, 0.540605),
+                            (-1.68228365687657, -3.565351399682468,
+                             2.724221208932712, -2.32089979250212)),
+                        measure=SingularMeasure(
+                            atoms=((0.031286, 0.5746934301685904),
+                                   (0.458903, 0.10186727791410277)),
+                            cantor_parts=(CantorSpec(
+                                (0.08028870000460778, 0.9342584315474214),
+                                -0.684041469691299, 0.4023540322485164),)),
+                        level=7)
+        lams = eigenvalues(p, n_max=4, with_norming=False).eigenvalues
+        assert solution_l2_norm(p, lams[0]) > 0.0
+        with pytest.raises(NearSingularError) as err:
+            solution_l2_norm(p, lams[1])
+        assert repr(lams[1]) in str(err.value)
+        with pytest.raises(NearSingularError):
+            eigenvalues(p, n_max=4)
