@@ -18,6 +18,7 @@ import pytest
 
 from deltaprime import (CantorSpec, PiecewisePotential, ProblemSpec,
                         SingularMeasure, eigenvalues, propagate)
+from deltaprime.spectrum import solution_l2_norm
 from deltaprime.cli import main
 
 PROPAGATE = importlib.import_module("deltaprime.propagate")
@@ -170,6 +171,47 @@ def test_cost_per_z_grows_with_level_not_cells(p, monkeypatch):
         evaluations[0] = 0
         propagate(p, z)
         assert 0 < evaluations[0] <= bound, z
+
+
+def test_norming_composes_the_gram_towers_once():
+    # both runs of one constant read the towers of one (plan, z)
+    p = CASES[11]
+    lam = eigenvalues(p, n_max=1, with_norming=False).eigenvalues[0]
+    PROPAGATE._plan_grams.cache_clear()
+    solution_l2_norm(p, lam)
+    info = PROPAGATE._plan_grams.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# a negative Cantor mass with a second, positive part and a q step: deep
+# below its spectrum most blocks fail their test
+DEEP_NEGATIVE = ProblemSpec(
+    (0.0, 1.0), "neumann", "dirichlet",
+    potential=PiecewisePotential((0.192628,), (1.0318182075264986,
+                                               0.43144954422651427)),
+    measure=SingularMeasure(cantor_parts=(
+        CantorSpec((0.0, 1.0), -1.3398308013626667, 0.2457069289446713),
+        CantorSpec((0.1, 0.6), 0.9267389847539864, 0.40445048736491207))),
+    level=10)
+
+
+def test_failing_blocks_of_eight_cells_are_walked_whole(monkeypatch):
+    # a shoot walks a failing block of up to 2^3 cells as one _sweep run,
+    # as a norming run does: 45 runs here, 54 while a shoot walked each
+    # failing leaf and gap on its own
+    calls = [0]
+    sweep = PROPAGATE._sweep
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(PROPAGATE, "_sweep", counted)
+    assert realize_problem(DEEP_NEGATIVE).plan is not None
+    got = propagate(DEEP_NEGATIVE, -800152491.444048)
+    assert calls[0] <= 45
+    monkeypatch.setattr(PROPAGATE, "_sweep", sweep)
+    assert got.zero_count == _walk(DEEP_NEGATIVE, -800152491.444048).zero_count
 
 
 CANTOR_DOC = {"schema": 1, "interval": [0.0, 1.0], "level": 8,
