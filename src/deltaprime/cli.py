@@ -121,7 +121,7 @@ def cmd_kappa(args):
     count = spectrum.negative_count(problem)
     _write(args, cfg, "kappa",
            {"kappa_minus": "inf" if count == math.inf else int(count),
-            "method": spectrum._kappa_route(problem)})
+            "method": spectrum._count_route(problem)})
 
 
 def cmd_classify(args):

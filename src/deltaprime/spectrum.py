@@ -330,9 +330,7 @@ def solution_l2_norm(problem: ProblemSpec, z: float) -> float:
         total += _l2_term(entry, 1.0, 1.0, 0.0)
     for entry in right[m:]:
         total += _l2_term(entry, -1.0, ratio, log_ratio)
-    if not total > 0.0:
-        # the two solutions do not join into one eigenfunction (tunnelling
-        # pairs of a negative Cantor mass split below float resolution)
+    if not total > 0.0:     # no eigenfunction joins the two solutions
         raise NearSingularError(f"||u||^2 at z = {z!r} sums to {total!r}, "
                                 "not a positive norm")
     return total
@@ -398,28 +396,24 @@ def _widen(s: float) -> float:
 
 
 def _count_route(problem: ProblemSpec) -> str:
-    """The route of _counter: "sweep-count" unless the measure is signed and
-    q is not identically zero, where it is "numerical-inertia"."""
-    if problem.is_nonnegative_measure() or problem.potential.is_zero:
+    """The route of negative_count: "exact-measure-count" (the measure
+    theorem) where q is identically zero, else that of _counter,
+    "numerical-inertia" for a signed measure and "sweep-count" otherwise."""
+    if problem.potential.is_zero:
+        return "exact-measure-count"
+    if problem.is_nonnegative_measure():
         return "sweep-count"
     return "numerical-inertia"
 
 
-def _kappa_route(problem: ProblemSpec) -> str:
-    """The route of negative_count: "exact-measure-count" (the measure
-    theorem) where q is identically zero, _count_route's otherwise."""
-    if problem.potential.is_zero:
-        return "exact-measure-count"
-    return _count_route(problem)
-
-
 def _counter(problem: ProblemSpec):
-    """s -> number of eigenvalues below s: one _Samples' exact count, or the
-    default-mesh oracle's inertia (see _count_route)."""
-    if _count_route(problem) == "sweep-count":
-        samples = _Samples(problem)
-        return lambda s: samples.at(s).count
-    return GalerkinOracle(problem, _default_mesh(problem)).inertia
+    """s -> number of eigenvalues below s: the default-mesh oracle's inertia
+    on the "numerical-inertia" route (_count_route), one _Samples' exact
+    count on the others."""
+    if _count_route(problem) == "numerical-inertia":
+        return GalerkinOracle(problem, _default_mesh(problem)).inertia
+    samples = _Samples(problem)
+    return lambda s: samples.at(s).count
 
 
 def counting_function(problem: ProblemSpec, t: float) -> int:
@@ -450,7 +444,7 @@ def negative_count(problem: ProblemSpec) -> int | float:
     no computation); otherwise it is the number of eigenvalues of the
     level-L operator below zero, from _counter.
     """
-    if _kappa_route(problem) == "exact-measure-count":
+    if _count_route(problem) == "exact-measure-count":
         return kappa_minus(problem.measure)
     return _counter(problem)(0.0)
 
