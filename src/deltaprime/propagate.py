@@ -24,8 +24,11 @@ cells between blocks as partial runs of _sweep, whose counts become lifted
 angles at the block boundaries, so the count stays the walk's.  The two
 runs of a norming constant, from a and from b, cross the plan too: each
 block also carries its Gram form G, with int u^2 = v^T G v over the block
-for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f.  Every
-other run walks the cells.
+for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f; the
+factors and the Gram towers of the last 16 (plan, z) are kept.  Both run
+kinds cross a block that fails its rounding test as its halves and gap,
+or walk it whole at up to 2^3 cells.  Every other run walks the cells.
+States are tuples (StateVector and PropagationResult are NamedTuples).
 """
 from __future__ import annotations
 
@@ -399,7 +402,8 @@ def _split_stretch(u, u1, ls, w, L):
 def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
     """Cross the atoms in [lo, hi) and the stretches between, in one direction.
 
-    The cells of the run are walked in the run's order.  Left to right each
+    state is any (u, u1, log_scale) triple.  The cells of the run are
+    walked in the run's order.  Left to right each
     cell applies its jump +beta, rescales, then runs its stretch; right to
     left each cell runs its stretch backwards, then undoes its jump with
     -beta, so both directions end on left-limit values.  count adds up the
@@ -715,13 +719,13 @@ def _gram_value(g, u, u1, h):
 def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     """A full run across real.plan's top-level segments (real z).
 
-    A block B_h (from _plan_factors) whose rounding, relative to the image
-    of the state, could pass PLAN_SLACK*2^h ulps (the state near its
-    contracting direction, a product that cancels beyond double-double, or
-    an image of exactly zero) is crossed as its halves and the gap between
-    them.  _sweep walks the gaps, the runs between blocks and each failing
-    block of up to 2^_WALK_HEIGHT cells as one run; its split stretch keeps
-    a collapsed decaying state.
+    A block B_h (_plan_factors) is crossed whole where its rounding,
+    relative to the image of the state, stays within PLAN_SLACK*2^h ulps;
+    otherwise (the state near its contracting direction, a product that
+    cancels beyond double-double, an image of exactly zero) as its halves
+    and gap, or, at up to 2^_WALK_HEIGHT cells, as one run of _sweep, whose
+    split stretch keeps a collapsed decaying state.  _sweep also walks the
+    gaps and the runs between blocks.
 
     Left to right the state carries its whole turns j: its lifted angle is
     theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to theta; a
@@ -729,18 +733,17 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.  The
     zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
 
-    pieces, when given, makes this a norming run, in either direction and
-    without a count: a block is taken whole only where v^T G v of its Gram
-    form (_plan_grams) at its entry state v passes the same test.  pieces
-    receives, in crossing order, one entry (x, at, w, L, data) per block
-    taken whole (L None, data (v^T G v, log scale of v, log scale of G))
-    and per walked cell (_sweep's record); at is the left-limit state at x.
-    Right to left a block is crossed by its adjugate (blocks are
-    unimodular up to det and log scale), so its entry state is the state
-    after it.  segments, in x order and in the format of plan.segments,
-    replace the plan's; a realization without a plan is one walk segment
-    (a, b).  A norming run returns the segments it crossed whole, in
-    crossing order.
+    pieces, when given, makes this a norming run in either direction,
+    without a count, that returns the segments it crossed whole: a block
+    is whole only where v^T G v of its Gram form (_plan_grams) at its
+    entry state v passes the same test, and pieces receives, in crossing
+    order, an entry (x, at, w, L, data) per block taken whole (L None,
+    data (v^T G v, log scale of v, log scale of G)) and per walked cell
+    (_sweep's), at the left-limit state at x.  Right to left a block is
+    crossed by its adjugate (blocks are unimodular up to det and log
+    scale), so its entry state is the state after it.  segments (in x
+    order, in plan.segments' format) replace the plan's; without a plan
+    the run is one walk segment (a, b).
     """
     plan = real.plan
     count = pieces is None
