@@ -403,13 +403,13 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
     """Cross the atoms in [lo, hi) and the stretches between, in one direction.
 
     state is any (u, u1, log_scale) triple.  The cells of the run are
-    walked in the run's order.  Left to right each
-    cell applies its jump +beta, rescales, then runs its stretch; right to
-    left each cell runs its stretch backwards, then undoes its jump with
-    -beta, so both directions end on left-limit values.  count adds up the
-    oriented sign changes of u (real data, left to right only); a stretch
-    that cancels a decaying state to zero is redone in split exponential
-    form (_split_stretch).  Only the first and last cells of a run can be
+    walked in the run's order.  Left to right each cell applies its jump
+    +beta, rescales, then runs its stretch; right to left each cell runs
+    its stretch backwards, then undoes its jump with -beta, so both
+    directions end on left-limit values.  count adds up the oriented sign
+    changes of u (real data, left to right only); a stretch that cancels a
+    decaying state to zero is redone in split exponential form
+    (_split_stretch).  Only the first and last cells of a run can be
     partial.  cells, when given, receives a record (x, at, w, L, entry) per
     cell in crossing order: its start x in the run, w = z - q, its crossed
     length, the (u, u1, log_scale) triple just before its stretch, and at

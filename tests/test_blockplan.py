@@ -199,6 +199,9 @@ def test_failing_blocks_of_eight_cells_are_walked_whole(monkeypatch):
     # a shoot walks a failing block of up to 2^3 cells as one _sweep run,
     # as a norming run does: 45 runs here, 54 while a shoot walked each
     # failing leaf and gap on its own
+    z = -800152491.444048
+    assert realize_problem(DEEP_NEGATIVE).plan is not None
+    want = _walk(DEEP_NEGATIVE, z).zero_count
     calls = [0]
     sweep = PROPAGATE._sweep
 
@@ -207,11 +210,8 @@ def test_failing_blocks_of_eight_cells_are_walked_whole(monkeypatch):
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(PROPAGATE, "_sweep", counted)
-    assert realize_problem(DEEP_NEGATIVE).plan is not None
-    got = propagate(DEEP_NEGATIVE, -800152491.444048)
+    assert propagate(DEEP_NEGATIVE, z).zero_count == want
     assert calls[0] <= 45
-    monkeypatch.setattr(PROPAGATE, "_sweep", sweep)
-    assert got.zero_count == _walk(DEEP_NEGATIVE, -800152491.444048).zero_count
 
 
 CANTOR_DOC = {"schema": 1, "interval": [0.0, 1.0], "level": 8,
