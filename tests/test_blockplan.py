@@ -214,6 +214,38 @@ def test_failing_blocks_of_eight_cells_are_walked_whole(monkeypatch):
     assert calls[0] <= 45
 
 
+def _gap_case(level, left):
+    # the top block (0, 1) of the right norming run fails its test at
+    # lambda_1 (about -24.65), so the run splits it and walks its gap
+    return ProblemSpec((0.0, 3.0), left, "dirichlet", measure=SingularMeasure(
+        atoms=((2.5, -0.4),),
+        cantor_parts=(CantorSpec((0.0, 1.0), 1.0, 0.3),)), level=level)
+
+
+@pytest.mark.parametrize("level, left", [(6, "dirichlet"), (8, "dirichlet"),
+                                         (6, "neumann")])
+def test_right_run_walks_the_gap_of_a_failing_block(level, left,
+                                                    monkeypatch):
+    p = _gap_case(level, left)
+    real = realize_problem(p)
+    assert real.plan is not None
+    lam = eigenvalues(p, n_max=1, with_norming=False).eigenvalues[0]
+    runs = []
+    sweep = PROPAGATE._sweep
+
+    def recorded(real, z, state, x0, x1, from_left=True, *args, **kwargs):
+        runs.append((x0, x1, from_left))
+        return sweep(real, z, state, x0, x1, from_left, *args, **kwargs)
+
+    monkeypatch.setattr(PROPAGATE, "_sweep", recorded)
+    planned = solution_l2_norm(p, lam)
+    # the gap between the halves (0, 0.3) and (0.7, 1), right to left
+    assert (0.3, 0.7, False) in runs
+    monkeypatch.setattr(real, "plan", None)
+    walked = solution_l2_norm(p, lam)
+    assert abs(planned - walked) <= 1e-12 * walked
+
+
 CANTOR_DOC = {"schema": 1, "interval": [0.0, 1.0], "level": 8,
               "measure": {"cantor": [{"support": [0.0, 1.0],
                                       "mass": 1.0}]}}

@@ -334,6 +334,18 @@ class TestTypedErrors:
         # into a negative norm at lambda_2
         (UNJOINED_PAIR, ["spectrum", "--count", "4"], 2,
          "not a positive norm"),
+        # the library's own ValueError, as a schema error at the pointer
+        (dict(FREE01, measure={"atoms": [{"x": 0.5, "beta": 0.0}]}),
+         ["spectrum"], 1,
+         "schema error: /measure: explicit atom weights must be nonzero"),
+        (dict(FREE01, potential={"breakpoints": [0.6, 0.4],
+                                 "values": [1.0, 2.0, 3.0]}),
+         ["spectrum"], 1, "schema error: /potential: breakpoints must be "
+         "strictly increasing"),
+        (dict(FREE01, interval=[1.0, 0.0]), ["spectrum"], 1,
+         "schema error: /: interval must be finite with a < b"),
+        (criteria(gaps=[[0.5, 0.7], [0.6, 0.9]]), ["criteria"], 1,
+         "schema error: /criteria/gaps: gaps must be pairwise disjoint"),
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
                                           argv, code, where):
