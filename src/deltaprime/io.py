@@ -56,6 +56,14 @@ def _integer(v, pointer):
     return v
 
 
+def _build(pointer, cls, *args, **kwargs):
+    """cls(*args, **kwargs), a ValueError of it a SchemaError at pointer."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from exc
+
+
 def _pair(v, pointer):
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(pointer, "expected a 2-element array")
@@ -75,20 +83,14 @@ def parse_measure(doc, pointer="/measure") -> SingularMeasure:
         p = f"{pointer}/cantor/{i}"
         _check_keys(entry, p, required=("support", "mass"),
                     optional=("ratio", "level_cap"))
-        try:
-            cantor.append(CantorSpec(
-                support=_pair(entry["support"], f"{p}/support"),
-                mass=_number(entry["mass"], f"{p}/mass"),
-                ratio=_number(entry.get("ratio", 1.0 / 3.0), f"{p}/ratio"),
-                level_cap=_integer(entry.get("level_cap", 12),
-                                   f"{p}/level_cap")))
-        except ValueError as exc:
-            raise SchemaError(p, str(exc)) from exc
-    try:
-        return SingularMeasure(atoms=tuple(sorted(atoms)),
-                               cantor_parts=tuple(cantor))
-    except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from exc
+        cantor.append(_build(
+            p, CantorSpec, support=_pair(entry["support"], f"{p}/support"),
+            mass=_number(entry["mass"], f"{p}/mass"),
+            ratio=_number(entry.get("ratio", 1.0 / 3.0), f"{p}/ratio"),
+            level_cap=_integer(entry.get("level_cap", 12),
+                               f"{p}/level_cap")))
+    return _build(pointer, SingularMeasure, atoms=tuple(sorted(atoms)),
+                  cantor_parts=tuple(cantor))
 
 
 def parse_potential(doc, pointer="/potential") -> PiecewisePotential:
@@ -97,10 +99,7 @@ def parse_potential(doc, pointer="/potential") -> PiecewisePotential:
                 for i, v in enumerate(doc.get("breakpoints", [])))
     vals = tuple(_number(v, f"{pointer}/values/{i}")
                  for i, v in enumerate(doc["values"]))
-    try:
-        return PiecewisePotential(bps, vals)
-    except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from exc
+    return _build(pointer, PiecewisePotential, bps, vals)
 
 
 def parse_problem(doc, pointer="") -> ProblemSpec:
@@ -117,10 +116,8 @@ def parse_problem(doc, pointer="") -> ProblemSpec:
         if "potential" in doc else PiecewisePotential()
     measure = parse_measure(doc["measure"], f"{pointer}/measure") \
         if "measure" in doc else SingularMeasure()
-    try:
-        problem = ProblemSpec((a, b), bc[0], bc[1], potential, measure, level)
-    except ValueError as exc:
-        raise SchemaError(pointer or "/", str(exc)) from exc
+    problem = _build(pointer or "/", ProblemSpec, (a, b), bc[0], bc[1],
+                     potential, measure, level)
     # every realized atom must own a jump slot in [a, b)
     parts = doc.get("measure", {})
     for i, entry in enumerate(parts.get("atoms", [])):
@@ -176,10 +173,7 @@ def parse_criteria_config(doc):
                 optional=("epsilons", "prefix", "trend_factor"))
     gaps = [_pair(g, f"/criteria/gaps/{i}")
             for i, g in enumerate(body["gaps"])]
-    try:
-        structure = GapStructure(tuple(gaps))
-    except ValueError as exc:
-        raise SchemaError("/criteria/gaps", str(exc)) from exc
+    structure = _build("/criteria/gaps", GapStructure, tuple(gaps))
     potential = parse_potential(body["potential"], "/criteria/potential")
     prefix = body.get("prefix")
     if prefix is not None:

@@ -63,14 +63,19 @@ class CantorSpec:
             raise ValueError("level must be nonnegative")
         intervals = [self.support]
         for _ in range(level):
-            nxt = []
-            for (lo, hi) in intervals:
-                keep = (hi - lo) * self.ratio
-                nxt.append((lo, lo + keep))
-                nxt.append((hi - keep, hi))
-            intervals = nxt
+            intervals = self.split(intervals)
         w = self.mass / len(intervals)
         return [(lo, w) for (lo, _) in intervals]
+
+    def split(self, intervals) -> list[tuple[float, float]]:
+        """The construction intervals one level down: each (lo, hi) keeps
+        (lo, lo + keep) and (hi - keep, hi), keep = (hi - lo)*ratio."""
+        out = []
+        for (lo, hi) in intervals:
+            keep = (hi - lo) * self.ratio
+            out.append((lo, lo + keep))
+            out.append((hi - keep, hi))
+        return out
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,11 @@ def _ptilde_segments(measure: SingularMeasure, level: int, origin: float,
     for (xi, w) in atoms:
         if xi > pos:
             segs.append((pos, xi, best, cur - lo))
-            cur += xi - pos
+        # the rise to the atom (0.0 on it changes nothing), then its jump
+        for step in (xi - pos, w):
+            cur += step
             best = max(best, cur - lo, hi - cur)
             lo, hi = min(lo, cur), max(hi, cur)
-        cur += w
-        best = max(best, cur - lo, hi - cur)
-        lo, hi = min(lo, cur), max(hi, cur)
         pos = xi
     if span > pos:
         segs.append((pos, span, best, cur - lo))

@@ -460,8 +460,9 @@ class _BlockPlan:
     subtree of height h is the block B_h of its family (one per part and q
     value): B_0 = stretch(leaf)*jump(beta), B_h =
     B_{h-1}*stretch(gaps[h-1])*B_{h-1}.  families[k] = (beta, leaf, gaps,
-    q, ratio); segments run from a to b, (lo, hi, k, h) for the block B_h
-    of family k on [lo, hi) and (x, y) for a run of the cell walk.
+    q, part), part the CantorSpec whose split cuts its blocks; segments run
+    from a to b, (lo, hi, k, h) for the block B_h of family k on [lo, hi)
+    and (x, y) for a run of the cell walk.
     """
 
     def __init__(self, problem: ProblemSpec, real: "RealizedProblem"):
@@ -489,11 +490,9 @@ class _BlockPlan:
                     key = (k, problem.potential.value(0.5 * (lo + hi)))
                     heights[key] = max(heights.get(key, 0), level - depth)
                     placed.append((lo, hi, key, level - depth))
-                elif depth < level:
-                    # the children of CantorSpec.atoms, to the last bit
-                    keep = (hi - lo) * part.ratio
-                    stack.append((hi - keep, hi, depth + 1))
-                    stack.append((lo, lo + keep, depth + 1))
+                elif depth < level:     # the first child is popped first
+                    stack.extend((*child, depth + 1) for child
+                                 in reversed(part.split([(lo, hi)])))
         self.families = []
         for (k, q), top in heights.items():
             part = parts[k]
@@ -504,7 +503,7 @@ class _BlockPlan:
             gaps = [lengths[level - h] - 2.0 * lengths[level - h + 1]
                     for h in range(1, top + 1)]
             self.families.append((part.mass / 2 ** level, lengths[level],
-                                  gaps, q, part.ratio))
+                                  gaps, q, part))
         index = {key: n for n, key in enumerate(heights)}
         self.segments = []
         x = a
@@ -798,11 +797,9 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
                     return after
             if h <= _WALK_HEIGHT:
                 return walk(lo, hi, st)
-            keep = (hi - lo) * plan.families[k][4]
-            first, last = (lo, lo + keep), (hi - keep, hi)
-            if not from_left:
-                first, last = last, first
-            st = walk(lo + keep, hi - keep, cross(*first, k, h - 1, st))
+            halves = plan.families[k][4].split([(lo, hi)])
+            first, last = halves if from_left else halves[::-1]
+            st = walk(halves[0][1], halves[1][0], cross(*first, k, h - 1, st))
             return cross(*last, k, h - 1, st)
 
     st = (*state, 0)

@@ -40,6 +40,7 @@ __all__ = [
 GL_POINTS = 8
 SINGULAR_RTOL = 1e-13
 HS_TOL = 1e-8
+HS_DOUBLINGS = 5          # panel doublings before the last HS value stands
 STUDY_EIGEN = 5           # eigenvalue columns of a convergence study row
 
 
@@ -153,7 +154,7 @@ def _panel_grid(problems, panels_per_cell):
 
 
 def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
-                max_doublings: int = 5) -> float:
+                max_doublings: int = HS_DOUBLINGS) -> float:
     """Hilbert-Schmidt norm of G_1 - G_2 over the square of the interval.
 
     Tensor Gauss-Legendre quadrature on panels refined at both problems'
@@ -166,7 +167,7 @@ def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
                        max_doublings)
 
 
-def _hs_between(g1, g2, max_doublings=5):
+def _hs_between(g1, g2, max_doublings=HS_DOUBLINGS):
     """hs_distance of the problems of two built kernels at one z."""
     problems = (g1.problem, g2.problem)
     prev = None
@@ -275,17 +276,12 @@ def convergence_study(problem: ProblemSpec, levels, z=-1.0) -> list[StudyRow]:
     if not levels:
         raise ValueError("need at least one level")
     finest = levels[-1]
-    ref = replace(problem, level=finest)
-    g_ref = None        # the finest kernel, built once for the study
+    if levels[0] != finest:     # the finest kernel, built once
+        g_ref = GreenKernel(replace(problem, level=finest), z)
     rows = []
     for lv in levels:
         p = replace(problem, level=lv)
-        hs = 0.0
-        if lv != finest:
-            g = GreenKernel(p, z)
-            if g_ref is None:
-                g_ref = GreenKernel(ref, z)
-            hs = _hs_between(g, g_ref)
+        hs = _hs_between(GreenKernel(p, z), g_ref) if lv != finest else 0.0
         if p.is_nonnegative_measure():
             lams = _spectrum.eigenvalues(
                 p, n_max=STUDY_EIGEN, with_norming=False).eigenvalues

@@ -408,12 +408,11 @@ def _count_route(problem: ProblemSpec) -> str:
 
 def _counter(problem: ProblemSpec):
     """s -> number of eigenvalues below s: the default-mesh oracle's inertia
-    on the "numerical-inertia" route (_count_route), one _Samples' exact
-    count on the others."""
+    on the "numerical-inertia" route (_count_route), the exact count of
+    one shoot at s on the others."""
     if _count_route(problem) == "numerical-inertia":
         return GalerkinOracle(problem, _default_mesh(problem)).inertia
-    samples = _Samples(problem)
-    return lambda s: samples.at(s).count
+    return lambda s: shoot(problem, s).count
 
 
 def counting_function(problem: ProblemSpec, t: float) -> int:
