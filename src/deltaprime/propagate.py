@@ -338,7 +338,7 @@ class PropagationResult(NamedTuple):
     zero_count is the integer part of the lifted Pruefer angle over pi:
     sign changes of u inside stretches count +1, those made by an atom
     count with the atom's sign (a negative atom also counts -1 when it
-    leaves u == 0).
+    leaves u == 0, a positive one +1 when it lands on u == 0).
     """
 
     state: StateVector
@@ -430,8 +430,11 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
         beta = betas[i] if i != first or lo == nodes[i] else 0.0
         if beta and from_left:
             up = u + beta * u1
-            # a jump moves the Pruefer angle in the direction of beta
-            if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)):
+            # a jump moves the Pruefer angle in the direction of beta: it
+            # crosses a multiple of pi where u changes sign, leaves u == 0
+            # downwards or reaches it upwards
+            if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)
+                          or (up == 0.0 and beta > 0.0)):
                 zeros += 1 if beta > 0.0 else -1
             u, u1, ls = _rescale(up, u1, ls)
         L = lengths[i]

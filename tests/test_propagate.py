@@ -202,6 +202,17 @@ class TestSweepEdges:
         back = propagate(pn, 0.0, StateVector(1.0, 0.0), from_left=False)
         assert (back.state.u, back.state.u1) == (1.0, 0.0)
 
+    def test_positive_atom_landing_on_zero_is_counted(self):
+        # the atom at 0 takes u from 0 to -0.1; the stretch of 1e-300 leaves
+        # it there and the atom at 1e-300 takes it back to exactly 0.0: the
+        # angle reaches 0 from below.  The deep bound state of the pair stays
+        # counted, as it is 1e-9 apart, where u never lands on zero
+        for x1 in (1e-300, 1e-9):
+            p = ProblemSpec((0.0, 1.0), measure=SingularMeasure.from_atoms(
+                [(0.0, -0.1), (x1, 0.1)]))
+            assert [propagate(p, z).zero_count
+                    for z in (-1e4, 5.0, 20.0, 50.0)] == [0, 0, 1, 2]
+
     @pytest.mark.parametrize("L", [
         math.pi / 2, math.nextafter(math.pi / 2, 0.0),
         math.nextafter(math.pi / 2, 4.0)])
