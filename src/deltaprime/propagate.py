@@ -871,6 +871,15 @@ def transfer_matrix(problem: ProblemSpec, z, x0: float | None = None,
     return TransferMatrix(s1.u * f1, s2.u * f2, s1.u1 * f1, s2.u1 * f2, ls)
 
 
+# iss = L^3 sum_n (-y)^(n-1) 2^(2n-1)/((2n)! (2n+1)) with y = w L^2: the
+# coefficients, highest order first.  On -10 <= y < 1, 18 terms reach double
+# precision where the closed form (L - S2/2)/(2w) cancels (to 1e-10 at
+# |y| = 1e-6) or, for w < 0, carries the rounding of sqrt(-w) through the
+# hyperbolic phase; _cs does not scale there (ls2 = 0)
+_ISS_SERIES = tuple(2 ** (2 * n - 1) / (math.factorial(2 * n) * (2 * n + 1))
+                    for n in range(18, 0, -1))
+
+
 def _stretch_gram(w, L):
     """The integrals (icc, ics, iss, log_scale) of cos^2, cos*sin/om and
     (sin/om)^2 over a stretch of length L, om = sqrt(w); see
@@ -880,8 +889,12 @@ def _stretch_gram(w, L):
     f = math.exp(-ls2)
     icc = L / 2.0 * f + S2 / 4.0
     ics = S1 * S1 / 2.0 * math.exp(2.0 * ls1 - ls2)
-    if abs(w) * L * L < 1e-6:
-        iss = L ** 3 / 3.0 - w * L ** 5 / 15.0 + 2.0 * w * w * L ** 7 / 315.0
+    y = w * L * L
+    if -10.0 <= y < 1.0:
+        iss = 0.0
+        for c in _ISS_SERIES:
+            iss = c - iss * y
+        iss *= L ** 3
     else:
         iss = (L * f - S2 / 2.0) / (2.0 * w)
     return icc, ics, iss, ls2

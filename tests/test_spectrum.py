@@ -1034,6 +1034,37 @@ class TestNorming:
         assert abs(math.log(val) + log_scale - (2000.0 - math.log(8000.0))) \
             < 1e-12
 
+    # (w, L, the double nearest the 60-digit closed form of the integral of
+    # (sin(om s)/om)^2 over [0, L], om = sqrt(w)): |w L^2| from 1e-9 to 10
+    # at both signs, and two Cantor-sized cells
+    @pytest.mark.parametrize("w, L, reference", [
+        (1e-09, 1.0, 0.33333333326666664),
+        (-1e-09, 1.0, 0.3333333334),
+        (1e-06, 1.0, 0.333333266666673),
+        (-1e-06, 1.0, 0.33333340000000633),
+        (2e-06, 1.0, 0.3333332000000254),
+        (1e-05, 1.0, 0.3333326666673016),
+        (0.0001, 1.0, 0.33332666673015837),
+        (-0.0001, 1.0, 0.3333400000634924),
+        (0.01, 1.0, 0.3326673012346961),
+        (-0.01, 1.0, 0.3340006352734969),
+        (2.191380569758948, 0.37, 0.015899740717635835),
+        (0.5, 1.0, 0.30154400136339166),
+        (-0.5, 1.0, 0.3682988720085907),
+        (1.0, 1.0, 0.2726756432935796),
+        (-1.0, 1.0, 0.4067151019617547),
+        (-0.3333333333333333, 3.0, 16.230338731874728),
+        (10.0, 1.0, 0.04967303461328352),
+        (-10.0, 1.0, 2.1561147324447054),
+        (-4.0, 0.0005, 4.16666750000008e-11),
+        (-34838543.59824322, 0.0005, 2.152597684224039e-10),
+    ])
+    def test_sin_squared_cell_integral_to_4_ulp(self, w, L, reference):
+        # (L - sin(2 om L)/(2 om))/(2w) cancels to 1e-10 at w L^2 = -1e-6
+        val, log_scale = cell_l2_integral(0.0, 1.0, w, L)
+        assert log_scale == 0.0
+        assert abs(val - reference) <= 4 * math.ulp(reference)
+
     # u = sinh(10 (L - |x|)) / 10 at lambda_1 = -100: its hyperbolic phase
     # 2kL = 20L takes the scaled branch of the doubled stretch, and
     # ||u||^2 = sinh(20 L) / 2000 - L / 100 still has a double
