@@ -27,42 +27,42 @@ def _load_config(path):
 def _finite(text):
     v = float(text)
     if not math.isfinite(v):
-        raise ValueError("need a finite number")
+        raise argparse.ArgumentTypeError("need a finite number")
     return v
 
 
 def _parse_window(text):
     lo, hi = (_finite(v) for v in text.split(","))
     if lo > hi:
-        raise ValueError("need LO <= HI")
+        raise argparse.ArgumentTypeError("need LO <= HI")
     return lo, hi
 
 
 def _positive_window(text):
     lo, hi = _parse_window(text)
     if not (lo > 0.0 and hi > 0.0):
-        raise ValueError("need LO > 0 and HI > 0")
+        raise argparse.ArgumentTypeError("need LO > 0 and HI > 0")
     return lo, hi
 
 
 def _positive_int(text):
     n = int(text)
     if n < 1:
-        raise ValueError("need N >= 1")
+        raise argparse.ArgumentTypeError("need N >= 1")
     return n
 
 
 def _unit_interval(text):
     v = float(text)
     if not 0.0 <= v <= 1.0:
-        raise ValueError("need 0 <= ALPHA <= 1")
+        raise argparse.ArgumentTypeError("need 0 <= ALPHA <= 1")
     return v
 
 
 def _parse_levels(text):
     lo, hi = (int(v) for v in text.split(".."))
     if not 0 <= lo <= hi:
-        raise ValueError("need 0 <= A <= B")
+        raise argparse.ArgumentTypeError("need 0 <= A <= B")
     return list(range(lo, hi + 1))
 
 

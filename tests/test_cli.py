@@ -406,6 +406,29 @@ class TestArgumentValidation:
         assert err.startswith("usage:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["spectrum", "--window", "50,10"], "--window: need LO <= HI"),
+        (["spectrum", "--window=-inf,10"], "--window: need a finite number"),
+        (["spectrum", "--count", "0"], "--count: need N >= 1"),
+        (["resolvent-study", "--levels", "3..2"],
+         "--levels: need 0 <= A <= B"),
+        (["mfunction", "--z=nan"], "--z: need a finite number"),
+        (["mfunction", "--alpha", "2"], "--alpha: need 0 <= ALPHA <= 1"),
+        (["asymptotics", "--window=-1,1e3"],
+         "--window: need LO > 0 and HI > 0"),
+    ])
+    def test_rejected_value_prints_its_reason(self, tmp_path, capsys, argv,
+                                              reason):
+        cfg = write(tmp_path, "free.json", FREE01)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: argument {reason}")
+        # not argparse's "invalid <validator> value", which names a private
+        # function of the CLI
+        assert "invalid" not in err
+
     def test_tol_flag_is_unrecognized(self, tmp_path, capsys):
         # one eigenvalue route for every problem, to float adjacency: no
         # tolerance to set
