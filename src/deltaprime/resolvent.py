@@ -158,8 +158,9 @@ def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
     """Hilbert-Schmidt norm of G_1 - G_2 over the square of the interval.
 
     Tensor Gauss-Legendre quadrature on panels refined at both problems'
-    atoms, from one panel per cell doubling until the value moves less than
-    HS_TOL.  Upper bound for the operator-norm resolvent difference.
+    atoms, from one panel per cell doubling (max_doublings times at most)
+    until the value moves less than HS_TOL.  Upper bound for the
+    operator-norm resolvent difference.
     """
     if problem_1.interval != problem_2.interval:
         raise ValueError("problems must share the interval")
