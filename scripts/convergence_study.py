@@ -10,23 +10,25 @@ the low eigenvalues.  Writes a CSV table.
 import argparse
 
 from deltaprime import CantorSpec, ProblemSpec, SingularMeasure, convergence_study
+from deltaprime.cli import _parse_levels
 from deltaprime.io import emit, render_csv
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--levels", default="2..8")
+    ap.add_argument("--levels", type=_parse_levels, default="2..8",
+                    help="A..B")
     ap.add_argument("--z", type=float, default=-1.0)
     ap.add_argument("--mass", type=float, default=1.0)
     ap.add_argument("--ratio", type=float, default=1.0 / 3.0)
     ap.add_argument("--out", default="-")
     args = ap.parse_args(argv)
-    lo, hi = (int(v) for v in args.levels.split(".."))
+    lo, hi = args.levels[0], args.levels[-1]
 
     measure = SingularMeasure(cantor_parts=(CantorSpec(
         (0.0, 1.0), args.mass, args.ratio, level_cap=max(hi, 12)),))
     problem = ProblemSpec((0.0, 1.0), measure=measure, level=lo)
-    rows = convergence_study(problem, range(lo, hi + 1), args.z)
+    rows = convergence_study(problem, args.levels, args.z)
     table = [(r.level, r.hs_to_finest) + r.lambdas for r in rows]
     header = ("level", "hs_distance") + tuple(
         f"lambda_{i + 1}" for i in range(len(rows[0].lambdas)))

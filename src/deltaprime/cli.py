@@ -24,6 +24,19 @@ def _load_config(path):
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
 
 
+def _reason(text):
+    """A validator whose own ValueError or TypeError reads as text."""
+    def wrap(check):
+        def checked(value):
+            try:
+                return check(value)
+            except (ValueError, TypeError) as exc:
+                raise argparse.ArgumentTypeError(text) from exc
+        return checked
+    return wrap
+
+
+@_reason("need a finite number")
 def _finite(text):
     v = float(text)
     if not math.isfinite(v):
@@ -31,6 +44,7 @@ def _finite(text):
     return v
 
 
+@_reason("need LO,HI")
 def _parse_window(text):
     lo, hi = (_finite(v) for v in text.split(","))
     if lo > hi:
@@ -45,6 +59,7 @@ def _positive_window(text):
     return lo, hi
 
 
+@_reason("need an integer")
 def _positive_int(text):
     n = int(text)
     if n < 1:
@@ -52,6 +67,7 @@ def _positive_int(text):
     return n
 
 
+@_reason("need 0 <= ALPHA <= 1")
 def _unit_interval(text):
     v = float(text)
     if not 0.0 <= v <= 1.0:
@@ -59,6 +75,7 @@ def _unit_interval(text):
     return v
 
 
+@_reason("need A..B")
 def _parse_levels(text):
     lo, hi = (int(v) for v in text.split(".."))
     if not 0 <= lo <= hi:
@@ -66,6 +83,7 @@ def _parse_levels(text):
     return list(range(lo, hi + 1))
 
 
+@_reason("need RE[,IM]")
 def _parse_z(text):
     parts = [_finite(v) for v in text.split(",")]
     return parts[0] if len(parts) == 1 else complex(*parts)

@@ -20,8 +20,8 @@ B_{h-1}*stretch(gap_h)*B_{h-1}; a subtree that holds a foreign node splits
 into its children, down to single cells.  A full left-to-right run at real
 z crosses the plan's top-level segments (_plan_sweep): each block as one
 factor with its log scale and the lifted angle of a reference vector, the
-cells between blocks as partial runs of _sweep, whose counts become lifted
-angles at the block boundaries, so the count stays the walk's.  The two
+cells between blocks as partial runs of _sweep, whose counts add to the
+run's half-turn index, so the count stays the walk's.  The two
 runs of a norming constant, from a and from b, cross the plan too: each
 block also carries its Gram form G, with int u^2 = v^T G v over the block
 for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f; the
@@ -729,11 +729,12 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     split stretch keeps a collapsed decaying state.  _sweep also walks the
     gaps and the runs between blocks.
 
-    Left to right the state carries its whole turns j: its lifted angle is
-    theta = atan2(u, u^[1]) + 2 pi j.  A block adds its lift to theta; a
-    walk run's count n, which leaves out a zero at the run's end, puts
-    theta in (K pi, (K + 1) pi] with K = floor(theta_start/pi) + n.  The
-    zero count is ceil(theta(b)/pi) - floor(theta(a)/pi) - 1.
+    Left to right the state carries m = floor(theta/pi), counted from the
+    launch, theta its lifted angle.  A walk run's count n, which leaves out
+    a zero at the run's end, puts theta in (K pi, (K + 1) pi] with K = m +
+    n; m becomes the state's half-turn next to K (see walk).  A block adds
+    its lift's whole turns and the change of _floor_turn.  The zero count is
+    m(b) + [u(b) != 0] - 1.
 
     pieces, when given, makes this a norming run in either direction,
     without a count, that returns the segments it crossed whole: a block
@@ -759,10 +760,12 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
         run = _sweep(real, z, st[:3], x, y, from_left, count, cells)
         u, u1, ls = run.state
         if count:
-            k = 2 * st[3] + _floor_turn(st[0], st[1]) + run.zero_count
-            phi = math.atan2(u + 0.0, u1)
-            return u, u1, ls, \
-                round(((k + 0.5) * math.pi - phi) / (2.0 * math.pi))
+            # m is K where the state's half-plane agrees (u == 0: theta = (K
+            # + 1) pi), else K + 1 under a quarter turn past a zero (u u1 >=
+            # 0), K - 1 before one: n and u can round apart near a zero
+            k = st[3] + run.zero_count
+            d = (k - _floor_turn(u, u1)) % 2
+            return u, u1, ls, k + d if u * u1 >= 0.0 else k - d
         if (x, y) != (real.a, real.b):
             # a run that meets other pieces reads its cell at x at x's
             # left limit, where it meets the piece before it (or the
@@ -808,25 +811,23 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     st = (*state, 0)
     for seg in segments if from_left else reversed(segments):
         st = cross(*seg, st) if len(seg) == 4 else walk(*seg, st)
-    u, u1, ls, j = st
+    u, u1, ls, m = st
     if not count:
         return crossed
-    zeros = 2 * j + (u > 0.0 or (u == 0.0 and u1 < 0.0)) \
-        - _floor_turn(state[0], state[1]) - 1
-    return PropagationResult(StateVector(u, u1, ls), zeros)
+    return PropagationResult(StateVector(u, u1, ls), m + (u != 0.0) - 1)
 
 
 def _step(f, nu, nu1, st, count):
     """A block's image (nu, nu1) of st's state, rescaled; with count, the
-    whole turns of _plan_sweep follow the block's lift."""
-    u, u1, ls, j = st
+    half-turn index of _plan_sweep follows the block's lift."""
+    u, u1, ls, m = st
     if count:
         theta = math.atan2(u + 0.0, u1) + _lift(f, u, u1, nu, nu1)
     nu, nu1, ls = _rescale(nu, nu1, ls + f[_LS])
     if count:
-        phi = math.atan2(nu + 0.0, nu1)
-        j += round((theta - phi) / (2.0 * math.pi))
-    return nu, nu1, ls, j
+        m += _floor_turn(nu, nu1) - _floor_turn(u, u1) + 2 * round(
+            (theta - math.atan2(nu + 0.0, nu1)) / (2.0 * math.pi))
+    return nu, nu1, ls, m
 
 
 def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):

@@ -257,6 +257,10 @@ class TestRhoAsymptotics:
             * t * t ** -0.5
         assert abs(pred - 2.0 / math.pi * math.sqrt(t)) < 1e-12
 
+    def test_no_samples(self):
+        with pytest.raises(InsufficientDataError):
+            rho_asymptotics_check([], 1.0, lambda r: r ** -0.5)
+
     def test_free_halfline_ratio(self):
         p = halfline()
         samples = spectral_function_samples(p, [2e3, 6e3, 1e4])

@@ -214,6 +214,48 @@ def test_failing_blocks_of_eight_cells_are_walked_whole(monkeypatch):
     assert calls[0] <= 45
 
 
+def test_walk_run_ending_on_a_zero_counts_it_once():
+    # u = -1 + x past the atom at 0 at z = 0: the run (0, 1) ends on u ==
+    # 0.0 exactly, which its count leaves out and the half-turn index of
+    # the run takes in, so the next run, which starts there, does not
+    p = ProblemSpec((0.0, 2.0), measure=SingularMeasure.from_atoms(
+        [(0.0, -1.0)]))
+    real = realize_problem(p)
+    first = PROPAGATE._sweep(real, 0.0, p.launch(), 0.0, 1.0, True,
+                             count=True)
+    assert first == ((0.0, 1.0, 0.0), -1)
+    got = PROPAGATE._plan_sweep(real, 0.0, p.launch(),
+                                segments=((0.0, 1.0), (1.0, 2.0)))
+    assert got == propagate(p, 0.0)
+    assert got.zero_count == 0
+
+
+@pytest.mark.parametrize("left, mass, z0", [
+    # the run's count is one short of its state, then one over it
+    ("dirichlet", 1.0, "0x1.1945bb2d662a7p+2"),
+    ("neumann", 0.5, "0x1.b15a7ca079b49p+0")])
+def test_count_steps_where_u_at_b_changes_sign(left, mass, z0):
+    # at z0, within an ulp of lambda_1, u(b) is rounding noise: the count of
+    # the walk run (0.9, 1) follows its last stretch's angle and disagrees
+    # with its end state, which the plan count follows, as the residual does
+    p = ProblemSpec((0.0, 1.0), left, measure=SingularMeasure(
+        cantor_parts=(CantorSpec((0.0, 0.9), mass, 1.0 / 3.0),)), level=6)
+    real = realize_problem(p)
+    assert real.plan.segments[-1] == (0.9, 1.0)
+    z0 = float.fromhex(z0)
+    head = PROPAGATE._plan_sweep(real, z0, p.launch(),
+                                 segments=real.plan.segments[:1])
+    tail = PROPAGATE._sweep(real, z0, head.state, 0.9, 1.0, True, count=True)
+    assert head.zero_count + tail.zero_count != propagate(p, z0).zero_count
+    counts = []
+    for k in range(-10, 11):
+        z = z0 + k * math.ulp(z0)
+        res = propagate(p, z)
+        assert res.zero_count == (res.state.u < 0.0), z
+        counts.append(res.zero_count)
+    assert counts == sorted(counts) and counts[0] == 0 and counts[-1] == 1
+
+
 def _gap_case(level, left):
     # the top block (0, 1) of the right norming run fails its test at
     # lambda_1 (about -24.65), so the run splits it and walks its gap

@@ -11,7 +11,8 @@ import pytest
 
 from deltaprime import cli
 from deltaprime.cli import main
-from deltaprime.io import validate_result
+from deltaprime.errors import SchemaError
+from deltaprime.io import result_envelope, validate_result
 
 FREE01 = {"schema": 1, "interval": [0.0, 1.0]}
 SIGNED = {"schema": 1, "interval": [0.0, 1.0],
@@ -278,6 +279,10 @@ def criteria(**changes):
     return dict(CRITERIA, criteria=dict(CRITERIA["criteria"], **changes))
 
 
+def classify_left(**left):
+    return dict(CLASSIFY, classify=dict(CLASSIFY["classify"], left=left))
+
+
 class TestTypedErrors:
     """Schema-valid input outside what the library takes: a typed error."""
 
@@ -346,6 +351,25 @@ class TestTypedErrors:
          "schema error: /: interval must be finite with a < b"),
         (criteria(gaps=[[0.5, 0.7], [0.6, 0.9]]), ["criteria"], 1,
          "schema error: /criteria/gaps: gaps must be pairwise disjoint"),
+        # one row per shape check of the schema
+        (dict(FREE01, measure=[]), ["spectrum"], 1,
+         "/measure: expected object, got list"),
+        (dict(FREE01, schema=2), ["spectrum"], 1,
+         "/schema: unsupported schema 2"),
+        (dict(FREE01, interval=["a", 1.0]), ["spectrum"], 1,
+         "/interval/0: expected a number"),
+        (dict(FREE01, level=1.5), ["spectrum"], 1,
+         "/level: expected an integer"),
+        (dict(FREE01, interval=[0, 1, 2]), ["spectrum"], 1,
+         "/interval: expected a 2-element array"),
+        (dict(FREE01, bc=["dirichlet"]), ["spectrum"], 1,
+         '/bc: expected ["dirichlet"|"neumann", ...] pair'),
+        (classify_left(position="left"), ["classify"], 1,
+         "/classify/left/position: expected number"),
+        (classify_left(position=0.0, p_square_integrable=1), ["classify"], 1,
+         "/classify/left/p_square_integrable: expected boolean or null"),
+        (classify_left(position=0.0, measure_tv_finite="yes"), ["classify"],
+         1, "/classify/left/measure_tv_finite: expected boolean"),
     ])
     def test_exit_code_and_one_error_line(self, tmp_path, capsys, cfg_doc,
                                           argv, code, where):
@@ -362,6 +386,13 @@ class TestTypedErrors:
         # one line, or argparse's usage lines before it
         assert len(lines) == 1 or lines[0].startswith("usage:")
         assert "Traceback" not in captured.err
+
+    def test_result_that_is_not_an_object(self):
+        doc = result_envelope("spectrum", "0" * 16, None, {})
+        doc["result"] = []
+        with pytest.raises(SchemaError) as exc:
+            validate_result(doc)
+        assert exc.value.pointer == "/result"
 
 
 class TestArgumentValidation:
@@ -416,6 +447,14 @@ class TestArgumentValidation:
         (["mfunction", "--alpha", "2"], "--alpha: need 0 <= ALPHA <= 1"),
         (["asymptotics", "--window=-1,1e3"],
          "--window: need LO > 0 and HI > 0"),
+        # the validators' own ValueError and TypeError, not their names
+        (["spectrum", "--window", "abc"], "--window: need a finite number"),
+        (["spectrum", "--window", "1,2,3"], "--window: need LO,HI"),
+        (["spectrum", "--count", "x"], "--count: need an integer"),
+        (["resolvent-study", "--levels", "3"], "--levels: need A..B"),
+        (["mfunction", "--z", "foo"], "--z: need a finite number"),
+        (["mfunction", "--z", "1,2,3"], "--z: need RE[,IM]"),
+        (["mfunction", "--alpha", "abc"], "--alpha: need 0 <= ALPHA <= 1"),
     ])
     def test_rejected_value_prints_its_reason(self, tmp_path, capsys, argv,
                                               reason):

@@ -172,6 +172,11 @@ class TestPeakVariation:
     def test_free(self):
         assert peak_variation(SingularMeasure.empty(), 0.3, 1) == 0.3
 
+    def test_empty_span(self):
+        # [start, x] is one point: no subinterval, even with an atom on it
+        m = SingularMeasure.from_atoms([(0.3, 1.0)])
+        assert peak_variation(m, 0.3, 0, start=0.3) == 0.0
+
     def test_negative_atom(self):
         # P walks 0 -> 0.1, jumps to -0.4, rises to -0.2; the half-open
         # subinterval [0.1, 0.1+eps) isolates the atom, so the sup is 0.5

@@ -468,6 +468,11 @@ class TestPiecewisePotential:
         assert abs(q.integral(0.0, 1.5) - (0.5 - 1.0 + 1.5)) < 1e-15
         assert abs(q.integral(0.6, 0.9) + 0.6) < 1e-15
 
+    def test_reversed_integral_changes_sign(self):
+        q = PiecewisePotential((0.5,), (1.0, 3.0))
+        assert q.integral(0.0, 1.0) == 2.0
+        assert q.integral(1.0, 0.0) == -2.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PiecewisePotential((1.0, 0.5), (1.0, 2.0, 3.0))

@@ -40,3 +40,20 @@ def test_script_writes_table(tmp_path, capsys, name):
     # the default --out - prints the same bytes
     load(name).main(argv)
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("name, argv, reason", [
+    ("convergence_study", ["--levels", "3"], "--levels: need A..B"),
+    ("convergence_study", ["--levels", "3..2"], "--levels: need 0 <= A <= B"),
+    ("weyl_law", ["--indices", "5"], "--indices: need A..B"),
+    ("weyl_law", ["--level", "3", "--indices", "0..5", "--step", "5"],
+     "--indices: need 1 <= A <= B"),
+    ("weyl_law", ["--indices", "10..5"], "--indices: need 1 <= A <= B"),
+    ("weyl_law", ["--step", "0"], "--step: need N >= 1"),
+])
+def test_bad_range_is_usage_error(capsys, name, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {reason}")

@@ -109,6 +109,10 @@ class TestShoot:
 
 
 class TestEigenvalues:
+    def test_needs_a_count_or_a_window(self):
+        with pytest.raises(ValueError, match="n_max and/or window"):
+            eigenvalues(free_problem())
+
     def test_free_spectrum(self):
         data = eigenvalues(free_problem(), n_max=20)
         for n, lam in zip(data.indices, data.eigenvalues):
@@ -447,6 +451,13 @@ class TestCounting:
         p = free_problem()
         assert counting_function(p, 50.0) == 2
         assert counting_function(p, -10.0) == 0
+
+    def test_zero_t_counts_nothing(self):
+        # (0, 0] and [0, 0) are empty: the bound state at -4 is not in them
+        m = SingularMeasure.from_atoms([(0.0, -1.0)])
+        p = ProblemSpec((-20.0, 20.0), measure=m)
+        assert counting_function(p, -10.0) == 1
+        assert counting_function(p, 0.0) == 0
 
     def test_three_negative_atoms_saturate(self):
         m = SingularMeasure.from_atoms([(0.25, -0.3), (0.5, -0.5),
@@ -901,6 +912,10 @@ class TestSpectralFunction:
     def test_below_first_eigenvalue(self):
         p = ProblemSpec((0.0, 50.0), bc_left="neumann")
         assert spectral_function(p, 1e-6) == 0.0
+
+    def test_zero_t_is_zero(self):
+        p = ProblemSpec((0.0, 50.0), bc_left="neumann")
+        assert spectral_function(p, 0.0) == 0.0
 
     def test_free_halfline_small_t(self):
         p = ProblemSpec((0.0, 50.0), bc_left="neumann")
