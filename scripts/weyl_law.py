@@ -14,30 +14,23 @@ import argparse
 import math
 
 from deltaprime import CantorSpec, ProblemSpec, SingularMeasure
-from deltaprime.cli import _positive_int, _reason
+from deltaprime.cli import _parse_levels, _positive_int
 from deltaprime.io import emit, render_csv
 from deltaprime.spectrum import _eigenvalue_by_index, _Samples
-
-
-@_reason("need A..B")
-def _indices(text):
-    """A..B with 1 <= A <= B: the eigenvalue indices to scan."""
-    lo, hi = (int(v) for v in text.split(".."))
-    if not 1 <= lo <= hi:
-        raise argparse.ArgumentTypeError("need 1 <= A <= B")
-    return lo, hi
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--level", type=int, default=5)
-    ap.add_argument("--indices", type=_indices, default="50..100",
+    ap.add_argument("--indices", type=_parse_levels, default="50..100",
                     help="A..B")
     ap.add_argument("--step", type=_positive_int, default=5)
     ap.add_argument("--mass", type=float, default=1.0)
     ap.add_argument("--out", default="-")
     args = ap.parse_args(argv)
-    lo, hi = args.indices
+    lo, hi = args.indices[0], args.indices[-1]
+    if lo == 0:
+        ap.error("argument --indices: eigenvalue indices start at 1")
 
     measure = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0),
                                                        args.mass),))

@@ -729,12 +729,12 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     split stretch keeps a collapsed decaying state.  _sweep also walks the
     gaps and the runs between blocks.
 
-    Left to right the state carries m = floor(theta/pi), counted from the
-    launch, theta its lifted angle.  A walk run's count n, which leaves out
-    a zero at the run's end, puts theta in (K pi, (K + 1) pi] with K = m +
-    n; m becomes the state's half-turn next to K (see walk).  A block adds
-    its lift's whole turns and the change of _floor_turn.  The zero count is
-    m(b) + [u(b) != 0] - 1.
+    Left to right the state carries m = floor(theta/pi), theta its lifted
+    angle.  A walk run's count n, which leaves out a zero at the run's end,
+    puts theta in (K pi, (K + 1) pi], K = m + n; n and u can round apart
+    near a zero, so m becomes that of the lift nearest (K + 1/2) pi (u u1 >=
+    0 past a zero).  A block adds its lift's whole turns and the change of
+    _floor_turn.  The zero count is m(b) + [u(b) != 0] - m(a) - 1.
 
     pieces, when given, makes this a norming run in either direction,
     without a count, that returns the segments it crossed whole: a block
@@ -760,9 +760,6 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
         run = _sweep(real, z, st[:3], x, y, from_left, count, cells)
         u, u1, ls = run.state
         if count:
-            # m is K where the state's half-plane agrees (u == 0: theta = (K
-            # + 1) pi), else K + 1 under a quarter turn past a zero (u u1 >=
-            # 0), K - 1 before one: n and u can round apart near a zero
             k = st[3] + run.zero_count
             d = (k - _floor_turn(u, u1)) % 2
             return u, u1, ls, k + d if u * u1 >= 0.0 else k - d
@@ -808,13 +805,14 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
             st = walk(halves[0][1], halves[1][0], cross(*first, k, h - 1, st))
             return cross(*last, k, h - 1, st)
 
-    st = (*state, 0)
+    m0 = _floor_turn(state[0], state[1])
+    st = (*state, m0)
     for seg in segments if from_left else reversed(segments):
         st = cross(*seg, st) if len(seg) == 4 else walk(*seg, st)
     u, u1, ls, m = st
     if not count:
         return crossed
-    return PropagationResult(StateVector(u, u1, ls), m + (u != 0.0) - 1)
+    return PropagationResult(StateVector(u, u1, ls), m + (u != 0.0) - m0 - 1)
 
 
 def _step(f, nu, nu1, st, count):

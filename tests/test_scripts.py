@@ -47,8 +47,8 @@ def test_script_writes_table(tmp_path, capsys, name):
     ("convergence_study", ["--levels", "3..2"], "--levels: need 0 <= A <= B"),
     ("weyl_law", ["--indices", "5"], "--indices: need A..B"),
     ("weyl_law", ["--level", "3", "--indices", "0..5", "--step", "5"],
-     "--indices: need 1 <= A <= B"),
-    ("weyl_law", ["--indices", "10..5"], "--indices: need 1 <= A <= B"),
+     "--indices: eigenvalue indices start at 1"),
+    ("weyl_law", ["--indices", "10..5"], "--indices: need 0 <= A <= B"),
     ("weyl_law", ["--step", "0"], "--step: need N >= 1"),
 ])
 def test_bad_range_is_usage_error(capsys, name, argv, reason):
