@@ -24,7 +24,10 @@ __all__ = [
     "peak_variation",
 ]
 
-_MAX_LEVEL = 20   # deepest realization: 2^20 atoms, each a Python tuple
+# deepest realizable level.  A per-cell consumer builds 2^20 atoms, each a
+# Python tuple; a problem crossed on its block plan builds O(level) of them
+# but is held to the same bound
+_MAX_LEVEL = 20
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,16 @@ class CantorSpec:
         if self.level_cap < 1:
             raise ValueError("level_cap must be a positive integer")
 
-    def atoms(self, level: int) -> list[tuple[float, float]]:
-        """Level-``level`` atomic realization as (position, weight) pairs."""
+    def atoms(self, level: int, lo: float = -math.inf,
+              hi: float = math.inf) -> list[tuple[float, float]]:
+        """Level-``level`` atomic realization as (position, weight) pairs,
+        those in [lo, hi) only.
+
+        The descent splits only the construction intervals that meet [lo,
+        hi) (each holds its descendants' atoms), so a short span costs
+        O(level) and every position is bitwise that of the whole
+        realization.
+        """
         if level > min(self.level_cap, _MAX_LEVEL):
             raise RefinementUnavailableError(
                 f"level {level} exceeds level_cap {self.level_cap} or the "
@@ -63,9 +74,23 @@ class CantorSpec:
             raise ValueError("level must be nonnegative")
         intervals = [self.support]
         for _ in range(level):
+            if intervals[0][1] < lo or intervals[-1][0] >= hi:
+                intervals = [iv for iv in intervals
+                             if iv[1] >= lo and iv[0] < hi]
+                if not intervals:
+                    return []
             intervals = self.split(intervals)
-        w = self.mass / len(intervals)
-        return [(lo, w) for (lo, _) in intervals]
+        w = self.mass / 2 ** level
+        return [(x, w) for (x, _) in intervals if lo <= x < hi]
+
+    def distinct(self, level: int) -> bool:
+        """Whether the level-``level`` atoms are distinct doubles: the
+        narrowest leaf or gap is far above the rounding of the positions
+        (level * a few ulps of the support's ends)."""
+        c, d = self.support
+        r = self.ratio
+        narrow = (d - c) * r ** max(level - 1, 0) * min(r, 1.0 - 2.0 * r)
+        return level == 0 or narrow > 2.0 ** -40 * max(abs(c), abs(d))
 
     def split(self, intervals) -> list[tuple[float, float]]:
         """The construction intervals one level down: each (lo, hi) keeps
@@ -110,18 +135,22 @@ class HahnDecomposition:
     negative_part: SingularMeasure
 
 
-def realize(measure: SingularMeasure, level: int) -> list[tuple[float, float]]:
-    """Finite atomic realization at the given refinement level.
+def realize(measure: SingularMeasure, level: int, lo: float = -math.inf,
+            hi: float = math.inf) -> list[tuple[float, float]]:
+    """Finite atomic realization at the given refinement level, in [lo, hi).
 
     Explicit atoms and Cantor-level atoms landing on the same coordinate are
     merged by weight addition (exact cancellations are dropped).  The result
-    is sorted by position and its total signed mass equals the measure's.
+    is sorted by position; over the whole line its total signed mass equals
+    the measure's.  The atoms of a span are bitwise those of the whole
+    realization there.
     """
     merged: dict[float, float] = {}
     for (x, w) in measure.atoms:
-        merged[x] = merged.get(x, 0.0) + w
+        if lo <= x < hi:
+            merged[x] = merged.get(x, 0.0) + w
     for part in measure.cantor_parts:
-        for (x, w) in part.atoms(level):
+        for (x, w) in part.atoms(level, lo, hi):
             merged[x] = merged.get(x, 0.0) + w
     return [(x, w) for x, w in sorted(merged.items()) if w != 0.0]
 

@@ -28,7 +28,14 @@ for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f; the
 factors and the Gram towers of the last 16 (plan, z) are kept.  Both run
 kinds cross a block that fails its rounding test as its halves and gap,
 or walk it whole at up to 2^3 cells.  Every other run walks the cells.
-States are tuples (StateVector and PropagationResult are NamedTuples).
+A realization crossed on its plan never builds the 2^L cell lists of [a,
+b]: each walk run reads the cells of its own span (RealizedProblem.span,
+from the realization of that span alone), and negative_jumps and the
+plan's cell count follow from its descent.  The per-cell consumers
+(partial, right-to-left and complex-z runs, transfer_matrix,
+cell_entry_states, the Green kernel, the Galerkin oracle) build the lists
+on first access.  States are tuples (StateVector and PropagationResult are
+NamedTuples).
 """
 from __future__ import annotations
 
@@ -148,55 +155,130 @@ class ProblemSpec:
             else StateVector(1.0, 0.0)
 
     def is_nonnegative_measure(self) -> bool:
-        return all(w >= 0.0 for (_, w) in realize_problem(self).atoms)
+        return realize_problem(self).nonnegative
+
+
+class _Cells(NamedTuple):
+    """The cells of a span [lo, hi]: cell i spans (nodes[i], nodes[i+1]),
+    nodes[0] = lo and nodes[-1] = hi, with length lengths[i] and potential
+    qvals[i]; betas[i] is the weight of the atom at nodes[i], 0.0 if none."""
+
+    nodes: list
+    lengths: list
+    qvals: list
+    betas: list
+
+
+def _cells(problem: ProblemSpec, lo: float, hi: float) -> _Cells:
+    """The cells of [lo, hi] cut by the realized atoms in [lo, hi) and the
+    q breakpoints inside.  A span's cells give _sweep the floats of the
+    whole realization's there: it reads a cell's length only through
+    min(nodes[i+1], hi) - max(nodes[i], lo), its q, and beta where lo is
+    an atom."""
+    atoms = realize(problem.measure, problem.level, lo, hi)
+    cuts = {lo, hi}
+    cuts.update(x for (x, _) in atoms)
+    cuts.update(p for p in problem.potential.breakpoints if lo < p < hi)
+    nodes = sorted(cuts)
+    lengths = [y - x for x, y in zip(nodes, nodes[1:])]
+    qvals = [problem.potential.value(0.5 * (x + y))
+             for x, y in zip(nodes, nodes[1:])]
+    weight = dict(atoms)
+    return _Cells(nodes, lengths, qvals,
+                  [weight.get(x, 0.0) for x in nodes[:-1]])
 
 
 class RealizedProblem:
-    """Per-cell sweep data for one ProblemSpec at its refinement level.
+    """Sweep data for one ProblemSpec at its refinement level.
 
-    Cell i spans (nodes[i], nodes[i+1]) with length lengths[i] and potential
-    qvals[i]; betas[i] is the weight of the atom at nodes[i], 0.0 if none.
+    cells, the _Cells of [a, b] (its lists also read as the attributes
+    nodes, lengths, qvals and betas, and as atoms, the realized (position,
+    weight) pairs), is built on first access: a problem crossed on its
+    block plan (plan, or None) never builds it, only the cells of the spans
+    its walk runs cross (span).
     Realized atoms lie in [a, b), so each owns exactly one jump slot.
     negative_jumps counts the atoms that lower the zero count by one as
-    z -> -inf.
+    z -> -inf; nonnegative says that no atom is negative.
     """
 
     def __init__(self, problem: ProblemSpec):
         a, b = problem.interval
-        atoms = realize(problem.measure, problem.level)
-        for (x, _) in atoms:
-            if not (a <= x < b):
-                raise ValueError(
-                    f"realized atom at {x} outside [{a}, {b}) "
-                    "(left-endpoint realizations may touch a)")
-        cuts = {a, b}
-        cuts.update(x for (x, _) in atoms)
-        cuts.update(p for p in problem.potential.breakpoints if a < p < b)
-        self.nodes = sorted(cuts)
-        self.lengths = [hi - lo for lo, hi in zip(self.nodes, self.nodes[1:])]
-        self.qvals = [problem.potential.value(0.5 * (lo + hi))
-                      for lo, hi in zip(self.nodes, self.nodes[1:])]
-        weight = dict(atoms)
-        self.betas = [weight.get(x, 0.0) for x in self.nodes[:-1]]
-        self.atoms = atoms
         self.a, self.b = a, b
+        self._problem = problem
+        self._spans = {}
+        measure, level = problem.measure, problem.level
+        for (x, _) in realize(measure, level, -math.inf, a) \
+                + realize(measure, level, b, math.inf):
+            raise ValueError(
+                f"realized atom at {x} outside [{a}, {b}) "
+                "(left-endpoint realizations may touch a)")
+        plan = _BlockPlan(problem, self) if measure.cantor_parts else None
+        segments = ((a, b),) if plan is None else plan.segments
+        # segment by segment: the nodes in [a, b), as many as the cells (b
+        # is the last node), the negative atoms and the cells walk runs touch
+        cuts = {a}.union(problem.potential.breakpoints)
+        cells = negative = walked = 0
+        for seg in segments:
+            if len(seg) == 2:
+                run = self.span(*seg)
+                walked += len(run.lengths)
+                # its start is a node if it is a cut or an atom
+                cells += len(run.lengths) - 1 + (seg[0] in cuts
+                                                 or run.betas[0] != 0.0)
+                negative += sum(w < 0.0 for w in run.betas)
+            else:
+                # a block holds no foreign node: its part's atoms only
+                lo, hi, k, h = seg
+                beta, part = plan.families[k][0], plan.families[k][4]
+                n = 2 ** h if part.distinct(level) else len(
+                    {x for x, _ in part.atoms(level, lo, hi)})
+                cells += n if beta else lo in cuts
+                negative += n if beta < 0.0 else 0
+        first = segments[0]
+        weight_a = self.span(*first).betas[0] if len(first) == 2 \
+            else plan.families[first[2]][0]
         # as z -> -inf each negative atom flips u once, except one at a
         # under a Neumann left end, where u^[1] = 0
-        self.negative_jumps = sum(
-            w < 0.0 and not (x == a and problem.bc_left == "neumann")
-            for (x, w) in atoms)
+        self.negative_jumps = negative - (
+            weight_a < 0.0 and problem.bc_left == "neumann")
+        self.nonnegative = negative == 0
         self.plan = None
-        if problem.measure.cantor_parts:
-            plan = _BlockPlan(problem, self)
+        if plan is not None:
+            _log.debug("block plan: %d blocks, %d top-level segments, "
+                       "depth %d, %d foreign nodes, %d cells", plan.blocks,
+                       len(plan.segments), plan.depth, plan.foreign, cells)
             # a cell step takes about 1.6 us (CPython, 2 shared CPUs),
             # composing a block about 13 us, crossing a segment up to 4 us
             # beyond the cells of its run: a level-5 staircase (6 blocks,
             # 32 cells) keeps the walk, level 6 takes the plan.  Blocks
             # crossed as halves (near eigenvalues of negative masses: up to
             # 229 leaves per shot at level 12) are left out of this rule
-            if 8 * plan.blocks + 3 * len(plan.segments) + plan.walked \
-                    < len(self.qvals):
+            if 8 * plan.blocks + 3 * len(plan.segments) + walked < cells:
                 self.plan = plan
+
+    @functools.cached_property
+    def cells(self) -> _Cells:
+        """The cells of [a, b], built on first access."""
+        return _cells(self._problem, self.a, self.b)
+
+    nodes = property(lambda self: self.cells.nodes)
+    lengths = property(lambda self: self.cells.lengths)
+    qvals = property(lambda self: self.cells.qvals)
+    betas = property(lambda self: self.cells.betas)
+
+    @property
+    def atoms(self) -> list[tuple[float, float]]:
+        return [(x, w) for x, w in zip(self.nodes, self.betas) if w]
+
+    def span(self, lo: float, hi: float) -> _Cells:
+        """The cells of [lo, hi] (_cells), kept per span; cells for [a,
+        b]."""
+        if (lo, hi) == (self.a, self.b):
+            return self.cells
+        cells = self._spans.get((lo, hi))
+        if cells is None:
+            cells = self._spans[lo, hi] = _cells(self._problem, lo, hi)
+        return cells
 
 
 @functools.lru_cache(maxsize=128)
@@ -372,7 +454,7 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
     if real.plan is not None and from_left and (lo, hi) == (real.a, real.b) \
             and not isinstance(z, complex):
         return _plan_sweep(real, z, init)
-    return _sweep(real, z, init, lo, hi, from_left,
+    return _sweep(real.cells, z, init, lo, hi, from_left,
                   count=from_left and not isinstance(z, complex))
 
 
@@ -402,11 +484,13 @@ def _split_stretch(u, u1, ls, w, L):
 def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
     """Cross the atoms in [lo, hi) and the stretches between, in one direction.
 
-    state is any (u, u1, log_scale) triple.  The cells of the run are
-    walked in the run's order.  Left to right each cell applies its jump
-    +beta, rescales, then runs its stretch; right to left each cell runs
-    its stretch backwards, then undoes its jump with -beta, so both
-    directions end on left-limit values.  count adds up the oriented sign
+    real holds the cells (nodes, lengths, qvals, betas): the _Cells of a
+    span that contains [lo, hi], or a RealizedProblem.  state is any (u, u1,
+    log_scale) triple.  The cells of the run are walked in the run's order.
+    Left to right each cell applies its jump +beta, rescales, then runs its
+    stretch; right to left each cell runs its stretch backwards, then
+    undoes its jump with -beta, so both directions end on left-limit
+    values.  count adds up the oriented sign
     changes of u (real data, left to right only); a stretch that cancels a
     decaying state to zero is redone in split exponential form
     (_split_stretch).  Only the first and last cells of a run can be
@@ -465,7 +549,9 @@ class _BlockPlan:
     B_{h-1}*stretch(gaps[h-1])*B_{h-1}.  families[k] = (beta, leaf, gaps,
     q, part), part the CantorSpec whose split cuts its blocks; segments run
     from a to b, (lo, hi, k, h) for the block B_h of family k on [lo, hi)
-    and (x, y) for a run of the cell walk.
+    and (x, y) for a run of the cell walk, which walks the cells of
+    real.span(x, y).  The descent reads the other parts' atoms inside each
+    part's support only, so the plan costs O(level) per foreign node.
     """
 
     def __init__(self, problem: ProblemSpec, real: "RealizedProblem"):
@@ -474,15 +560,17 @@ class _BlockPlan:
         cuts = sorted({a, b}.union(p for p in problem.potential.breakpoints
                                    if a < p < b))
         explicit = [x for x, _ in problem.measure.atoms]
-        # the atoms of each part, foreign to the other parts
-        own = [[x for x, _ in part.atoms(level)] for part in parts] \
-            if len(parts) > 1 else [[]]
-        self.foreign = len(set(cuts).union(explicit, *own))
+        # the explicit atoms and the other parts' atoms inside each part's
+        # support: only these can split its blocks
+        foreign = [sorted(explicit + [
+            x for j, other in enumerate(parts) if j != k
+            for x, _ in other.atoms(level, *part.support)])
+            for k, part in enumerate(parts)]
+        self.foreign = len(set(cuts).union(*foreign))
         heights: dict[tuple[int, float], int] = {}   # (part, q) -> top
         placed = []
         for k, part in enumerate(parts):
-            others = sorted(explicit + [x for j, xs in enumerate(own)
-                                        if j != k for x in xs])
+            others = foreign[k]
             stack = [(*part.support, 0)]
             while stack:
                 lo, hi, depth = stack.pop()
@@ -517,16 +605,8 @@ class _BlockPlan:
             x = hi
         if x < b:
             self.segments.append((x, b))
-        # cells touched by the runs of the walk
-        self.walked = sum(bisect.bisect_left(real.nodes, seg[1])
-                          - bisect.bisect_right(real.nodes, seg[0]) + 1
-                          for seg in self.segments if len(seg) == 2)
         self.blocks = sum(len(f[2]) + 1 for f in self.families)
         self.depth = level
-        _log.debug("block plan: %d blocks, %d top-level segments, depth %d, "
-                   "%d foreign nodes, %d cells", self.blocks,
-                   len(self.segments), self.depth, self.foreign,
-                   len(real.qvals))
 
 
 # A lifted factor is a tuple (a11, a12, a21, a22, l11, l12, l21, l22, ls,
@@ -757,7 +837,8 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     def walk(x, y, st):
         crossed.append((x, y))
         cells = None if count else []
-        run = _sweep(real, z, st[:3], x, y, from_left, count, cells)
+        run = _sweep(real.span(x, y), z, st[:3], x, y, from_left, count,
+                     cells)
         u, u1, ls = run.state
         if count:
             k = st[3] + run.zero_count
@@ -840,7 +921,7 @@ def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
     """
     real = realize_problem(problem)
     cells = []
-    final = _sweep(real, z, problem.launch(from_left), real.a, real.b,
+    final = _sweep(real.cells, z, problem.launch(from_left), real.a, real.b,
                    from_left, cells=cells).state
     return [cell[4] for cell in (cells if from_left else cells[::-1])], final
 

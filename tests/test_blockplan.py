@@ -6,23 +6,29 @@ plan's blocks (propagate._plan_sweep) instead of every realized cell
 eigenvalues must agree with the walk's, and its cost per z must grow with
 the level, not with the number of cells.
 """
+import bisect
 import contextlib
 import importlib
 import io
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from deltaprime import (CantorSpec, PiecewisePotential, ProblemSpec,
-                        SingularMeasure, eigenvalues, propagate)
+                        RefinementUnavailableError, SingularMeasure,
+                        counting_function, eigenvalues, propagate, realize,
+                        shoot, transfer_matrix)
 from deltaprime.spectrum import solution_l2_norm
 from deltaprime.cli import main
 from deltaprime.propagate import StateVector
 
 PROPAGATE = importlib.import_module("deltaprime.propagate")
+SPECTRUM = importlib.import_module("deltaprime.spectrum")
 realize_problem = PROPAGATE.realize_problem
 
 RATIOS = (0.2, 1.0 / 3.0, 0.4)
@@ -341,3 +347,174 @@ def test_plan_debug_record(tmp_path, caplog):
     blocks, segments, depth, foreign, cells = plans[0].args
     assert (blocks, segments, depth, foreign, cells) == (9, 1, 8, 2, 256)
     assert plans[0].levelno == logging.DEBUG and plans[0].name == "deltaprime"
+
+
+# -- plan problems never build the 2^L cell lists ----------------------------
+SIGN = st.sampled_from([1.0, -1.0])
+WEIGHT = st.builds(math.copysign, st.floats(0.1, 2.0), SIGN)
+BC = st.sampled_from(["dirichlet", "neumann"])
+
+
+@st.composite
+def plan_problems(draw):
+    """A Cantor part at levels 6-12 of either sign, maybe at a, maybe with
+    a second, disjoint part; explicit atoms, some on its atoms and one
+    maybe cancelling one exactly; 0-3 q steps; any pair of ends."""
+    level = draw(st.integers(6, 12))
+    c = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+    part = CantorSpec((c, draw(st.floats(0.5, 0.7))),
+                      math.copysign(draw(st.floats(0.3, 1.5)), draw(SIGN)),
+                      draw(st.floats(0.15, 0.45)), level_cap=12)
+    parts = [part]
+    if draw(st.booleans()):
+        parts.append(CantorSpec((draw(st.floats(0.72, 0.8)),
+                                 draw(st.floats(0.85, 0.99))), draw(WEIGHT),
+                                draw(st.floats(0.15, 0.45)), level_cap=12))
+    xs = [x for x, _ in part.atoms(level)]
+    index = st.integers(0, len(xs) - 1)
+    atoms = draw(st.dictionaries(st.floats(0.01, 0.99), WEIGHT, max_size=2))
+    atoms.update((xs[i], draw(WEIGHT)) for i in draw(st.sets(index,
+                                                             max_size=2)))
+    if draw(st.booleans()):
+        atoms[xs[draw(st.one_of(st.just(0), index))]] = -part.mass / 2 ** level
+    steps = draw(st.integers(0, 3))
+    cuts = sorted(draw(st.sets(st.floats(0.05, 0.95), min_size=steps,
+                               max_size=steps)))
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=steps + 1,
+                           max_size=steps + 1))
+    return ProblemSpec(
+        (0.0, 1.0), draw(BC), draw(BC),
+        potential=PiecewisePotential(tuple(cuts), tuple(values)),
+        measure=SingularMeasure(atoms=tuple(sorted(atoms.items())),
+                                cantor_parts=tuple(parts)),
+        level=level)
+
+
+@contextlib.contextmanager
+def _realized_as(real):
+    with mock.patch.object(PROPAGATE, "realize_problem", lambda p: real), \
+            mock.patch.object(SPECTRUM, "realize_problem", lambda p: real):
+        yield
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:   # the same error on both sides is agreement
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _realized_with_record(p):
+    """p's realization and the plan record its build logs."""
+    records, log = [], logging.getLogger("deltaprime")
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    old = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        real = PROPAGATE.RealizedProblem(p)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old)
+    return real, records[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(plan_problems(), st.lists(st.floats(0.0, 1.0), min_size=1,
+                                 max_size=5))
+def test_span_cells_give_the_whole_lists_results(p, ts):
+    native, record = _realized_with_record(p)
+    assume(native.plan is not None)
+    # the reference: walk runs read the whole realization's cells
+    whole = PROPAGATE.RealizedProblem(p)
+    whole.span = lambda lo, hi: whole.cells
+    # the counts that the plan's descent gives, as the whole lists give them
+    atoms = realize(p.measure, p.level)
+    assert whole.atoms == atoms
+    assert native.negative_jumps == sum(
+        w < 0.0 and not (x == p.a and p.bc_left == "neumann")
+        for x, w in atoms)
+    assert native.nonnegative == all(w >= 0.0 for _, w in atoms)
+    assert record.args[-1] == len(whole.qvals)
+    plan, nodes = native.plan, whole.nodes
+    walked = sum(bisect.bisect_left(nodes, seg[1])
+                 - bisect.bisect_right(nodes, seg[0]) + 1
+                 for seg in plan.segments if len(seg) == 2)
+    assert 8 * plan.blocks + 3 * len(plan.segments) + walked \
+        < len(whole.qvals)
+    z0 = min(p.potential.values) - 1e4
+    zs = [z0 - 1.0 + (1e6 - z0 + 1.0) ** t for t in ts]
+    runs = []
+    for real in (native, whole):
+        with _realized_as(real):
+            out = [repr(propagate(p, z)) for z in zs]
+            out += [repr(shoot(p, z)) for z in zs]
+            out.append(p.is_nonnegative_measure())
+            lam = eigenvalues(p, n_max=1, with_norming=False).eigenvalues[0]
+            out += [lam.hex(), _outcome(solution_l2_norm, p, lam)]
+        runs.append(out)
+    assert runs[0] == runs[1]
+    assert "cells" not in vars(native)
+
+
+@pytest.mark.parametrize("mass, ratio, atoms", [
+    # at ratio 1e-3 level-8 atoms of (1, 2) fall within an ulp and merge
+    (1.0, 1e-3, ()), (-1.0, 1e-3, ((1.5, 0.3),)),
+    # a part of zero mass realizes no atom
+    (0.0, 0.3, ((1.5, 0.3),))])
+def test_descent_counts_merged_and_missing_atoms(mass, ratio, atoms):
+    p = ProblemSpec((0.5, 2.5), "neumann", potential=PiecewisePotential(
+        (1.0,), (0.0, 1.0)), measure=SingularMeasure(
+            atoms=atoms, cantor_parts=(CantorSpec((1.0, 2.0), mass, ratio),)),
+        level=8)
+    real, record = _realized_with_record(p)
+    whole = PROPAGATE.RealizedProblem(p)
+    assert record.args[-1] == len(whole.qvals)
+    assert real.negative_jumps == sum(w < 0.0 for _, w in whole.atoms)
+    assert real.nonnegative == (mass >= 0.0)
+
+
+def test_plan_runs_build_no_cell_lists():
+    realize_problem.cache_clear()
+    # one block, and walk runs between blocks around q steps and atoms
+    for p in (DEEP_LIKE, STAIRCASE):
+        counting_function(p, 500.0)
+        eigenvalues(p, n_max=3)
+        real = realize_problem(p)
+        assert real.plan is not None
+        assert "cells" not in vars(real)
+    # a run off the plan builds them; its values are those of the walk
+    # over lists built up front
+    m = transfer_matrix(STAIRCASE, 50.0, 0.0, 0.5)
+    assert "cells" in vars(real)
+    assert [x.hex() for x in (m.a11, m.a12, m.a21, m.a22, m.log_scale)] == [
+        "-0x1.ffd7addfd3612p-3", "-0x1.a56625c616681p-3",
+        "0x1.8f3bbbd90549cp+2", "0x1.226ff09790ddap+0", "0x0.0p+0"]
+    m = transfer_matrix(STAIRCASE, 50.0 + 1.0j)
+    assert [(x.real.hex(), x.imag.hex()) for x in (m.a11, m.a22)] == [
+        ("-0x1.9292b40445456p+0", "0x1.5ae0dcf778112p-5"),
+        ("-0x1.928f6f360e556p+0", "0x1.5ae5a0ad3a000p-5")]
+
+
+@pytest.mark.parametrize("level, cap, reason", [
+    (13, 12, "exceeds level_cap 12"), (21, 40, "deepest realizable level 20")])
+def test_too_deep_plan_problem_is_refused_before_any_split(
+        level, cap, reason, monkeypatch, tmp_path, capsys):
+    p = ProblemSpec((0.0, 1.0), measure=SingularMeasure(cantor_parts=(
+        CantorSpec((0.0, 1.0), 1.3, level_cap=cap),)), level=level)
+
+    def split(*args):
+        raise AssertionError("a construction interval was split")
+
+    monkeypatch.setattr(CantorSpec, "split", split)
+    realize_problem.cache_clear()
+    with pytest.raises(RefinementUnavailableError, match=reason):
+        realize_problem(p)
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "interval": [0.0, 1.0], "level": level,
+        "measure": {"cantor": [{"support": [0.0, 1.0], "mass": 1.3,
+                                "level_cap": cap}]}}))
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    assert reason in capsys.readouterr().err
