@@ -28,10 +28,10 @@ for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f; the
 factors and the Gram towers of the last 16 (plan, z) are kept.  Both run
 kinds cross a block that fails its rounding test as its halves and gap,
 or walk it whole at up to 2^3 cells.  Every other run walks the cells.
-A realization crossed on its plan never builds the 2^L cell lists of [a,
-b]: each walk run reads the cells of its own span (RealizedProblem.span,
-from the realization of that span alone), and negative_jumps and the
-plan's cell count follow from its descent.  The per-cell consumers
+A plan whose blocks alone fail the cost rule is dropped before any span
+is realized; a realization crossed on its plan never builds the 2^L cell
+lists of [a, b]: each walk run reads the cells of its own span
+(RealizedProblem.span).  The per-cell consumers
 (partial, right-to-left and complex-z runs, transfer_matrix,
 cell_entry_states, the Green kernel, the Galerkin oracle) build the lists
 on first access.  States are tuples (StateVector and PropagationResult are
@@ -195,7 +195,8 @@ class RealizedProblem:
     nodes, lengths, qvals and betas, and as atoms, the realized (position,
     weight) pairs), is built on first access: a problem crossed on its
     block plan (plan, or None) never builds it, only the cells of the spans
-    its walk runs cross (span).
+    its walk runs cross (span).  A plan dropped on its blocks alone leaves
+    [a, b] realized once, as a problem without a plan.
     Realized atoms lie in [a, b), so each owns exactly one jump slot.
     negative_jumps counts the atoms that lower the zero count by one as
     z -> -inf; nonnegative says that no atom is negative.
@@ -212,28 +213,30 @@ class RealizedProblem:
             raise ValueError(
                 f"realized atom at {x} outside [{a}, {b}) "
                 "(left-endpoint realizations may touch a)")
-        plan = _BlockPlan(problem, self) if measure.cantor_parts else None
-        segments = ((a, b),) if plan is None else plan.segments
-        # segment by segment: the nodes in [a, b), as many as the cells (b
-        # is the last node), the negative atoms and the cells walk runs touch
+        plan = _BlockPlan(problem) if measure.cantor_parts else None
+        # a cell step takes about 1.6 us (CPython, 2 shared CPUs),
+        # composing a block about 13 us, crossing a segment up to 4 us
+        # beyond the cells of its run: a level-5 staircase (6 blocks, 32
+        # cells) keeps the walk, level 6 takes the plan.  Blocks crossed as
+        # halves (near eigenvalues of negative masses: up to 229 leaves per
+        # shot at level 12) are left out of this rule.  cells - walked
+        # never exceeds the cells the blocks stand for, which decide first
+        segments, cells, negative = ((a, b),), 0, 0
+        if plan is not None:
+            cost = 8 * plan.blocks + 3 * len(plan.segments)
+            if cost < plan.cells:
+                segments, cells, negative = plan.segments, plan.cells, \
+                    plan.negative
+        # the walk runs: their nodes in [a, b), as many as their cells (b is
+        # the last node), their negative atoms and the cells they touch
         cuts = {a}.union(problem.potential.breakpoints)
-        cells = negative = walked = 0
-        for seg in segments:
-            if len(seg) == 2:
-                run = self.span(*seg)
-                walked += len(run.lengths)
-                # its start is a node if it is a cut or an atom
-                cells += len(run.lengths) - 1 + (seg[0] in cuts
-                                                 or run.betas[0] != 0.0)
-                negative += sum(w < 0.0 for w in run.betas)
-            else:
-                # a block holds no foreign node: its part's atoms only
-                lo, hi, k, h = seg
-                beta, part = plan.families[k][0], plan.families[k][4]
-                n = 2 ** h if part.distinct(level) else len(
-                    {x for x, _ in part.atoms(level, lo, hi)})
-                cells += n if beta else lo in cuts
-                negative += n if beta < 0.0 else 0
+        walked = 0
+        for x, y in [seg for seg in segments if len(seg) == 2]:
+            run = self.span(x, y)
+            walked += len(run.lengths)
+            # its start is a node if it is a cut or an atom
+            cells += len(run.lengths) - 1 + (x in cuts or run.betas[0] != 0.0)
+            negative += sum(w < 0.0 for w in run.betas)
         first = segments[0]
         weight_a = self.span(*first).betas[0] if len(first) == 2 \
             else plan.families[first[2]][0]
@@ -242,19 +245,11 @@ class RealizedProblem:
         self.negative_jumps = negative - (
             weight_a < 0.0 and problem.bc_left == "neumann")
         self.nonnegative = negative == 0
-        self.plan = None
         if plan is not None:
             _log.debug("block plan: %d blocks, %d top-level segments, "
                        "depth %d, %d foreign nodes, %d cells", plan.blocks,
                        len(plan.segments), plan.depth, plan.foreign, cells)
-            # a cell step takes about 1.6 us (CPython, 2 shared CPUs),
-            # composing a block about 13 us, crossing a segment up to 4 us
-            # beyond the cells of its run: a level-5 staircase (6 blocks,
-            # 32 cells) keeps the walk, level 6 takes the plan.  Blocks
-            # crossed as halves (near eigenvalues of negative masses: up to
-            # 229 leaves per shot at level 12) are left out of this rule
-            if 8 * plan.blocks + 3 * len(plan.segments) + walked < cells:
-                self.plan = plan
+        self.plan = plan if plan is not None and cost + walked < cells else None
 
     @functools.cached_property
     def cells(self) -> _Cells:
@@ -550,12 +545,13 @@ class _BlockPlan:
     q, part), part the CantorSpec whose split cuts its blocks; segments run
     from a to b, (lo, hi, k, h) for the block B_h of family k on [lo, hi)
     and (x, y) for a run of the cell walk, which walks the cells of
-    real.span(x, y).  The descent reads the other parts' atoms inside each
-    part's support only, so the plan costs O(level) per foreign node.
+    RealizedProblem.span(x, y); cells and negative count the cells and
+    negative atoms of the blocks.  The descent reads the other parts' atoms
+    inside each part's support only: O(level) per foreign node.
     """
 
-    def __init__(self, problem: ProblemSpec, real: "RealizedProblem"):
-        a, b, level = real.a, real.b, problem.level
+    def __init__(self, problem: ProblemSpec):
+        (a, b), level = problem.interval, problem.level
         parts = problem.measure.cantor_parts
         cuts = sorted({a, b}.union(p for p in problem.potential.breakpoints
                                    if a < p < b))
@@ -569,8 +565,10 @@ class _BlockPlan:
         self.foreign = len(set(cuts).union(*foreign))
         heights: dict[tuple[int, float], int] = {}   # (part, q) -> top
         placed = []
+        self.cells = self.negative = 0
         for k, part in enumerate(parts):
             others = foreign[k]
+            beta, distinct = part.mass / 2 ** level, part.distinct(level)
             stack = [(*part.support, 0)]
             while stack:
                 lo, hi, depth = stack.pop()
@@ -581,6 +579,11 @@ class _BlockPlan:
                     key = (k, problem.potential.value(0.5 * (lo + hi)))
                     heights[key] = max(heights.get(key, 0), level - depth)
                     placed.append((lo, hi, key, level - depth))
+                    # its part's 2^h atoms, or its distinct ones
+                    n = 2 ** (level - depth) if distinct else len(
+                        {x for x, _ in part.atoms(level, lo, hi)})
+                    self.cells += n if beta else lo in cuts
+                    self.negative += n if beta < 0.0 else 0
                 elif depth < level:     # the first child is popped first
                     stack.extend((*child, depth + 1) for child
                                  in reversed(part.split([(lo, hi)])))
@@ -610,27 +613,25 @@ class _BlockPlan:
 
 
 # A lifted factor is a tuple (a11, a12, a21, a22, l11, l12, l21, l22, ls,
-# det, turn, err, s): a double-double matrix (a + l) times exp(ls), scaled
-# by a power of two to largest entry in [1/2, 1) in the energy metric
-# |(u, u^[1])| = max(|s*u|, |u^[1]|); det = exp(-2*ls) is its determinant
-# in exact arithmetic; turn is the lifted Pruefer angle atan2(u, u^[1]) of
-# the image of v0 = (0, 1); err bounds the rounding of the double-double
+# turn, err, s): a double-double matrix (a + l) times exp(ls), scaled by a
+# power of two to largest entry in [1/2, 1) in the energy metric |(u,
+# u^[1])| = max(|s*u|, |u^[1]|), so that its determinant is exp(-2*ls) in
+# exact arithmetic; turn is the lifted Pruefer angle atan2(u, u^[1]) of the
+# image of v0 = (0, 1); err bounds the rounding of the double-double
 # entries in units of that largest entry.
-_LS, _DET, _TURN, _ERR, _S = range(8, 13)
+_LS, _TURN, _ERR, _S = range(8, 12)
 
 
-def _factor(a11, a12, a21, a22, l11, l12, l21, l22, ls, det, turn, s,
-            err=0.0):
+def _factor(a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, s, err=0.0):
     m = max(abs(a11), abs(a12 * s), abs(a21 / s), abs(a22))
     if not 0.0 < m < math.inf:
         # cancelled or overflowed beyond use: crossed by its parts only
-        return (a11, a12, a21, a22, l11, l12, l21, l22, ls, det, turn,
-                math.inf, s)
+        return (a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, math.inf,
+                s)
     k = math.frexp(m)[1]
     c = math.ldexp(1.0, -k)
     return (a11 * c, a12 * c, a21 * c, a22 * c, l11 * c, l12 * c, l21 * c,
-            l22 * c, ls + k * _LN2, det * c * c, turn, err / m + _EPS * _EPS,
-            s)
+            l22 * c, ls + k * _LN2, turn, err / m + _EPS * _EPS, s)
 
 
 def _stretch_factor(w, L, s):
@@ -640,12 +641,11 @@ def _stretch_factor(w, L, s):
     phi = math.atan2(S, C)
     rise = math.sqrt(w) * L if w > 0.0 else 0.0
     turn = phi + 2.0 * math.pi * round((rise - phi) / (2.0 * math.pi))
-    return _factor(C, S, -w * S, C, 0.0, 0.0, 0.0, 0.0, ls,
-                   math.exp(-2.0 * ls), turn, s)
+    return _factor(C, S, -w * S, C, 0.0, 0.0, 0.0, 0.0, ls, turn, s)
 
 
 def _jump_factor(beta, s):
-    return _factor(1.0, beta, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+    return _factor(1.0, beta, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                    math.atan2(beta, 1.0), s)
 
 
@@ -688,17 +688,18 @@ def _compose(g, f):
     c22, d22 = _dd_dot(g21, m21, f12, n12, g22, m22, f22, n22)
     turn = f[_TURN] + _lift(g, f12, f22, c12, c22)
     return _factor(c11, c12, c21, c22, d11, d12, d21, d22, f[_LS] + g[_LS],
-                   f[_DET] * g[_DET], turn, f[_S], f[_ERR] + g[_ERR])
+                   turn, f[_S], f[_ERR] + g[_ERR])
 
 
 def _lift(f, u, u1, nu, nu1):
     """Lifted angle gained by (u, u^[1]) under f, whose image is (nu, nu1).
 
     The image of v0 has turned by f's turn; v and its image keep their
-    orientation against v0 (det > 0), so the angle between the images is
-    atan2(det * cross, dot), exact in sign even where det underflows.
+    orientation against v0 (det = exp(-2*ls) > 0), so the angle between the
+    images is atan2(det * cross, dot), exact in sign where det underflows.
     """
-    return (f[_TURN] + math.atan2(f[_DET] * u, f[1] * nu + f[3] * nu1)
+    return (f[_TURN] + math.atan2(math.exp(-2.0 * f[_LS]) * u,
+                                  f[1] * nu + f[3] * nu1)
             - math.atan2(u, u1))
 
 
@@ -867,13 +868,13 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
             if (f[_ERR] + _EPS) * max(abs(s * u), abs(u1)) <= PLAN_SLACK \
                     * _EPS * 2 ** h * max(abs(s * nu), abs(nu1)):
                 if count:
-                    return _step(f, nu, nu1, st, True)
+                    return _step(f, nu, nu1, st)
                 v = (u, u1, st[2]) if from_left else \
                     (nu, nu1, st[2] + f[_LS])
                 g = grams[k][h]
                 val = _gram_value(g, v[0], v[1], h)
                 if val is not None:
-                    after = _step(f, nu, nu1, st, False)
+                    after = (*_rescale(nu, nu1, st[2] + f[_LS]), st[3])
                     crossed.append((lo, hi, k, h))
                     pieces.append((lo, (st if from_left else after)[:3],
                                    z - plan.families[k][3], None,
@@ -896,17 +897,14 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     return PropagationResult(StateVector(u, u1, ls), m + (u != 0.0) - m0 - 1)
 
 
-def _step(f, nu, nu1, st, count):
-    """A block's image (nu, nu1) of st's state, rescaled; with count, the
-    half-turn index of _plan_sweep follows the block's lift."""
+def _step(f, nu, nu1, st):
+    """A block's image (nu, nu1) of st's state, rescaled, with the
+    half-turn index of _plan_sweep following the block's lift."""
     u, u1, ls, m = st
-    if count:
-        theta = math.atan2(u + 0.0, u1) + _lift(f, u, u1, nu, nu1)
+    theta = math.atan2(u + 0.0, u1) + _lift(f, u, u1, nu, nu1)
     nu, nu1, ls = _rescale(nu, nu1, ls + f[_LS])
-    if count:
-        m += _floor_turn(nu, nu1) - _floor_turn(u, u1) + 2 * round(
-            (theta - math.atan2(nu + 0.0, nu1)) / (2.0 * math.pi))
-    return nu, nu1, ls, m
+    return nu, nu1, ls, m + _floor_turn(nu, nu1) - _floor_turn(u, u1) \
+        + 2 * round((theta - math.atan2(nu + 0.0, nu1)) / (2.0 * math.pi))
 
 
 def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):

@@ -431,7 +431,7 @@ def counting_function(problem: ProblemSpec, t: float) -> int:
     if t > 0.0:
         return count_lt(_widen(t)) - count_lt(_widen(0.0))
     if t < 0.0:
-        return count_lt(0.0) - count_lt(t - max(abs(t), 1.0) * 1e-14)
+        return count_lt(0.0) - count_lt(-_widen(-t))
     return 0
 
 

@@ -155,6 +155,11 @@ class TestScaleFunction:
             f = scale_function(on(SingularMeasure(), 50.0, 0), r)
             assert abs(f * math.sqrt(r) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_r_rejected(self, r):
+        with pytest.raises(ValueError, match="positive"):
+            scale_function(on(SingularMeasure(), 50.0, 0), r)
+
     def test_atom_dominated_window(self):
         m = SingularMeasure.from_atoms([(1e-6, 1.0)])
         for r in (1e3, 1e4, 1e5):

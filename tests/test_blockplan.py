@@ -75,7 +75,7 @@ def test_counts_equal_cell_walk(i):
     # the plan itself, whether or not it is cheaper than the walk here
     p = CASES[i]
     real = PROPAGATE.RealizedProblem(p)
-    real.plan = PROPAGATE._BlockPlan(p, real)
+    real.plan = PROPAGATE._BlockPlan(p)
     for z in _grid(p):
         got = PROPAGATE._plan_sweep(real, z, p.launch()).zero_count
         assert got == _walk(p, z).zero_count, z
@@ -85,7 +85,7 @@ def test_explicit_atom_on_a_cantor_atom_splits_its_blocks():
     p = CASES[0]
     x = p.measure.atoms[0][0]
     assert x in dict(p.measure.cantor_parts[0].atoms(p.level))
-    plan = PROPAGATE._BlockPlan(p, realize_problem(p))
+    plan = PROPAGATE._BlockPlan(p)
     assert (plan.foreign, plan.depth) == (7, 5)
     # the merged atom is crossed by a run of the cell walk
     assert any(len(seg) == 2 and seg[0] <= x < seg[1]
@@ -99,7 +99,7 @@ def test_eigenvalues_agree_with_cell_walk(i, monkeypatch):
     # with q = 0 have the eigenvalue 0, met within some ulps of 0.0
     p = CASES[i]
     real = realize_problem(p)
-    monkeypatch.setattr(real, "plan", PROPAGATE._BlockPlan(p, real))
+    monkeypatch.setattr(real, "plan", PROPAGATE._BlockPlan(p))
     planned = eigenvalues(p, n_max=10, with_norming=False).eigenvalues
     monkeypatch.setattr(real, "plan", None)
     walked = eigenvalues(p, n_max=10, with_norming=False).eigenvalues
@@ -141,7 +141,7 @@ def test_collapsed_leaf_keeps_the_decaying_state():
     m = SingularMeasure(cantor_parts=(CantorSpec((0.0, 39.0), -2.0, 0.25),))
     p = ProblemSpec((-20.0, 40.0), measure=m, level=1)
     real = PROPAGATE.RealizedProblem(p)
-    real.plan = PROPAGATE._BlockPlan(p, real)
+    real.plan = PROPAGATE._BlockPlan(p)
     _agree(PROPAGATE._plan_sweep(real, -4.0, p.launch()), _walk(p, -4.0))
 
 
@@ -456,6 +456,89 @@ def test_span_cells_give_the_whole_lists_results(p, ts):
         runs.append(out)
     assert runs[0] == runs[1]
     assert "cells" not in vars(native)
+
+
+def test_a_plan_dropped_on_its_blocks_realizes_no_walk_span(monkeypatch):
+    # 7 blocks and 5 segments cost more than the 16 cells the blocks stand
+    # for: the plan is dropped before its two walk runs are realized, and
+    # [a, b] is realized once, as without a plan
+    p = ProblemSpec((0, 1), potential=PiecewisePotential((0.8,), (0.0, 2.0)),
+                    measure=SingularMeasure(atoms=((0.5, 0.3),),
+                                            cantor_parts=(CantorSpec(
+                                                (0, 1), 1.0),)), level=4)
+    spans, cells = [], PROPAGATE._cells
+    monkeypatch.setattr(PROPAGATE, "_cells", lambda problem, lo, hi: (
+        spans.append((lo, hi)), cells(problem, lo, hi))[1])
+    real, record = _realized_with_record(p)
+    assert real.plan is None and real._spans == {}
+    assert spans == [(0, 1)] and "cells" in vars(real)
+    assert record.args == (7, 5, 4, 4, 18)
+    plan = PROPAGATE._BlockPlan(p)
+    assert (plan.cells, plan.negative) == (16, 0)
+    assert 8 * plan.blocks + 3 * len(plan.segments) >= plan.cells
+
+
+@st.composite
+def shallow_problems(draw):
+    """A Cantor part at levels 1-8 of either sign, maybe with a second,
+    disjoint part; explicit atoms on and off its atoms, one maybe
+    cancelling one exactly; 0-3 q steps, maybe on its atoms; any pair of
+    ends."""
+    level = draw(st.integers(1, 8))
+    part = CantorSpec((draw(st.sampled_from([0.0, 0.1])),
+                       draw(st.floats(0.5, 0.7))), draw(WEIGHT),
+                      draw(st.floats(0.15, 0.45)))
+    parts = [part]
+    if draw(st.booleans()):
+        parts.append(CantorSpec((0.75, draw(st.floats(0.85, 0.99))),
+                                draw(WEIGHT), draw(st.floats(0.15, 0.45))))
+    xs = [x for x, _ in part.atoms(level)]
+    on_part = st.sampled_from(xs)
+    atoms = draw(st.dictionaries(st.floats(0.01, 0.99), WEIGHT, max_size=3))
+    atoms.update((x, draw(WEIGHT)) for x in draw(st.sets(on_part,
+                                                         max_size=2)))
+    if draw(st.booleans()):
+        atoms[draw(on_part)] = -part.mass / 2 ** level
+    steps = draw(st.integers(0, 3))
+    cuts = sorted(draw(st.sets(st.one_of(st.floats(0.05, 0.95), on_part),
+                               min_size=steps, max_size=steps)))
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1))
+    return ProblemSpec(
+        (0.0, 1.0), draw(BC), draw(BC),
+        potential=PiecewisePotential(tuple(cuts), tuple(values)),
+        measure=SingularMeasure(atoms=tuple(sorted(atoms.items())),
+                                cantor_parts=tuple(parts)),
+        level=level)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(shallow_problems())
+def test_plan_counts_and_decision_are_the_whole_lists(p):
+    real, record = _realized_with_record(p)
+    plan = PROPAGATE._BlockPlan(p)
+    cells = PROPAGATE._cells(p, p.a, p.b)
+    atoms, nodes = realize(p.measure, p.level), cells.nodes
+    runs = [seg for seg in plan.segments if len(seg) == 2]
+
+    def in_runs(x):
+        return any(lo <= x < hi for lo, hi in runs)
+
+    # the blocks' counts and the runs' from the lists give the lists' own,
+    # for dropped plans too
+    assert plan.cells + sum(map(in_runs, nodes[:-1])) == len(cells.lengths)
+    assert plan.negative + sum(w < 0.0 and in_runs(x) for x, w in atoms) \
+        == sum(w < 0.0 for _, w in atoms)
+    assert record.args == (plan.blocks, len(plan.segments), plan.depth,
+                           plan.foreign, len(cells.lengths))
+    walked = sum(bisect.bisect_left(nodes, hi) - bisect.bisect_right(nodes, lo)
+                 + 1 for lo, hi in runs)
+    assert (real.plan is not None) == (
+        8 * plan.blocks + 3 * len(plan.segments) + walked < len(cells.lengths))
+    assert real.negative_jumps == sum(
+        w < 0.0 and not (x == p.a and p.bc_left == "neumann")
+        for x, w in atoms)
+    assert real.nonnegative == all(w >= 0.0 for _, w in atoms)
 
 
 @pytest.mark.parametrize("mass, ratio, atoms", [

@@ -133,6 +133,18 @@ class TestCriteria:
         assert evaluate_criteria(gaps, flat,
                                  epsilon_grid=(1.0,)).verdict == "not_discrete"
 
+    def test_rising_samples_over_flat_gap_means_are_mixed(self):
+        # q = 0 on every unit gap and rising between them: the Molchanov
+        # samples trend up, the gap means (0) and 1/d_k^2 + mean (1) stay
+        # flat, so neither rule holds
+        gaps = GapStructure(tuple((2.0 * k, 2.0 * k + 1.0)
+                                  for k in range(40)))
+        q = PiecewisePotential(tuple(float(x) for x in range(1, 80)),
+                               tuple(float(j % 2 * j) for j in range(80)))
+        report = evaluate_criteria(gaps, q, epsilon_grid=(1.0,))
+        assert report.verdict == "inconclusive"
+        assert report.reasons == ("mixed windowed evidence",)
+
     def test_prefix_restriction(self):
         gaps = tile_gaps([1.0 / (j + 1) for j in range(100)], 40.0)
         q = PiecewisePotential((), (0.0,))

@@ -211,6 +211,15 @@ class TestMFunctionCommand:
             assert abs(ratio - 1.0) < 0.05
 
 
+    def test_valid_alpha(self, tmp_path, capsys):
+        cfg = write(tmp_path, "free.json", FREE01)
+        rc, out = run_json(capsys, ["mfunction", "--config", cfg,
+                                    "--alpha", "0.5", "--count", "2"])
+        assert rc == 0
+        result = json.loads(out)["result"]
+        assert result["alpha"] == 0.5 and len(result["rows"]) == 2
+
+
 class TestAsymptoticsCommand:
     def test_rho_ratio_csv(self, tmp_path, capsys):
         cfg = write(tmp_path, "half.json", HALFLINE)

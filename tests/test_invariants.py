@@ -129,7 +129,7 @@ def cantor_problems(draw):
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_plan_counts_as_the_cell_walk(p, ts):
     real = PROPAGATE.RealizedProblem(p)
-    real.plan = PROPAGATE._BlockPlan(p, real)
+    real.plan = PROPAGATE._BlockPlan(p)
     # log-spaced from min q - 1e4 up to 1e6, the range of the pinned grid
     z0 = min(p.potential.values) - 1e4
     for t in ts:
@@ -171,7 +171,7 @@ def deep_cantor_problems(draw):
 def test_plan_norming_as_the_cell_walk(p, n):
     real = PROPAGATE.realize_problem(p)
     if real.plan is None:
-        real.plan = PROPAGATE._BlockPlan(p, real)
+        real.plan = PROPAGATE._BlockPlan(p)
     try:
         floor = min(p.potential.values) - 1.0
         lam = eigenvalues(p, window=(floor, 1e5), n_max=count(p, floor) + n,

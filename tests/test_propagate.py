@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaprime import (PiecewisePotential, ProblemSpec, SingularMeasure,
-                        StateVector, TransferMatrix, atom_jump, propagate,
-                        realize, stretch_propagator, transfer_matrix,
-                        wronskian)
+from deltaprime import (CantorSpec, PiecewisePotential,
+                        PropagationOverflowError, ProblemSpec,
+                        SingularMeasure, StateVector, TransferMatrix,
+                        atom_jump, propagate, realize, stretch_propagator,
+                        transfer_matrix, wronskian)
 from deltaprime.propagate import (_count_stretch_zeros, cell_entry_states,
                                   realize_problem)
 from conftest import random_problem, rk4_state
@@ -338,6 +339,13 @@ class TestWronskian:
     def test_unit_pair(self):
         assert wronskian(StateVector(1.0, 0.0), StateVector(0.0, 1.0)) == 1.0
 
+    def test_scale_beyond_double_range(self):
+        big = StateVector(1.0, 0.0, 350.5)
+        with pytest.raises(PropagationOverflowError, match="double range"):
+            wronskian(big, StateVector(0.0, 1.0, 350.0))
+        with pytest.raises(PropagationOverflowError, match="double range"):
+            StateVector(1.0, 0.0, 700.5).true_values()
+
     def test_identical_states(self):
         assert wronskian(StateVector(2.0, 3.0), StateVector(2.0, 3.0)) == 0.0
 
@@ -454,6 +462,29 @@ class TestTransferMatrix:
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-14 * abs(w)
         assert seen >= 10
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("kwargs, reason", [
+        (dict(bc_left="robin"), "unknown boundary condition 'robin'"),
+        (dict(bc_right="periodic"), "unknown boundary condition"),
+        (dict(level=-1), "level must be nonnegative"),
+        (dict(interval=(1.0, 0.0)), "interval must be finite"),
+    ])
+    def test_rejected_fields(self, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            ProblemSpec(**{"interval": (0.0, 1.0), **kwargs})
+
+    @pytest.mark.parametrize("measure", [
+        SingularMeasure.from_atoms([(1.0, 0.2)]),
+        SingularMeasure.from_atoms([(-0.5, 0.2), (0.5, 0.1)]),
+        SingularMeasure(cantor_parts=(CantorSpec((0.5, 1.5), 1.0),)),
+    ])
+    def test_realized_atom_outside_rejected(self, measure):
+        # the library's own check, behind the CLI schema's
+        p = ProblemSpec((0.0, 1.0), measure=measure, level=3)
+        with pytest.raises(ValueError, match=r"outside \[0.0, 1.0\)"):
+            propagate(p, 1.0)
 
 
 class TestPiecewisePotential:

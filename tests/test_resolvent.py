@@ -129,6 +129,13 @@ class TestGreen:
         with pytest.raises(NearSingularError):
             GreenKernel(p, math.pi ** 2)
 
+    def test_solution_scale_beyond_assembly_rejected(self):
+        # at z = -1e4 the state grows by e^100 per unit cell: past the
+        # ninth atom its log scale passes what the kernel arrays can hold
+        m = SingularMeasure.from_atoms([(float(x), 0.5) for x in range(1, 10)])
+        with pytest.raises(NearSingularError, match="solution scale"):
+            GreenKernel(ProblemSpec((0.0, 10.0), measure=m), -1e4)
+
     def test_resolvent_identity(self):
         m = SingularMeasure.from_atoms([(0.4, 0.5)])
         p = ProblemSpec((0.0, 1.0), measure=m)

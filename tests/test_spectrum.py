@@ -684,6 +684,12 @@ class TestQuadraticForm:
         lebesgue = val.kinetic - val.jump_sum
         assert abs(lebesgue - 1.0 / 19.0) < 1e-12
 
+    def test_jump_within_1e_12_of_an_atom_takes_its_weight(self):
+        m = SingularMeasure.from_atoms([(0.0, 2.0)])
+        p = ProblemSpec((-20.0, 20.0), measure=m)
+        f = JumpFunction((5e-13, 19.0), (0.0, 0.0), (1.0, 0.0))
+        assert quadratic_form(p, f).jump_sum == 0.5
+
     def test_off_atom_jump_rejected(self):
         p = free_problem()
         f = JumpFunction((0.2, 0.5, 0.8), (0.0, 0.3, 0.0), (0.0, 0.8, 0.0))
@@ -748,6 +754,11 @@ class TestQuadraticForm:
 
 
 class TestGalerkinOracle:
+    @pytest.mark.parametrize("mesh_size", [0.0, -0.1])
+    def test_nonpositive_mesh_rejected(self, mesh_size):
+        with pytest.raises(MeshRefinementError, match="positive"):
+            GalerkinOracle(free_problem(), mesh_size)
+
     def test_free_lambda1_convergence(self):
         orc = GalerkinOracle(free_problem(), 2.0 ** -10).eigenvalues(3)
         assert abs(orc[0] / math.pi ** 2 - 1.0) < 1e-4
