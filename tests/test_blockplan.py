@@ -467,8 +467,12 @@ def test_a_plan_dropped_on_its_blocks_realizes_no_walk_span(monkeypatch):
                                             cantor_parts=(CantorSpec(
                                                 (0, 1), 1.0),)), level=4)
     spans, cells = [], PROPAGATE._cells
-    monkeypatch.setattr(PROPAGATE, "_cells", lambda problem, lo, hi: (
-        spans.append((lo, hi)), cells(problem, lo, hi))[1])
+
+    def counted(problem, lo, hi):
+        spans.append((lo, hi))
+        return cells(problem, lo, hi)
+
+    monkeypatch.setattr(PROPAGATE, "_cells", counted)
     real, record = _realized_with_record(p)
     assert real.plan is None and real._spans == {}
     assert spans == [(0, 1)] and "cells" in vars(real)
