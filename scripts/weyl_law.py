@@ -16,7 +16,7 @@ import math
 from deltaprime import CantorSpec, ProblemSpec, SingularMeasure
 from deltaprime.cli import _parse_levels, _positive_int
 from deltaprime.io import emit, render_csv
-from deltaprime.spectrum import _eigenvalue_by_index, _Samples
+from deltaprime.spectrum import _eigenvalue_list
 
 
 def main(argv=None):
@@ -35,11 +35,9 @@ def main(argv=None):
     measure = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0),
                                                        args.mass),))
     problem = ProblemSpec((0.0, 1.0), measure=measure, level=args.level)
-    samples = _Samples(problem)  # neighbouring indices reuse brackets
-    rows = []
-    for n in range(lo, hi + 1, args.step):
-        lam = _eigenvalue_by_index(problem, n, samples)
-        rows.append((n, lam, n / math.sqrt(lam) * math.pi))
+    indices = range(lo, hi + 1, args.step)  # searched with shared shots
+    rows = [(n, lam, n / math.sqrt(lam) * math.pi)
+            for n, lam in zip(indices, _eigenvalue_list(problem, indices))]
     meta = {"level": args.level, "mass": args.mass}
     emit(render_csv(("n", "lambda_n", "weyl_ratio"), rows, meta), args.out)
 

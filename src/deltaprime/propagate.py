@@ -10,7 +10,9 @@ scale-invariant.  Zero counts are oriented (a negative atom that flips the
 sign of u counts -1), so they track the lifted Pruefer angle, which rises
 with z whatever the signs of the atoms.
 
-_sweep is the one walk over the realized cells.  A realization with a
+_sweep is the one walk over the realized cells at one z; _count_sweep
+runs its full left-to-right counting run at many real z at once, bit for
+bit (the eigenvalue search of many indices).  A realization with a
 Cantor part also carries a z-independent block plan (_BlockPlan): each
 subtree of a Cantor construction tree whose span holds no foreign node (a
 q breakpoint or the end b inside it, an explicit atom or an atom of
@@ -46,6 +48,8 @@ import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import PropagationOverflowError
 from .measures import SingularMeasure, realize
@@ -531,6 +535,113 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
         if beta and not from_left:
             u, u1, ls = _rescale(u - beta * u1, u1, ls)
     return PropagationResult(StateVector(u, u1, ls), zeros)
+
+
+def _mapped(f, *arrays):
+    """f of math applied element by element: numpy's exp, log, cosh, sinh
+    and arctan2 can differ from math's in the last bit."""
+    return np.fromiter(map(f, *(x.tolist() for x in arrays)), float,
+                       len(arrays[0]))
+
+
+def _rescale_lanes(u, u1, ls):
+    """_rescale on every lane of the arrays (u, u1, ls)."""
+    m = np.maximum(np.abs(u), np.abs(u1))
+    if m.max() <= RESCALE_LIMIT and m.min() >= 1.0 / RESCALE_LIMIT:
+        return u, u1, ls
+    if not m.all():
+        raise PropagationOverflowError("state collapsed to zero")
+    far = np.flatnonzero((m > RESCALE_LIMIT) | (m < 1.0 / RESCALE_LIMIT))
+    u, u1, ls = u.copy(), u1.copy(), ls.copy()
+    u[far] /= m[far]
+    u1[far] /= m[far]
+    ls[far] += _mapped(math.log, m[far])
+    return u, u1, ls
+
+
+def _count_sweep(cells, zs, state):
+    """_sweep(cells, z, state, a, b, True, count=True) at every real z of
+    the array zs at once, across all of cells (the _Cells of [a, b]).
+
+    Returns the arrays (u, u1, ls) of the final states and the zero counts,
+    each bit for bit the scalar walk's: numpy does only IEEE-exact
+    operations, math the rest (_mapped), and each branch of _cs, _rescale
+    and _count_stretch_zeros runs on its own lanes (all of them, as a
+    slice, where one branch takes every lane), so no lane computes what
+    its scalar walk does not.  A stretch that cancels a decaying state to
+    zero is redone by _split_stretch on its lane.  Products whose sign
+    alone is read may overflow to inf, as Python's floats do.
+    """
+    u, u1, ls = (np.full(len(zs), float(v)) for v in state)
+    zeros = np.zeros(len(zs), dtype=np.int64)
+    last = len(cells.lengths) - 1
+    for i, (L, q, beta) in enumerate(zip(cells.lengths, cells.qvals,
+                                         cells.betas)):
+        if beta:
+            up = u + beta * u1
+            with np.errstate(over="ignore"):
+                flip = (u * up < 0.0) | ((up if beta > 0.0 else u) == 0.0)
+            zeros += flip if beta > 0.0 else -flip.astype(np.int64)
+            u, u1, ls = _rescale_lanes(up, u1, ls)
+        # _cs: the series below |w| L^2 = SERIES_THRESHOLD (w L^2 rounds
+        # like |w| L^2), else trig for w > 0, hyperbolic for w < 0, scaled
+        # past EXP_SPLIT
+        w = zs - q
+        wl2 = w * L * L
+        if wl2.min() >= SERIES_THRESHOLD:
+            trig, rest = slice(None), None
+        else:
+            trig = np.flatnonzero(wl2 >= SERIES_THRESHOLD)
+            rest = np.flatnonzero(wl2 < SERIES_THRESHOLD)
+        om = np.sqrt(w[trig])
+        phase = om * L
+        C, S = np.empty_like(w), np.empty_like(w)
+        C[trig] = _mapped(math.cos, phase)
+        S[trig] = _mapped(math.sin, phase) / om
+        nls = ls
+        if rest is not None:
+            near = rest[np.abs(wl2[rest]) < SERIES_THRESHOLD]
+            y = wl2[near]
+            C[near] = 1.0 - y / 2.0 * (1.0 - y / 12.0)
+            S[near] = L * (1.0 - y / 6.0 * (1.0 - y / 20.0))
+            hyp = rest[wl2[rest] <= -SERIES_THRESHOLD]
+            k = np.sqrt(-w[hyp])
+            t = k * L
+            low = t <= EXP_SPLIT
+            C[hyp[low]] = _mapped(math.cosh, t[low])
+            S[hyp[low]] = _mapped(math.sinh, t[low]) / k[low]
+            high = hyp[~low]
+            e2 = _mapped(math.exp, -2.0 * t[~low])
+            C[high] = (1.0 + e2) / 2.0
+            S[high] = (1.0 - e2) / (2.0 * k[~low])
+            nls = ls.copy()
+            nls[high] += t[~low]
+        nu, nu1 = C * u + S * u1, -w * S * u + C * u1
+        if rest is not None:
+            for j in rest[(nu[rest] == 0.0) & (nu1[rest] == 0.0)
+                          & (w[rest] < 0.0)]:
+                nu[j], nu1[j], nls[j] = _split_stretch(
+                    float(u[j]), float(u1[j]), float(ls[j]), float(w[j]), L)
+        # _count_stretch_zeros: from the angle on the trig lanes (the
+        # integers hi - lo + 1 there, exact in floats), by the sign change
+        # of u elsewhere
+        closed = i != last
+        phi0 = _mapped(math.atan2, om * u[trig], u1[trig])
+        phi1 = phi0 + phase
+        hi = np.ceil(phi1 / math.pi) - 1.0
+        end = nu[trig] == 0.0
+        if end.any():
+            hi[end] = np.rint(phi1[end] / math.pi) - (not closed)
+        n = np.maximum(hi - (np.floor(phi0 / math.pi) + 1.0) + 1.0, 0.0)
+        if rest is None:
+            zeros += n.astype(np.int64)
+        else:
+            with np.errstate(over="ignore"):
+                flip = (u * nu < 0.0) | (closed & (nu == 0.0))
+            zeros[trig] += n.astype(np.int64)
+            zeros[rest] += flip[rest]
+        u, u1, ls = _rescale_lanes(nu, nu1, nls)
+    return u, u1, ls, zeros
 
 
 class _BlockPlan:

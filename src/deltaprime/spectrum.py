@@ -6,8 +6,11 @@ exact eigenvalue count below z that the oriented zero count of the sweep
 gives (oscillation theory for measure coefficients: the lifted Pruefer
 angle rises with z whatever the signs of the atoms).  The count isolates
 each eigenvalue, Illinois regula falsi on the boundary residual converges
-to float adjacency, and every move of the bracket is decided by the count;
-one sorted store of shots serves all indices of a call.
+to float adjacency, and every move of the bracket is decided by the count.
+A call searches its indices one by one, from one sorted store of shots,
+or, on a problem without a block plan asked for LOCKSTEP_MIN indices or
+more, all in lockstep: one z-batched counting sweep (_count_sweep, shoot's
+counts bit for bit) per round, every bracket moved by array arithmetic.
 
 Independent of it is a conforming P1 Galerkin discretization with doubled
 (discontinuous) basis nodes at every atom and jump penalty |jump|^2/beta,
@@ -33,8 +36,9 @@ from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
 from .measures import kappa_minus
 # cell_entry_states stays a module attribute for tracers that wrap it
-from .propagate import (ProblemSpec, _plan_sweep, cell_entry_states,  # noqa
-                        cell_l2_integral, propagate, realize_problem)
+from .propagate import (ProblemSpec, _count_sweep, _mapped,  # noqa
+                        _plan_sweep, cell_entry_states, cell_l2_integral,
+                        propagate, realize_problem)
 
 __all__ = [
     "SpectralData",
@@ -163,6 +167,33 @@ def _secant(lo: _Sample, hi: _Sample, g_lo: float,
     return min(max(x, inner_lo), inner_hi)
 
 
+def _bracket(problem: ProblemSpec, n_lo: int, n_hi: int, samples: _Samples):
+    """Shoot until samples hold a count below n_lo and one of n_hi or more.
+
+    Upwards from a Weyl guess for n_hi, doubled while the count stays below
+    n_hi; downwards from min q - 1 by doubling distances while the count
+    there still reaches n_lo (negative atoms bind states below min q).
+    """
+    pts = samples.points
+    if not pts or pts[-1].count < n_hi:
+        hi = _weyl_upper_guess(problem, n_hi)
+        for _ in range(200):
+            if (not pts or hi > pts[-1].z) and samples.at(hi).count >= n_hi:
+                break
+            hi *= 2.0
+        else:
+            raise NearSingularError(
+                f"could not bracket eigenvalue index {n_hi}")
+    qmin = min(problem.potential.values)
+    depth = 1.0
+    while pts[0].count >= n_lo:
+        if depth > 1e300:
+            raise NearSingularError(
+                f"could not bracket eigenvalue index {n_lo}")
+        samples.at(qmin - depth)
+        depth *= 2.0
+
+
 def _eigenvalue_by_index(problem: ProblemSpec, n: int,
                          samples: _Samples | None = None) -> float:
     """n-th eigenvalue (1-based): the least float z with count(z) >= n.
@@ -184,21 +215,7 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
         samples = _Samples(problem)
     pts = samples.points
     start = len(pts)
-    if not pts or pts[-1].count < n:
-        hi = _weyl_upper_guess(problem, n)
-        for _ in range(200):
-            if (not pts or hi > pts[-1].z) and samples.at(hi).count >= n:
-                break
-            hi *= 2.0
-        else:
-            raise NearSingularError(f"could not bracket eigenvalue index {n}")
-    qmin = min(problem.potential.values)
-    depth = 1.0
-    while pts[0].count >= n:
-        if depth > 1e300:
-            raise NearSingularError(f"could not bracket eigenvalue index {n}")
-        samples.at(qmin - depth)
-        depth *= 2.0
+    _bracket(problem, n, n, samples)
     i = samples.bracket(n)
     lo, hi = pts[i - 1], pts[i]
     g_lo = g_hi = 1.0       # Illinois weights of the two ends
@@ -240,6 +257,142 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
                    n, lo.z, hi.z, lo.count, hi.count,
                    len(pts) - start, n_interp, n_bisect)
     return hi.z
+
+
+# The least number of requested indices for which a problem without a
+# block plan is searched in lockstep (_lockstep) instead of index by index.
+# A round pays a fixed 35-50 us of numpy calls per cell whatever its width,
+# and a search takes 20-50 rounds however few its indices, against 8-20 us
+# per scalar shoot of 1-5 cells (CPython, 2 shared CPUs, untuned).  On the
+# first ten seed-0 wide_band problems (1-5 cells, medians of 11 alternated
+# runs) lockstep took 1.08x, 0.78x, 0.63x and 0.49x the time of the search
+# index by index for the lowest 64, 96, 128 and 192 indices, and 1.31x,
+# 0.92x, 0.75x and 0.62x for as many indices above z = 4000.
+LOCKSTEP_MIN = 128
+
+
+def _shoot_lanes(problem: ProblemSpec, zs: np.ndarray):
+    """shoot at every real z of the array zs, for a problem without a
+    block plan: the arrays (count, residual, log_scale), bit for bit
+    shoot's (one _count_sweep)."""
+    real = realize_problem(problem)
+    u, u1, ls, count = _count_sweep(real.cells, zs, problem.launch())
+    count += real.negative_jumps
+    if problem.bc_right == "dirichlet":
+        return count, u, ls
+    with np.errstate(over="ignore"):
+        count += (u * u1 < 0.0) | (u == 0.0)
+    return count, u1, ls
+
+
+def _secant_lanes(lo, hi, g_lo, g_hi):
+    """_secant for the columns of lo and hi (rows z, count, residual,
+    log_scale), weighted by the arrays g_lo and g_hi: NaN where _secant
+    gives None."""
+    inner_lo, inner_hi = np.nextafter(lo[0], hi[0]), np.nextafter(hi[0], lo[0])
+    m = np.maximum(lo[3], hi[3])
+    f_lo = g_lo * lo[2] * _mapped(math.exp, lo[3] - m)
+    f_hi = g_hi * hi[2] * _mapped(math.exp, hi[3] - m)
+    x = np.full(len(m), np.nan)
+    ok = f_lo * f_hi < 0.0
+    x[ok] = lo[0, ok] + (hi[0, ok] - lo[0, ok]) * (
+        f_lo[ok] / (f_lo[ok] - f_hi[ok]))
+    x = np.minimum(np.maximum(x, inner_lo), inner_hi)
+    zero_lo = lo[2] == 0.0
+    one = zero_lo != (hi[2] == 0.0)
+    x[one] = np.where(zero_lo, inner_lo, inner_hi)[one]
+    return x
+
+
+def _lockstep(problem: ProblemSpec, indices, samples: _Samples) -> list:
+    """lambda_n for every n of indices, searched at once, on a problem
+    without a block plan.
+
+    _eigenvalue_by_index's search for every index, in rounds: each round
+    takes one point per unfinished index (the Illinois regula falsi point
+    where its bracket holds lambda_n alone, the midpoint otherwise), shoots
+    the distinct points in one _count_sweep (_shoot_lanes) and moves every
+    bracket by its count.  Indices that share a bracket (all of them at
+    first, between the ends _bracket finds) share its midpoint, as in
+    multisection (LAPACK dstebz).  Each result is the least float whose
+    computed count reaches n, as index by index; where that count is not
+    monotone (within ulps of an eigenvalue) the two searches can stop on
+    neighbouring floats.
+    """
+    _bracket(problem, indices[0], indices[-1], samples)
+    shots = np.array(samples.points, dtype=float).T
+    out = np.empty(len(indices))
+    # the unfinished indices: their positions in out, n, and their
+    # brackets as columns (rows z, count, residual, log_scale), the
+    # tightest among the shots so far (_Samples.bracket)
+    at, n = np.arange(len(indices)), np.array(indices, dtype=float)
+    i = np.searchsorted(shots[1], n)
+    lo, hi = shots[:, i - 1], shots[:, i]
+    g = np.ones((2, len(n)))    # Illinois weights of the two ends
+    moved = np.zeros(len(n), dtype=int)     # end moved last: -1 lo, +1 hi
+    misses = np.zeros(len(n), dtype=int)    # as in _eigenvalue_by_index
+    rounds = n_shot = n_interp = n_bisect = 0
+    while True:
+        x = 0.5 * (lo[0] + hi[0])
+        going = (x != lo[0]) & (x != hi[0])
+        if not going.all():
+            out[at[~going]] = hi[0, ~going]
+            at, n, lo, hi, g, moved, misses, x = (
+                v[..., going] for v in (at, n, lo, hi, g, moved, misses, x))
+            if not at.size:
+                break
+        rounds += 1
+        one = np.flatnonzero((hi[1] - lo[1] == 1.0) & (misses < 3))
+        xs = _secant_lanes(lo[:, one], hi[:, one], g[0, one], g[1, one])
+        interp = np.zeros(len(x), dtype=bool)
+        interp[one[~np.isnan(xs)]] = True
+        x[interp] = xs[~np.isnan(xs)]
+        # indices that share a bracket are neighbours, and so are their
+        # points: each run of equal points is shot once
+        new = np.ones(len(x), dtype=bool)
+        new[1:] = x[1:] != x[:-1]
+        zs = x[new]
+        n_shot += zs.size
+        s = np.vstack((zs, *_shoot_lanes(problem, zs)))[:, np.cumsum(new) - 1]
+        width = hi[0] - lo[0]
+        reach = s[1] >= n
+        # Illinois: an end that stays put twice in a row loses half its weight
+        g[0, reach & (moved > 0)] *= 0.5
+        g[1, ~reach & (moved < 0)] *= 0.5
+        g[1, reach] = g[0, ~reach] = 1.0
+        hi, lo = np.where(reach, s, hi), np.where(reach, lo, s)
+        moved = np.where(reach, 1, -1)
+        misses = np.where(interp & (hi[0] - lo[0] > 0.5 * width),
+                          misses + 1, 0)
+        n_interp += int(interp.sum())
+        n_bisect += int(len(x) - interp.sum())
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("eigenvalues %d..%d in lockstep: %d indices, %d rounds, "
+                   "%d distinct z shot, %d interpolation and %d bisection "
+                   "steps", indices[0], indices[-1], len(out), rounds, n_shot,
+                   n_interp, n_bisect)
+    return out.tolist()
+
+
+def _eigenvalue_list(problem: ProblemSpec, indices,
+                     samples: _Samples | None = None):
+    """Yield lambda_n for each n of indices (increasing), sharing shots.
+
+    A problem without a block plan asked for LOCKSTEP_MIN indices or more
+    is searched in lockstep (_lockstep); every other call searches index by
+    index (_eigenvalue_by_index), each lambda_n yielded as soon as it is
+    found, so that a norming constant taken right away finds the block
+    factors of the shots there (_plan_factors keeps the last 16).
+    """
+    if samples is None:
+        samples = _Samples(problem)
+    if len(indices) >= LOCKSTEP_MIN and realize_problem(problem).plan is None:
+        yield from _lockstep(problem, indices, samples)
+        return
+    for n in indices:
+        lam = _eigenvalue_by_index(problem, n, samples)
+        samples.drop_below(n + 1)
+        yield lam
 
 
 def _log_mag(st):
@@ -345,8 +498,11 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
     of eigenvalues below z reaches n (see shoot; any measure sign, either
     boundary condition), found by count-safeguarded regula falsi down to
     float adjacency: about a dozen sweeps each, shots shared across
-    indices.  An eigenvalue exactly at the top of the window (a zero
-    residual there) is reported as that end.
+    indices (_eigenvalue_list: index by index, or in lockstep for
+    LOCKSTEP_MIN indices or more without a block plan; the two can stop
+    on neighbouring floats only where the computed count reverses, within
+    ulps of an eigenvalue).  An eigenvalue exactly at the top of the window
+    (a zero residual there) is reported as that end.
     """
     if n_max is None and window is None:
         raise ValueError("need n_max and/or window")
@@ -363,15 +519,15 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
         n_hi = top.count + (top.residual == 0)
         if n_max is not None:
             n_hi = min(n_hi, n_max)
+    indices = range(n_lo, n_hi + 1)
+    searched = indices if top is None else range(
+        n_lo, min(n_hi, top.count) + 1)
+    found = _eigenvalue_list(problem, searched, samples)
     lams, norm = [], []
-    for n in range(n_lo, n_hi + 1):
-        if top is not None and n > top.count:
-            # a root exactly at w1 is not below w1: the least float whose
-            # count reaches it lies one ulp above, outside the window
-            lam = float(w1)
-        else:
-            lam = _eigenvalue_by_index(problem, n, samples)
-            samples.drop_below(n + 1)
+    for n in indices:
+        # a root exactly at w1 is not below w1: the least float whose
+        # count reaches it lies one ulp above, outside the window
+        lam = next(found) if n in searched else float(w1)
         if lams and lam <= lams[-1]:
             # sub-ulp splittings: keep the reported list strictly ordered
             lam = math.nextafter(lams[-1], math.inf)
@@ -380,7 +536,7 @@ def eigenvalues(problem: ProblemSpec, n_max: int | None = None,
             # right after the search, whose last shots' blocks are kept
             norm.append(solution_l2_norm(problem, lam))
     return SpectralData(tuple(lams), tuple(norm) if with_norming else None,
-                        "shooting", tuple(range(n_lo, n_hi + 1)))
+                        "shooting", tuple(indices))
 
 
 def _default_mesh(problem: ProblemSpec) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import pathlib
@@ -594,6 +595,16 @@ def test_golden_output_bytes(tmp_path, name):
     assert body == (GOLDEN_DIR / name).read_bytes()
     side = GOLDEN_DIR / (name + ".stdout")
     assert printed == (side.read_bytes() if side.exists() else b"")
+
+
+def test_debug_records_leave_the_output_alone(tmp_path, caplog):
+    # the asymptotics goldens search about 600 indices in lockstep, which
+    # logs one record; at DEBUG the bytes are still the golden's
+    with caplog.at_level(logging.DEBUG, logger="deltaprime"):
+        body, printed = _golden_output(tmp_path, "asymptotics.json")
+    assert (body, printed) == ((GOLDEN_DIR / "asymptotics.json").read_bytes(),
+                               b"")
+    assert sum("in lockstep" in r.getMessage() for r in caplog.records) == 1
 
 
 def test_import_loads_no_scipy():

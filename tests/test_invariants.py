@@ -8,7 +8,9 @@ every z that is not within rounding of an eigenvalue:
   every eigenvalue lambda to 4^-k lambda;
 - mirror symmetry: x -> a + b - x, with the ends swapped;
 - plan = walk: a Cantor run across the block plan has the zero count of
-  the cell walk.
+  the cell walk;
+- batched = scalar: the z-batched counting sweep gives every shot's count,
+  residual and log scale bit for bit.
 Monotonicity in z is not among them: the one-sided count still reverses
 near eigenvalues split by tunnelling.  The examples are derandomized, so
 every run checks the same problems.
@@ -16,6 +18,7 @@ every run checks the same problems.
 import importlib
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from deltaprime import (CantorSpec, PiecewisePotential, ProblemSpec,
@@ -23,6 +26,7 @@ from deltaprime import (CantorSpec, PiecewisePotential, ProblemSpec,
 from deltaprime.spectrum import solution_l2_norm
 
 PROPAGATE = importlib.import_module("deltaprime.propagate")
+SPECTRUM = importlib.import_module("deltaprime.spectrum")
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 BC = st.sampled_from(["dirichlet", "neumann"])
@@ -100,6 +104,70 @@ def test_mirror_image_keeps_the_count(p, zs):
             (a + b - x, w) for (x, w) in p.measure.atoms))
     for z in zs:
         assert count(mirror, z) == count(p, z), z
+
+
+def batched_shots(p, zs):
+    """(count, residual, log_scale) of each z, from one batched sweep and
+    from one shoot per z; floats by their bits (hex, signed zeros too)."""
+    counts, residuals, scales = SPECTRUM._shoot_lanes(p, np.array(zs))
+    batched = [(int(c), float(r).hex(), float(ls).hex())
+               for c, r, ls in zip(counts, residuals, scales)]
+    return batched, [(s.count, s.residual.hex(), s.log_scale.hex())
+                     for s in (shoot(p, z) for z in zs)]
+
+
+@settings(FIXED, max_examples=80)
+@given(atomic_problems(), ZS, st.lists(st.floats(1.0, 300.0), max_size=3))
+def test_batched_shots_are_the_scalar_shots(p, zs, depths):
+    # the drawn z alone (often all above max q: one trig branch for every
+    # lane); then z = q on each step, where w is exactly 0 (the series
+    # branch), z far below min q, which rescales and is scaled past the
+    # hyperbolic split, and the first z twice
+    batched, scalar = batched_shots(p, zs)
+    assert batched == scalar
+    zs = zs + list(p.potential.values) + [
+        min(p.potential.values) - 10.0 ** d for d in depths] + zs[:1]
+    batched, scalar = batched_shots(p, zs)
+    assert batched == scalar
+
+
+def test_batched_sweep_redoes_a_collapsed_stretch(monkeypatch):
+    # at z = -4 the cosh/sinh form cancels the state past the atom to
+    # exactly zero (as in test_propagate); each of the two lanes of z = -4
+    # redoes its stretch in split form, as each of the two scalar walks does
+    calls = []
+    split = PROPAGATE._split_stretch
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(PROPAGATE, "_split_stretch", counted)
+    for bc in ("dirichlet", "neumann"):
+        calls.clear()
+        p = ProblemSpec((-20.0, 20.0), bc, bc,
+                        measure=SingularMeasure.from_atoms([(0.0, -1.0)]))
+        batched, scalar = batched_shots(p, [-4.0, -1.0, -4.0, -1e6])
+        assert batched == scalar
+        assert len(calls) == 4
+
+
+def test_batched_count_of_a_stretch_ending_on_a_zero():
+    # a stretch entered at (S, -C), its own C and S at z, takes u to
+    # exactly 0.0 at its end: a zero at b is not counted, one at an interior
+    # node is; the second lane ends elsewhere
+    for z, L in ((7.0, 2.5), (50.0, 0.3), (-3.0, 1.5)):
+        C, S, _ = PROPAGATE._cs(z, L)
+        for cells in (PROPAGATE._Cells([0.0, L], [L], [0.0], [0.0]),
+                      PROPAGATE._Cells([0.0, L, L + 1.0], [L, 1.0],
+                                       [0.0, 0.0], [0.0, 0.0])):
+            u, u1, ls, zeros = PROPAGATE._count_sweep(
+                cells, np.array([z, z + 1.0]), (S, -C, 0.0))
+            for k, zk in enumerate((z, z + 1.0)):
+                walk = PROPAGATE._sweep(cells, zk, (S, -C, 0.0), 0.0,
+                                        cells.nodes[-1], True, count=True)
+                assert (u[k], u1[k], ls[k]) == walk.state
+                assert zeros[k] == walk.zero_count, (z, L, k)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from deltaprime.propagate import cell_l2_integral, realize_problem
 from deltaprime.spectrum import (_eigenvalue_by_index, _weyl_upper_guess,
                                  solution_l2_norm)
 from conftest import random_measure
+from test_cli import ATOM_HALFLINE
 
 CANTOR1 = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), 1.0),))
 
@@ -301,6 +303,111 @@ class TestRootFinder:
                 assert lo == math.nextafter(hi, -math.inf) and c_lo == n - 1
                 assert sweeps >= 1 and interp + bisect >= 1
                 assert f"eigenvalue {n}:" in rec.getMessage()
+
+
+def wide_band_problem(seed):
+    """A seeded truncation on (0, ell), ell in [20, 60], as in the wide_band
+    benchmark: 0-4 atoms, here of either sign, maybe a q step, any ends."""
+    rng = random.Random(f"lockstep/{seed}")
+    ell = rng.uniform(20.0, 60.0)
+    atoms = {rng.uniform(0.5, ell - 0.5): rng.choice((1.0, -1.0))
+             * rng.uniform(0.05, 2.0) for _ in range(rng.randint(0, 4))}
+    cut = rng.uniform(0.1 * ell, 0.9 * ell)
+    potential = rng.choice((PiecewisePotential(), PiecewisePotential(
+        (cut,), (0.0, rng.uniform(-5.0, 5.0)))))
+    return ProblemSpec((0.0, ell), rng.choice(("dirichlet", "neumann")),
+                       rng.choice(("dirichlet", "neumann")), potential,
+                       SingularMeasure.from_atoms(sorted(atoms.items())),
+                       level=1)
+
+
+def one_by_one(p, indices):
+    """lambda_n index by index, sharing shots as eigenvalues does."""
+    samples = spectrum._Samples(p)
+    out = []
+    for n in indices:
+        out.append(_eigenvalue_by_index(p, n, samples))
+        samples.drop_below(n + 1)
+    return out
+
+
+class TestLockstep:
+    """Many indices of a problem without a block plan, searched at once."""
+
+    @staticmethod
+    def check(p, indices):
+        lams = list(spectrum._eigenvalue_list(p, indices))
+        for n, lam, ref in zip(indices, lams, one_by_one(p, indices)):
+            # the least float whose count reaches n
+            assert _count_below(p, lam) >= n, (n, lam)
+            assert _count_below(p, math.nextafter(lam, -math.inf)) < n
+            # where the count is monotone, the float of the one-by-one
+            # search; a few ulps from it where the count reverses
+            assert abs(lam - ref) <= 4 * math.ulp(ref), (n, lam, ref)
+        return lams
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_least_float_of_each_count(self, seed):
+        p = wide_band_problem(seed)
+        assert realize_problem(p).plan is None
+        first = 1 + 40 * (seed % 2)
+        self.check(p, range(first, first + spectrum.LOCKSTEP_MIN + 7 * seed))
+
+    def test_golden_asymptotics_window(self):
+        # the eigenvalues behind the asymptotics goldens' window 1e3..4e3
+        p = parse_problem(ATOM_HALFLINE)
+        w0, w1 = 1e3, 4e3
+        indices = range(_count_below(p, w0) + 1, _count_below(p, w1) + 1)
+        assert len(indices) >= spectrum.LOCKSTEP_MIN
+        lams = self.check(p, indices)
+        assert eigenvalues(p, window=(w0, w1),
+                           with_norming=False).eigenvalues == tuple(lams)
+
+    def test_route_by_size_and_plan(self, monkeypatch):
+        searched = []
+        by_index, lockstep = _eigenvalue_by_index, spectrum._lockstep
+
+        def one(p, n, samples=None):
+            searched.append(n)
+            return by_index(p, n, samples)
+
+        def many(p, indices, samples):
+            searched.append(tuple(indices))
+            return lockstep(p, indices, samples)
+
+        monkeypatch.setattr(spectrum, "_eigenvalue_by_index", one)
+        monkeypatch.setattr(spectrum, "_lockstep", many)
+        k = spectrum.LOCKSTEP_MIN
+        p = wide_band_problem(0)
+        eigenvalues(p, n_max=k - 1, with_norming=False)
+        assert searched == list(range(1, k))
+        searched.clear()
+        eigenvalues(p, n_max=k, with_norming=False)
+        assert searched == [tuple(range(1, k + 1))]
+        # a block plan keeps the index-by-index search at any size
+        searched.clear()
+        plan = ProblemSpec((0.0, 1.0), measure=CANTOR1, level=6)
+        assert realize_problem(plan).plan is not None
+        eigenvalues(plan, n_max=k, with_norming=False)
+        assert searched == list(range(1, k + 1))
+
+    def test_debug_record_per_call(self, caplog, capsys):
+        p = wide_band_problem(1)
+        k = spectrum.LOCKSTEP_MIN
+        with caplog.at_level(logging.INFO, logger="deltaprime"):
+            eigenvalues(p, n_max=k, with_norming=False)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="deltaprime"):
+            eigenvalues(p, n_max=k, with_norming=False)
+        (rec,) = caplog.records
+        assert rec.name == "deltaprime" and rec.levelno == logging.DEBUG
+        first, last, indices, rounds, shots, interp, bisect = rec.args
+        assert (first, last, indices) == (1, k, k)
+        # every unfinished index takes a step per round; indices that
+        # share a bracket share its midpoint
+        assert 1 <= rounds <= shots <= interp + bisect
+        assert "in lockstep" in rec.getMessage()
+        assert capsys.readouterr() == ("", "")
 
 
 # pencils for the oracle's eigenvalues against eigh_tridiagonal: both
