@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .classify import EndpointDescriptor, GapStructure
 from .errors import SchemaError
-from .measures import CantorSpec, SingularMeasure
+from .measures import CantorSpec, SingularMeasure, misplaced
 from .propagate import PiecewisePotential, ProblemSpec
 
 SCHEMA_VERSION = 1
@@ -120,15 +120,10 @@ def parse_problem(doc, pointer="") -> ProblemSpec:
                      potential, measure, level)
     # every realized atom must own a jump slot in [a, b)
     parts = doc.get("measure", {})
-    for i, entry in enumerate(parts.get("atoms", [])):
-        if not a <= entry["x"] < b:
-            raise SchemaError(f"{pointer}/measure/atoms/{i}/x",
-                              f"atom outside [{a}, {b})")
-    for i, entry in enumerate(parts.get("cantor", [])):
-        c, d = entry["support"]
-        if not a <= c < d <= b:
-            raise SchemaError(f"{pointer}/measure/cantor/{i}/support",
-                              f"support outside [{a}, {b}]")
+    for where, reason in misplaced(
+            [entry["x"] for entry in parts.get("atoms", [])],
+            [entry["support"] for entry in parts.get("cantor", [])], a, b):
+        raise SchemaError(f"{pointer}/measure/{where}", reason)
     return problem
 
 

@@ -155,6 +155,17 @@ def realize(measure: SingularMeasure, level: int, lo: float = -math.inf,
     return [(x, w) for x, w in sorted(merged.items()) if w != 0.0]
 
 
+def misplaced(positions, supports, a: float, b: float):
+    """(pointer, reason) per atom position outside [a, b) and per Cantor
+    support outside [a, b], pointer "atoms/i/x" or "cantor/i/support"."""
+    for i, x in enumerate(positions):
+        if not a <= x < b:
+            yield f"atoms/{i}/x", f"atom at {x} outside [{a}, {b})"
+    for i, (c, d) in enumerate(supports):
+        if not a <= c < d <= b:
+            yield f"cantor/{i}/support", f"support outside [{a}, {b}]"
+
+
 def distribution(measure: SingularMeasure, x: float, level: int) -> float:
     """Left-continuous distribution value: sum of weights strictly below x."""
     return math.fsum(w for (p, w) in realize(measure, level) if p < x)

@@ -10,34 +10,33 @@ scale-invariant.  Zero counts are oriented (a negative atom that flips the
 sign of u counts -1), so they track the lifted Pruefer angle, which rises
 with z whatever the signs of the atoms.
 
-_sweep is the one walk over the realized cells at one z; _count_sweep
-runs its full left-to-right counting run at many real z at once, bit for
-bit (the eigenvalue search of many indices).  A realization with a
-Cantor part also carries a z-independent block plan (_BlockPlan): each
-subtree of a Cantor construction tree whose span holds no foreign node (a
-q breakpoint or the end b inside it, an explicit atom or an atom of
-another Cantor part on it) is one block of its family (one per part and q
-value), B_0 = stretch(r^L*len)*jump(m/2^L) and B_h =
-B_{h-1}*stretch(gap_h)*B_{h-1}; a subtree that holds a foreign node splits
-into its children, down to single cells.  A full left-to-right run at real
-z crosses the plan's top-level segments (_plan_sweep): each block as one
-factor with its log scale and the lifted angle of a reference vector, the
-cells between blocks as partial runs of _sweep, whose counts add to the
-run's half-turn index, so the count stays the walk's.  The two
-runs of a norming constant, from a and from b, cross the plan too: each
-block also carries its Gram form G, with int u^2 = v^T G v over the block
-for its entry state v, composed as G_{g*f} = G_f + M_f^T G_g M_f; the
-factors and the Gram towers of the last 16 (plan, z) are kept.  Both run
-kinds cross a block that fails its rounding test as its halves and gap,
-or walk it whole at up to 2^3 cells.  Every other run walks the cells.
-A plan whose blocks alone fail the cost rule is dropped before any span
-is realized; a realization crossed on its plan never builds the 2^L cell
-lists of [a, b]: each walk run reads the cells of its own span
-(RealizedProblem.span).  The per-cell consumers
-(partial, right-to-left and complex-z runs, transfer_matrix,
-cell_entry_states, the Green kernel, the Galerkin oracle) build the lists
-on first access.  States are tuples (StateVector and PropagationResult are
-NamedTuples).
+_sweep is the one walk over the realized cells at one z; _count_sweep runs
+its full left-to-right counting run at many real z at once, bit for bit
+(the eigenvalue search of many indices).  A realization with a Cantor part
+also carries a z-independent block plan (_BlockPlan): each subtree of a
+Cantor construction tree whose span holds no foreign node (a q breakpoint
+or the end b inside it, an explicit atom or an atom of another Cantor part
+on it) is one block of its family (one per part and q value), B_0 =
+stretch(r^L*len)*jump(m/2^L) and B_h = B_{h-1}*stretch(gap_h)*B_{h-1}; a
+subtree that holds a foreign node splits into its children, down to single
+cells.  A full left-to-right run at real z crosses the plan's top-level
+segments (_plan_sweep): each block as one factor with its log scale and the
+lifted angle of a reference vector, the cells between blocks as partial
+runs of _sweep, whose counts add to the run's half-turn index, so the count
+stays the walk's.  The two runs of a norming constant, from a and from b,
+cross the plan too: each block also carries its Gram form G, with int u^2 =
+v^T G v over the block for its entry state v, composed as G_{g*f} = G_f +
+M_f^T G_g M_f; the factors and the Gram towers of the last 16 (plan, z) are
+kept.  Both run kinds cross a block that fails its rounding test as its
+halves and gap, or walk it whole at up to 2^3 cells.  Every other run walks
+the cells.  A plan is kept only where 8*blocks + 3*segments < plan.cells,
+the cells its blocks stand for: one cost rule on the plan's own counts,
+decided before any span is realized.  A realization crossed on its plan
+never builds the 2^L cell lists of [a, b]: each walk run reads the cells of
+its own span (RealizedProblem.span).  The per-cell consumers (partial,
+right-to-left and complex-z runs, transfer_matrix, cell_entry_states, the
+Green kernel, the Galerkin oracle) build the lists on first access.  States
+are tuples (StateVector and PropagationResult are NamedTuples).
 """
 from __future__ import annotations
 
@@ -199,8 +198,8 @@ class RealizedProblem:
     nodes, lengths, qvals and betas, and as atoms, the realized (position,
     weight) pairs), is built on first access: a problem crossed on its
     block plan (plan, or None) never builds it, only the cells of the spans
-    its walk runs cross (span).  A plan dropped on its blocks alone leaves
-    [a, b] realized once, as a problem without a plan.
+    its walk runs cross (span).  A plan whose blocks cost no less than the
+    cells they stand for is dropped before any span is realized.
     Realized atoms lie in [a, b), so each owns exactly one jump slot.
     negative_jumps counts the atoms that lower the zero count by one as
     z -> -inf; nonnegative says that no atom is negative.
@@ -218,29 +217,25 @@ class RealizedProblem:
                 f"realized atom at {x} outside [{a}, {b}) "
                 "(left-endpoint realizations may touch a)")
         plan = _BlockPlan(problem) if measure.cantor_parts else None
-        # a cell step takes about 1.6 us (CPython, 2 shared CPUs),
-        # composing a block about 13 us, crossing a segment up to 4 us
-        # beyond the cells of its run: a level-5 staircase (6 blocks, 32
-        # cells) keeps the walk, level 6 takes the plan.  Blocks crossed as
-        # halves (near eigenvalues of negative masses: up to 229 leaves per
-        # shot at level 12) are left out of this rule.  cells - walked
-        # never exceeds the cells the blocks stand for, which decide first
-        segments, cells, negative = ((a, b),), 0, 0
         if plan is not None:
-            cost = 8 * plan.blocks + 3 * len(plan.segments)
-            if cost < plan.cells:
-                segments, cells, negative = plan.segments, plan.cells, \
-                    plan.negative
-        # the walk runs: their nodes in [a, b), as many as their cells (b is
-        # the last node), their negative atoms and the cells they touch
-        cuts = {a}.union(problem.potential.breakpoints)
-        walked = 0
-        for x, y in [seg for seg in segments if len(seg) == 2]:
-            run = self.span(x, y)
-            walked += len(run.lengths)
-            # its start is a node if it is a cut or an atom
-            cells += len(run.lengths) - 1 + (x in cuts or run.betas[0] != 0.0)
-            negative += sum(w < 0.0 for w in run.betas)
+            _log.debug("block plan: %d blocks, %d top-level segments, "
+                       "depth %d, %d foreign nodes, %d cells", plan.blocks,
+                       len(plan.segments), plan.depth, plan.foreign,
+                       plan.cells)
+            # a cell step takes about 1.6 us (CPython, 2 shared CPUs), a
+            # block about 13 us, a segment up to 4 us beyond its run's cells:
+            # a level-5 staircase (6 blocks, 32 cells) keeps the walk, level
+            # 6 takes the plan.  Walk runs cost alike on both routes (but for
+            # one split cell), and blocks crossed as halves (near eigenvalues
+            # of negative masses: up to 229 leaves per level-12 shot) stay out
+            if 8 * plan.blocks + 3 * len(plan.segments) >= plan.cells:
+                plan = None
+        self.plan = plan
+        segments = ((a, b),) if plan is None else plan.segments
+        # the blocks' negative atoms and those of the walk runs, realized here
+        negative = (0 if plan is None else plan.negative) + sum(
+            w < 0.0 for seg in segments if len(seg) == 2
+            for w in self.span(*seg).betas)
         first = segments[0]
         weight_a = self.span(*first).betas[0] if len(first) == 2 \
             else plan.families[first[2]][0]
@@ -249,11 +244,6 @@ class RealizedProblem:
         self.negative_jumps = negative - (
             weight_a < 0.0 and problem.bc_left == "neumann")
         self.nonnegative = negative == 0
-        if plan is not None:
-            _log.debug("block plan: %d blocks, %d top-level segments, "
-                       "depth %d, %d foreign nodes, %d cells", plan.blocks,
-                       len(plan.segments), plan.depth, plan.foreign, cells)
-        self.plan = plan if plan is not None and cost + walked < cells else None
 
     @functools.cached_property
     def cells(self) -> _Cells:
@@ -270,8 +260,7 @@ class RealizedProblem:
         return [(x, w) for x, w in zip(self.nodes, self.betas) if w]
 
     def span(self, lo: float, hi: float) -> _Cells:
-        """The cells of [lo, hi] (_cells), kept per span; cells for [a,
-        b]."""
+        """The cells of [lo, hi] (_cells), kept per span; cells for [a, b]."""
         if (lo, hi) == (self.a, self.b):
             return self.cells
         cells = self._spans.get((lo, hi))

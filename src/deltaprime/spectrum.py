@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
-from .measures import kappa_minus
+from .measures import kappa_minus, misplaced
 # cell_entry_states stays a module attribute for tracers that wrap it
 from .propagate import (ProblemSpec, _count_sweep, _mapped,  # noqa
                         _plan_sweep, cell_entry_states, cell_l2_integral,
@@ -98,13 +98,17 @@ def shoot(problem: ProblemSpec, z: float) -> _Sample:
     if isinstance(z, complex):
         raise TypeError("shoot takes real z; propagate takes complex z")
     res = propagate(problem, z)
-    u, u1, log_scale = res.state.u, res.state.u1, res.state.log_scale
-    count = res.zero_count + realize_problem(problem).negative_jumps
+    u, u1, log_scale = res.state
+    return _Sample(z, *_count_and_residual(problem, res.zero_count, u, u1),
+                   log_scale)
+
+
+def _count_and_residual(problem: ProblemSpec, zero_count, u, u1):
+    """shoot's (count, residual) at a sweep's end (u, u1): floats or lanes."""
+    count = zero_count + realize_problem(problem).negative_jumps
     if problem.bc_right == "dirichlet":
-        return _Sample(z, count, u, log_scale)
-    if u * u1 < 0.0 or u == 0.0:
-        count += 1
-    return _Sample(z, count, u1, log_scale)
+        return count, u
+    return count + ((u * u1 < 0.0) | (u == 0.0)), u1
 
 
 def _weyl_upper_guess(problem: ProblemSpec, n: int) -> float:
@@ -198,14 +202,11 @@ def _eigenvalue_by_index(problem: ProblemSpec, n: int,
                          samples: _Samples | None = None) -> float:
     """n-th eigenvalue (1-based): the least float z with count(z) >= n.
 
-    The bracket starts at min q - 1, moved below min q by doubling
-    distances while the count there still reaches n (negative atoms bind
-    states below min q), and at a Weyl guess, doubled while the count
-    stays below n.  The exact count is bisected until the bracket holds
-    lambda_n alone (count(lo) == n - 1, count(hi) == n).  From then on
-    each point is the Illinois regula falsi point of the residual, or
-    the midpoint when the residuals show no sign change or three steps in
-    a row failed to halve the bracket.  Only the count moves the bracket and
+    The exact count is bisected from the bracket of _bracket until it
+    holds lambda_n alone (count(lo) == n - 1, count(hi) == n).  From then
+    on each point is the Illinois regula falsi point of the residual, or
+    the midpoint when the residuals show no sign change or three steps in a
+    row failed to halve the bracket.  Only the count moves the bracket and
     the loop ends at float adjacency, so where the computed count is
     monotone in z the result does not depend on the path, and
     near-degenerate pairs a few ulp apart (never isolated) still come out
@@ -275,14 +276,10 @@ def _shoot_lanes(problem: ProblemSpec, zs: np.ndarray):
     """shoot at every real z of the array zs, for a problem without a
     block plan: the arrays (count, residual, log_scale), bit for bit
     shoot's (one _count_sweep)."""
-    real = realize_problem(problem)
-    u, u1, ls, count = _count_sweep(real.cells, zs, problem.launch())
-    count += real.negative_jumps
-    if problem.bc_right == "dirichlet":
-        return count, u, ls
+    u, u1, ls, zeros = _count_sweep(realize_problem(problem).cells, zs,
+                                    problem.launch())
     with np.errstate(over="ignore"):
-        count += (u * u1 < 0.0) | (u == 0.0)
-    return count, u1, ls
+        return (*_count_and_residual(problem, zeros, u, u1), ls)
 
 
 def _secant_lanes(lo, hi, g_lo, g_hi):
@@ -596,11 +593,17 @@ def negative_count(problem: ProblemSpec) -> int | float:
 
     With q identically zero this equals the size of the measure's negative
     support (the level-independent theorem, inf for a negative Cantor part;
-    no computation); otherwise it is the number of eigenvalues of the
+    nothing realized, the measure only checked against the interval as the
+    schema checks it); otherwise it is the number of eigenvalues of the
     level-L operator below zero, from _counter.
     """
     if _count_route(problem) == "exact-measure-count":
-        return kappa_minus(problem.measure)
+        m = problem.measure
+        for where, reason in misplaced([x for x, _ in m.atoms],
+                                       [c.support for c in m.cantor_parts],
+                                       *problem.interval):
+            raise ValueError(f"measure {where}: {reason}")
+        return kappa_minus(m)
     return _counter(problem)(0.0)
 
 

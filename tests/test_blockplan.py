@@ -6,7 +6,6 @@ plan's blocks (propagate._plan_sweep) instead of every realized cell
 eigenvalues must agree with the walk's, and its cost per z must grow with
 the level, not with the number of cells.
 """
-import bisect
 import contextlib
 import importlib
 import io
@@ -404,6 +403,13 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _cells_in_runs(plan, nodes):
+    """The whole lists' cells that start in a walk run of plan: the
+    nodes[:-1] in some run [lo, hi)."""
+    runs = [seg for seg in plan.segments if len(seg) == 2]
+    return sum(any(lo <= x < hi for lo, hi in runs) for x in nodes[:-1])
+
+
 def _realized_with_record(p):
     """p's realization and the plan record its build logs."""
     records, log = [], logging.getLogger("deltaprime")
@@ -436,13 +442,10 @@ def test_span_cells_give_the_whole_lists_results(p, ts):
         w < 0.0 and not (x == p.a and p.bc_left == "neumann")
         for x, w in atoms)
     assert native.nonnegative == all(w >= 0.0 for _, w in atoms)
-    assert record.args[-1] == len(whole.qvals)
-    plan, nodes = native.plan, whole.nodes
-    walked = sum(bisect.bisect_left(nodes, seg[1])
-                 - bisect.bisect_right(nodes, seg[0]) + 1
-                 for seg in plan.segments if len(seg) == 2)
-    assert 8 * plan.blocks + 3 * len(plan.segments) + walked \
-        < len(whole.qvals)
+    plan = native.plan
+    assert record.args[-1] == plan.cells == len(whole.qvals) \
+        - _cells_in_runs(plan, whole.nodes)
+    assert 8 * plan.blocks + 3 * len(plan.segments) < plan.cells
     z0 = min(p.potential.values) - 1e4
     zs = [z0 - 1.0 + (1e6 - z0 + 1.0) ** t for t in ts]
     runs = []
@@ -475,11 +478,52 @@ def test_a_plan_dropped_on_its_blocks_realizes_no_walk_span(monkeypatch):
     monkeypatch.setattr(PROPAGATE, "_cells", counted)
     real, record = _realized_with_record(p)
     assert real.plan is None and real._spans == {}
-    assert spans == [(0, 1)] and "cells" in vars(real)
-    assert record.args == (7, 5, 4, 4, 18)
+    assert spans == [(0, 1)] and len(real.qvals) == 18
+    assert record.args == (7, 5, 4, 4, 16)
     plan = PROPAGATE._BlockPlan(p)
     assert (plan.cells, plan.negative) == (16, 0)
     assert 8 * plan.blocks + 3 * len(plan.segments) >= plan.cells
+
+
+def test_a_narrow_plan_keeps_its_blocks_and_realizes_only_its_runs(
+        monkeypatch):
+    # seed-0 resolvent_study op 0 at level 6: 6 blocks and 5 segments cost
+    # 63 < 64, the cells the blocks stand for (65 in the whole lists, the
+    # walk run from 0.12283... starting inside a cell).  The plan is kept;
+    # its two walk runs are the only spans realized
+    p = ProblemSpec((0, 1), measure=SingularMeasure(
+        atoms=((0.22577, 0.478886),),
+        cantor_parts=(CantorSpec((0, 1), 0.981768, 0.350473),)), level=6)
+    spans, cells = [], PROPAGATE._cells
+
+    def counted(problem, lo, hi):
+        spans.append((lo, hi))
+        return cells(problem, lo, hi)
+
+    monkeypatch.setattr(PROPAGATE, "_cells", counted)
+    native, record = _realized_with_record(p)
+    plan = native.plan
+    assert plan is not None
+    assert (plan.blocks, len(plan.segments), plan.cells) == (6, 5, 64)
+    assert record.args[-1] == 64
+    runs = [seg for seg in plan.segments if len(seg) == 2]
+    assert spans == runs and len(runs) == 2
+    monkeypatch.setattr(PROPAGATE, "_cells", cells)
+    # the reference: the cell walk over the whole lists
+    whole = PROPAGATE.RealizedProblem(p)
+    whole.plan = None
+    assert len(whole.qvals) == 65
+    out = []
+    for real in (native, whole):
+        with _realized_as(real):
+            out.append(eigenvalues(p, n_max=5))
+    assert "cells" not in vars(native)
+    planned, walked = out
+    for a, b in zip(planned.eigenvalues, walked.eigenvalues, strict=True):
+        assert abs(a - b) <= 2 * math.ulp(b)
+    for a, b in zip(planned.norming_constants, walked.norming_constants,
+                    strict=True):
+        assert abs(a - b) <= 1e-13 * b
 
 
 @st.composite
@@ -530,15 +574,13 @@ def test_plan_counts_and_decision_are_the_whole_lists(p):
 
     # the blocks' counts and the runs' from the lists give the lists' own,
     # for dropped plans too
-    assert plan.cells + sum(map(in_runs, nodes[:-1])) == len(cells.lengths)
+    assert plan.cells + _cells_in_runs(plan, nodes) == len(cells.lengths)
     assert plan.negative + sum(w < 0.0 and in_runs(x) for x, w in atoms) \
         == sum(w < 0.0 for _, w in atoms)
     assert record.args == (plan.blocks, len(plan.segments), plan.depth,
-                           plan.foreign, len(cells.lengths))
-    walked = sum(bisect.bisect_left(nodes, hi) - bisect.bisect_right(nodes, lo)
-                 + 1 for lo, hi in runs)
+                           plan.foreign, plan.cells)
     assert (real.plan is not None) == (
-        8 * plan.blocks + 3 * len(plan.segments) + walked < len(cells.lengths))
+        8 * plan.blocks + 3 * len(plan.segments) < plan.cells)
     assert real.negative_jumps == sum(
         w < 0.0 and not (x == p.a and p.bc_left == "neumann")
         for x, w in atoms)
@@ -557,7 +599,8 @@ def test_descent_counts_merged_and_missing_atoms(mass, ratio, atoms):
         level=8)
     real, record = _realized_with_record(p)
     whole = PROPAGATE.RealizedProblem(p)
-    assert record.args[-1] == len(whole.qvals)
+    assert record.args[-1] == len(whole.qvals) - _cells_in_runs(
+        PROPAGATE._BlockPlan(p), whole.nodes)
     assert real.negative_jumps == sum(w < 0.0 for _, w in whole.atoms)
     assert real.nonnegative == (mass >= 0.0)
 

@@ -9,8 +9,9 @@ from scipy.optimize import brentq
 
 from deltaprime import (CantorSpec, DomainViolationError, GalerkinOracle,
                         JumpFunction, MeshRefinementError, NearSingularError,
-                        PiecewisePotential,
-                        ProblemSpec, SingularMeasure, counting_function,
+                        PiecewisePotential, ProblemSpec,
+                        RefinementUnavailableError, SingularMeasure,
+                        counting_function,
                         eigenvalues, jump_function_l2,
                         kappa_minus, negative_count, propagate,
                         quadratic_form, shoot,
@@ -711,6 +712,29 @@ class TestNegativeCount:
     def test_negative_cantor_growth(self):
         m = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), -1.0),))
         assert negative_count(ProblemSpec((0.0, 1.0), measure=m)) == math.inf
+
+    @pytest.mark.parametrize("measure, where", [
+        (SingularMeasure.from_atoms([(2.0, -1.0)]), "atoms/0/x"),
+        (SingularMeasure(cantor_parts=(CantorSpec((0.5, 1.5), -1.0),)),
+         "cantor/0/support")])
+    def test_q_zero_refuses_a_measure_outside_the_interval(self, measure,
+                                                          where):
+        # the schema's check, made without realizing the problem; the
+        # counting function refuses it too, on its realized atoms
+        p = ProblemSpec((0.0, 1.0), measure=measure)
+        with pytest.raises(ValueError, match=f"{where}: .* outside"):
+            negative_count(p)
+        with pytest.raises(ValueError, match="outside"):
+            counting_function(p, 1.0)
+
+    def test_q_zero_count_realizes_nothing(self):
+        # a level past level_cap is refused by every realization, but the
+        # count on this route does not depend on the level
+        m = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.0), -1.0),))
+        p = ProblemSpec((0.0, 1.0), measure=m, level=13)
+        with pytest.raises(RefinementUnavailableError):
+            realize_problem(p)
+        assert negative_count(p) == math.inf
         for level in range(1, 7):
             p = ProblemSpec((-1.0, 2.0), measure=m, level=level)
             assert GalerkinOracle(p, 3.0 ** -(level + 1) / 2.0).inertia(0.0) \
