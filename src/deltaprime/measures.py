@@ -66,12 +66,7 @@ class CantorSpec:
         O(level) and every position is bitwise that of the whole
         realization.
         """
-        if level > min(self.level_cap, _MAX_LEVEL):
-            raise RefinementUnavailableError(
-                f"level {level} exceeds level_cap {self.level_cap} or the "
-                f"deepest realizable level {_MAX_LEVEL}")
-        if level < 0:
-            raise ValueError("level must be nonnegative")
+        self.check_level(level)
         intervals = [self.support]
         for _ in range(level):
             if intervals[0][1] < lo or intervals[-1][0] >= hi:
@@ -82,6 +77,15 @@ class CantorSpec:
             intervals = self.split(intervals)
         w = self.mass / 2 ** level
         return [(x, w) for (x, _) in intervals if lo <= x < hi]
+
+    def check_level(self, level: int) -> None:
+        """Refuse a level past level_cap or the deepest realizable one."""
+        if level > min(self.level_cap, _MAX_LEVEL):
+            raise RefinementUnavailableError(
+                f"level {level} exceeds level_cap {self.level_cap} or the "
+                f"deepest realizable level {_MAX_LEVEL}")
+        if level < 0:
+            raise ValueError("level must be nonnegative")
 
     def distinct(self, level: int) -> bool:
         """Whether the level-``level`` atoms are distinct doubles: the
@@ -164,6 +168,13 @@ def misplaced(positions, supports, a: float, b: float):
     for i, (c, d) in enumerate(supports):
         if not a <= c < d <= b:
             yield f"cantor/{i}/support", f"support outside [{a}, {b}]"
+
+
+def check_placement(measure: SingularMeasure, a: float, b: float) -> None:
+    """Raise misplaced's first finding: every realized atom stays in [a, b)."""
+    for where, reason in misplaced([x for x, _ in measure.atoms], [
+            c.support for c in measure.cantor_parts], a, b):
+        raise ValueError(f"measure {where}: {reason}")
 
 
 def distribution(measure: SingularMeasure, x: float, level: int) -> float:

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PropagationOverflowError
-from .measures import SingularMeasure, realize
+from .measures import SingularMeasure, check_placement, realize
 
 __all__ = [
     "PiecewisePotential",
@@ -200,23 +200,16 @@ class RealizedProblem:
     block plan (plan, or None) never builds it, only the cells of the spans
     its walk runs cross (span).  A plan whose blocks cost no less than the
     cells they stand for is dropped before any span is realized.
-    Realized atoms lie in [a, b), so each owns exactly one jump slot.
+    Realized atoms lie in [a, b) (check_placement): each owns one jump slot.
     negative_jumps counts the atoms that lower the zero count by one as
     z -> -inf; nonnegative says that no atom is negative.
     """
 
     def __init__(self, problem: ProblemSpec):
-        a, b = problem.interval
-        self.a, self.b = a, b
-        self._problem = problem
-        self._spans = {}
-        measure, level = problem.measure, problem.level
-        for (x, _) in realize(measure, level, -math.inf, a) \
-                + realize(measure, level, b, math.inf):
-            raise ValueError(
-                f"realized atom at {x} outside [{a}, {b}) "
-                "(left-endpoint realizations may touch a)")
-        plan = _BlockPlan(problem) if measure.cantor_parts else None
+        self.a, self.b = a, b = problem.interval
+        self._problem, self._spans = problem, {}
+        check_placement(problem.measure, a, b)
+        plan = _BlockPlan(problem) if problem.measure.cantor_parts else None
         if plan is not None:
             _log.debug("block plan: %d blocks, %d top-level segments, "
                        "depth %d, %d foreign nodes, %d cells", plan.blocks,
@@ -667,6 +660,7 @@ class _BlockPlan:
         placed = []
         self.cells = self.negative = 0
         for k, part in enumerate(parts):
+            part.check_level(level)
             others = foreign[k]
             beta, distinct = part.mass / 2 ** level, part.distinct(level)
             stack = [(*part.support, 0)]

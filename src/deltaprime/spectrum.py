@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DomainViolationError, MeshRefinementError,
                      NearSingularError, UnsupportedHypothesisError)
-from .measures import kappa_minus, misplaced
+from .measures import check_placement, kappa_minus
 # cell_entry_states stays a module attribute for tracers that wrap it
 from .propagate import (ProblemSpec, _count_sweep, _mapped,  # noqa
                         _plan_sweep, cell_entry_states, cell_l2_integral,
@@ -593,17 +593,12 @@ def negative_count(problem: ProblemSpec) -> int | float:
 
     With q identically zero this equals the size of the measure's negative
     support (the level-independent theorem, inf for a negative Cantor part;
-    nothing realized, the measure only checked against the interval as the
-    schema checks it); otherwise it is the number of eigenvalues of the
-    level-L operator below zero, from _counter.
+    nothing realized, only check_placement); otherwise it is the number of
+    eigenvalues of the level-L operator below zero, from _counter.
     """
     if _count_route(problem) == "exact-measure-count":
-        m = problem.measure
-        for where, reason in misplaced([x for x, _ in m.atoms],
-                                       [c.support for c in m.cantor_parts],
-                                       *problem.interval):
-            raise ValueError(f"measure {where}: {reason}")
-        return kappa_minus(m)
+        check_placement(problem.measure, *problem.interval)
+        return kappa_minus(problem.measure)
     return _counter(problem)(0.0)
 
 

@@ -478,7 +478,8 @@ def test_a_plan_dropped_on_its_blocks_realizes_no_walk_span(monkeypatch):
     monkeypatch.setattr(PROPAGATE, "_cells", counted)
     real, record = _realized_with_record(p)
     assert real.plan is None and real._spans == {}
-    assert spans == [(0, 1)] and len(real.qvals) == 18
+    assert spans == [(0, 1)] and "cells" in vars(real)
+    assert len(real.qvals) == 18 and spans == [(0, 1)]
     assert record.args == (7, 5, 4, 4, 16)
     plan = PROPAGATE._BlockPlan(p)
     assert (plan.cells, plan.negative) == (16, 0)

@@ -483,7 +483,20 @@ class TestProblemSpec:
     def test_realized_atom_outside_rejected(self, measure):
         # the library's own check, behind the CLI schema's
         p = ProblemSpec((0.0, 1.0), measure=measure, level=3)
-        with pytest.raises(ValueError, match=r"outside \[0.0, 1.0\)"):
+        with pytest.raises(ValueError, match=r"measure (atoms/\d/x: atom at "
+                           r"\S+ outside \[0.0, 1.0\)|cantor/0/support: "
+                           r"support outside \[0.0, 1.0\])"):
+            propagate(p, 1.0)
+
+    def test_a_support_past_b_is_refused_where_no_atom_leaves(self):
+        # at level 1 the atoms of a support (0, 1.01) lie in [0, 1), but the
+        # support does not: refused as the schema and negative_count refuse
+        # it, by one rule on the measure, not on its realized atoms
+        m = SingularMeasure(cantor_parts=(CantorSpec((0.0, 1.01), 1.0),))
+        assert all(0.0 <= x < 1.0 for x, _ in realize(m, 1))
+        p = ProblemSpec((0.0, 1.0), measure=m, level=1)
+        with pytest.raises(ValueError, match="cantor/0/support: support "
+                           r"outside \[0.0, 1.0\]"):
             propagate(p, 1.0)
 
 
