@@ -526,6 +526,41 @@ def _mapped(f, *arrays):
                        len(arrays[0]))
 
 
+def _cs_lanes(w, L):
+    """_cs(w_i, L_i) on every lane of the real array w, bit for bit: the
+    arrays (C, S, ls) and trig, the lanes of its trig branch (a slice where
+    that is every lane, else a mask).  L is a float or an array like w, of
+    either sign.  numpy does only IEEE-exact operations, math the rest
+    (_mapped), each branch on its own lanes (w L^2 rounds like |w| L^2)."""
+    L = np.broadcast_to(L, w.shape)
+    wl2 = w * L * L
+    trig = slice(None) if wl2.min() >= SERIES_THRESHOLD \
+        else wl2 >= SERIES_THRESHOLD
+    C, S, ls = np.empty_like(w), np.empty_like(w), np.zeros_like(w)
+    om = np.sqrt(w[trig])
+    phase = om * L[trig]
+    C[trig] = _mapped(math.cos, phase)
+    S[trig] = _mapped(math.sin, phase) / om
+    if isinstance(trig, slice):
+        return C, S, ls, trig
+    near = np.abs(wl2) < SERIES_THRESHOLD
+    y = wl2[near]
+    C[near] = 1.0 - y / 2.0 * (1.0 - y / 12.0)
+    S[near] = L[near] * (1.0 - y / 6.0 * (1.0 - y / 20.0))
+    hyp = np.flatnonzero(wl2 <= -SERIES_THRESHOLD)
+    k = np.sqrt(-w[hyp])
+    t = k * L[hyp]
+    low = np.abs(t) <= EXP_SPLIT
+    C[hyp[low]] = _mapped(math.cosh, t[low])
+    S[hyp[low]] = _mapped(math.sinh, t[low]) / k[low]
+    high, t, k = hyp[~low], t[~low], k[~low]
+    e2 = _mapped(math.exp, -2.0 * np.abs(t))
+    C[high] = (1.0 + e2) / 2.0
+    S[high] = np.copysign(1.0 - e2, t) / (2.0 * k)
+    ls[high] = np.abs(t)
+    return C, S, ls, trig
+
+
 def _rescale_lanes(u, u1, ls):
     """_rescale on every lane of the arrays (u, u1, ls)."""
     m = np.maximum(np.abs(u), np.abs(u1))
@@ -547,11 +582,11 @@ def _count_sweep(cells, zs, state):
 
     Returns the arrays (u, u1, ls) of the final states and the zero counts,
     each bit for bit the scalar walk's: numpy does only IEEE-exact
-    operations, math the rest (_mapped), and each branch of _cs, _rescale
-    and _count_stretch_zeros runs on its own lanes (all of them, as a
-    slice, where one branch takes every lane), so no lane computes what
-    its scalar walk does not.  A stretch that cancels a decaying state to
-    zero is redone by _split_stretch on its lane.  Products whose sign
+    operations, math the rest (_mapped), and each branch of _cs_lanes,
+    _rescale and _count_stretch_zeros runs on its own lanes (all of them,
+    as a slice, where one branch takes every lane), so no lane computes
+    what its scalar walk does not.  A stretch that cancels a decaying state
+    to zero is redone by _split_stretch on its lane.  Products whose sign
     alone is read may overflow to inf, as Python's floats do.
     """
     u, u1, ls = (np.full(len(zs), float(v)) for v in state)
@@ -565,51 +600,23 @@ def _count_sweep(cells, zs, state):
                 flip = (u * up < 0.0) | ((up if beta > 0.0 else u) == 0.0)
             zeros += flip if beta > 0.0 else -flip.astype(np.int64)
             u, u1, ls = _rescale_lanes(up, u1, ls)
-        # _cs: the series below |w| L^2 = SERIES_THRESHOLD (w L^2 rounds
-        # like |w| L^2), else trig for w > 0, hyperbolic for w < 0, scaled
-        # past EXP_SPLIT
         w = zs - q
-        wl2 = w * L * L
-        if wl2.min() >= SERIES_THRESHOLD:
-            trig, rest = slice(None), None
-        else:
-            trig = np.flatnonzero(wl2 >= SERIES_THRESHOLD)
-            rest = np.flatnonzero(wl2 < SERIES_THRESHOLD)
-        om = np.sqrt(w[trig])
-        phase = om * L
-        C, S = np.empty_like(w), np.empty_like(w)
-        C[trig] = _mapped(math.cos, phase)
-        S[trig] = _mapped(math.sin, phase) / om
-        nls = ls
-        if rest is not None:
-            near = rest[np.abs(wl2[rest]) < SERIES_THRESHOLD]
-            y = wl2[near]
-            C[near] = 1.0 - y / 2.0 * (1.0 - y / 12.0)
-            S[near] = L * (1.0 - y / 6.0 * (1.0 - y / 20.0))
-            hyp = rest[wl2[rest] <= -SERIES_THRESHOLD]
-            k = np.sqrt(-w[hyp])
-            t = k * L
-            low = t <= EXP_SPLIT
-            C[hyp[low]] = _mapped(math.cosh, t[low])
-            S[hyp[low]] = _mapped(math.sinh, t[low]) / k[low]
-            high = hyp[~low]
-            e2 = _mapped(math.exp, -2.0 * t[~low])
-            C[high] = (1.0 + e2) / 2.0
-            S[high] = (1.0 - e2) / (2.0 * k[~low])
-            nls = ls.copy()
-            nls[high] += t[~low]
+        C, S, dls, trig = _cs_lanes(w, L)
+        rest = None if isinstance(trig, slice) else ~trig
         nu, nu1 = C * u + S * u1, -w * S * u + C * u1
+        nls = ls + dls
         if rest is not None:
-            for j in rest[(nu[rest] == 0.0) & (nu1[rest] == 0.0)
-                          & (w[rest] < 0.0)]:
+            for j in np.flatnonzero(rest & (nu == 0.0) & (nu1 == 0.0)
+                                    & (w < 0.0)):
                 nu[j], nu1[j], nls[j] = _split_stretch(
                     float(u[j]), float(u1[j]), float(ls[j]), float(w[j]), L)
         # _count_stretch_zeros: from the angle on the trig lanes (the
         # integers hi - lo + 1 there, exact in floats), by the sign change
         # of u elsewhere
         closed = i != last
+        om = np.sqrt(w[trig])
         phi0 = _mapped(math.atan2, om * u[trig], u1[trig])
-        phi1 = phi0 + phase
+        phi1 = phi0 + om * L
         hi = np.ceil(phi1 / math.pi) - 1.0
         end = nu[trig] == 0.0
         if end.any():

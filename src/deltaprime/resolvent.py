@@ -9,7 +9,9 @@ right boundary conditions (launched from (0, 1) at a Dirichlet end and
 (1, 0) at a Neumann end) and W(psi, phi) = psi phi^[1] - psi^[1] phi their
 constant Wronskian, taken at a (psi(a) for a Dirichlet left end).  Kernel
 evaluations gather cached cell entry states and evaluate the closed-form
-stretch solution for a whole grid at once.
+stretch solution for a whole grid at once, by _cs's rule at real z
+(_cs_lanes: bytes free of numpy's SIMD dispatch) and numpy's complex cos
+and sin at complex z (numpy's complex * and abs round by FMA anyway).
 
 On i <= j the kernel is rank one, G(x_i, x_j) = a_i b_j with a = phi and
 b = psi / W(psi, phi), so the tensor-quadrature Hilbert-Schmidt distance of
@@ -25,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NearSingularError
-from .propagate import (ProblemSpec, cell_entry_states, realize_problem,
-                        wronskian)
+from .propagate import (ProblemSpec, _cs_lanes, _mapped, cell_entry_states,
+                        realize_problem, wronskian)
 from . import spectrum as _spectrum
 
 __all__ = [
@@ -76,8 +78,7 @@ class _SolutionCache:
         """Left-limit solution values on a sorted array of coordinates.
 
         u*cos(om d) + u1*sin(om d)/om with om = sqrt(z - q) and d the
-        offset from the cell's anchor; cosh/sinh for z - q <= -1e-300 and
-        u + d*u1 for |z - q| < 1e-300.
+        offset from the cell's anchor.
         """
         xs = np.asarray(xs, dtype=float)
         # bucket x in (nodes[i], nodes[i+1]] to cell i; x == a to cell 0
@@ -86,17 +87,17 @@ class _SolutionCache:
         d = xs - self.anchor[idx]
         w = self.z - self.q[idx]
         u, u1 = self.u[idx], self.u1[idx]
-        out = u + d * u1
         if isinstance(self.z, complex):
-            branches = [(np.abs(w) >= 1e-300, np.sqrt, np.cos, np.sin)]
-        else:
-            branches = [(w >= 1e-300, np.sqrt, np.cos, np.sin),
-                        (w <= -1e-300, lambda v: np.sqrt(-v), np.cosh,
-                         np.sinh)]
-        for sel, root, even, odd in branches:
-            om = root(w[sel])
+            # complex * and abs round by FMA anyway: cmath would buy no bits
+            out = u + d * u1
+            sel = w != 0.0
+            om = np.sqrt(w[sel])
             m = om * d[sel]
-            out[sel] = u[sel] * even(m) + u1[sel] * odd(m) / om
+            out[sel] = u[sel] * np.cos(m) + u1[sel] * np.sin(m) / om
+        else:
+            C, S, ls, _ = _cs_lanes(w, d)
+            out = u * C + u1 * S
+            out[ls > 0.0] *= _mapped(math.exp, ls[ls > 0.0])
         out *= self.scale[idx]
         # x exactly at the left endpoint: left limit is the launch value for
         # phi and the fully walked-down state for psi
@@ -127,6 +128,10 @@ class GreenKernel:
                 f"z={z!r} is numerically at an eigenvalue (W(psi, phi) ~ 0)")
 
     def __call__(self, x: float, t: float):
+        a, b = self.problem.interval
+        for v in (x, t):
+            if not a <= v <= b:     # NaN too
+                raise ValueError(f"point {v!r} is outside [{a}, {b}]")
         lo, hi = (x, t) if x <= t else (t, x)
         p = self.phi.values(np.array([lo]))[0]
         q = self.psi.values(np.array([hi]))[0]

@@ -9,8 +9,9 @@ from deltaprime import (CantorSpec, PiecewisePotential,
                         SingularMeasure, StateVector, TransferMatrix,
                         atom_jump, propagate, realize, stretch_propagator,
                         transfer_matrix, wronskian)
-from deltaprime.propagate import (_count_stretch_zeros, cell_entry_states,
-                                  realize_problem)
+from deltaprime.propagate import (EXP_SPLIT, SERIES_THRESHOLD, _cs,
+                                  _cs_lanes, _count_stretch_zeros,
+                                  cell_entry_states, realize_problem)
 from conftest import random_problem, rk4_state
 
 
@@ -61,6 +62,30 @@ class TestStretch:
             got = m.apply(StateVector(0.3, -1.1))
             assert abs(got.u - ue) < 1e-7
             assert abs(got.u1 - u1e) < 1e-7
+
+    # every branch of _cs at L = 0.7: the series (|w| L^2 < 1e-8, w = 0
+    # too), trig, hyperbolic, and scaled past EXP_SPLIT (|t| > 300)
+    LANE_W = [0.0, 3e-9, -3e-9, 2.5, 1e4, -2.5, -1e4, -9e4, -1e6, -4e6]
+    LANE_L = [0.0, 0.7, 1.1, 0.05, 2.0, 1.3, 0.4, 1.0, 0.6, 0.3]
+
+    @pytest.mark.parametrize("w, L", [
+        (LANE_W, 0.7), (LANE_W, -0.7), (LANE_W, LANE_L),
+        (LANE_W, [-v for v in LANE_L]), ([2.5, 1e4, 7e5], -1.3)])
+    def test_cs_lanes_is_cs_bit_for_bit(self, w, L):
+        # a float L or an array L, of either sign (a lane's offset from its
+        # right anchor is negative); floats by their bits
+        lanes = list(zip(w, np.broadcast_to(L, len(w)).tolist()))
+        C, S, ls, trig = _cs_lanes(np.array(w), L if np.isscalar(L)
+                                   else np.array(L))
+        for i, (wi, Li) in enumerate(lanes):
+            assert [float(v).hex() for v in (C[i], S[i], ls[i])] == \
+                [float(v).hex() for v in _cs(wi, Li)], (wi, Li)
+        assert list(np.arange(len(w))[trig]) == [
+            i for i, (wi, Li) in enumerate(lanes)
+            if wi * Li * Li >= SERIES_THRESHOLD]
+        if len(w) > 3:
+            phases = [math.sqrt(-wi) * abs(Li) for wi, Li in lanes if wi < 0]
+            assert max(phases) > EXP_SPLIT >= min(phases)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,15 @@ class TestGreen:
             # real coefficients: G(x,t; conj z) = conj G(x,t; z)
             assert abs(kbar(x, t) - v.conjugate()) <= 1e-12 * abs(v)
 
+    @pytest.mark.parametrize("x, t", [(-5.0, 0.5), (2.0, 3.0), (0.5, 1.5),
+                                      (math.nan, 0.5), (0.5, math.inf)])
+    def test_point_outside_the_interval_rejected(self, x, t):
+        # the closed form would extrapolate past [a, b]: -40.97 at (-5, 0.5)
+        p = ProblemSpec((0.0, 1.0), measure=ONE_ATOM)
+        bad = x if not 0.0 <= x <= 1.0 else t
+        with pytest.raises(ValueError, match=f"point {bad!r} is outside"):
+            green(p, -1.0, x, t)
+
     def test_near_singular_rejected(self):
         p = ProblemSpec((0.0, 1.0))
         with pytest.raises(NearSingularError):
