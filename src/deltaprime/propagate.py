@@ -719,20 +719,27 @@ class _BlockPlan:
 # u^[1])| = max(|s*u|, |u^[1]|), so that its determinant is exp(-2*ls) in
 # exact arithmetic; turn is the lifted Pruefer angle atan2(u, u^[1]) of the
 # image of v0 = (0, 1); err bounds the rounding of the double-double
-# entries in units of that largest entry.
+# entries in units of that largest entry.  _compose forms each entry c + d
+# of g*f from the exact products of the leading parts (Dekker's split into
+# 26-bit halves, once per entry of g and f) and Knuth's two-sum of the two
+# products; the products' errors and the cross terms with the low parts
+# are rounded once each in one left-to-right sum, and c + d is renormed by
+# a fast two-sum.  The low parts' own products are dropped; each
+# composition adds one double-double rounding, _EPS**2 relative, to the
+# err of its factors (a stretch or a jump starts at _EPS**2).
 _LS, _TURN, _ERR, _S = range(8, 12)
 
 
-def _factor(a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, s, err=0.0):
+def _factor(a11, a12, a21, a22, ls, turn, s):
+    """The lifted factor of the double matrix a times exp(ls)."""
     m = max(abs(a11), abs(a12 * s), abs(a21 / s), abs(a22))
     if not 0.0 < m < math.inf:
         # cancelled or overflowed beyond use: crossed by its parts only
-        return (a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, math.inf,
-                s)
+        return (a11, a12, a21, a22, 0.0, 0.0, 0.0, 0.0, ls, turn, math.inf, s)
     k = math.frexp(m)[1]
     c = math.ldexp(1.0, -k)
-    return (a11 * c, a12 * c, a21 * c, a22 * c, l11 * c, l12 * c, l21 * c,
-            l22 * c, ls + k * _LN2, turn, err / m + _EPS * _EPS, s)
+    return (a11 * c, a12 * c, a21 * c, a22 * c, 0.0, 0.0, 0.0, 0.0,
+            ls + k * _LN2, turn, _EPS * _EPS, s)
 
 
 def _stretch_factor(w, L, s):
@@ -742,36 +749,11 @@ def _stretch_factor(w, L, s):
     phi = math.atan2(S, C)
     rise = math.sqrt(w) * L if w > 0.0 else 0.0
     turn = phi + 2.0 * math.pi * round((rise - phi) / (2.0 * math.pi))
-    return _factor(C, S, -w * S, C, 0.0, 0.0, 0.0, 0.0, ls, turn, s)
+    return _factor(C, S, -w * S, C, ls, turn, s)
 
 
 def _jump_factor(beta, s):
-    return _factor(1.0, beta, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                   math.atan2(beta, 1.0), s)
-
-
-def _dd_dot(ah, al, bh, bl, ch, cl, dh, dl):
-    """a*b + c*d in double-double: Dekker's exact products, Knuth's sum."""
-    p = ah * bh
-    t = _SPLIT * ah
-    ahh = t - (t - ah)
-    t = _SPLIT * bh
-    bhh = t - (t - bh)
-    ep = ((ahh * bhh - p) + ahh * (bh - bhh) + (ah - ahh) * bhh) \
-        + (ah - ahh) * (bh - bhh)
-    q = ch * dh
-    t = _SPLIT * ch
-    chh = t - (t - ch)
-    t = _SPLIT * dh
-    dhh = t - (t - dh)
-    eq = ((chh * dhh - q) + chh * (dh - dhh) + (ch - chh) * dhh) \
-        + (ch - chh) * (dh - dhh)
-    hi = p + q
-    v = hi - p
-    lo = ((p - (hi - v)) + (q - v)) + ep + eq \
-        + (ah * bl + al * bh) + (ch * dl + cl * dh)
-    s = hi + lo
-    return s, lo - (s - hi)
+    return _factor(1.0, beta, 0.0, 1.0, 0.0, math.atan2(beta, 1.0), s)
 
 
 def _compose(g, f):
@@ -779,17 +761,93 @@ def _compose(g, f):
 
     Blocks of one family reuse their halves, so a rounding error of B_h
     recurs in all 2^(L-h) copies; double-double entries keep that below
-    the rounding of one cell step.
+    the rounding of one cell step.  The four dot products, _lift of v0's
+    image and _factor's normalisation are written out in one step, in
+    their order of operations: the towers of _plan_factors, most of a
+    plan shoot, are made of these steps.
     """
-    g11, g12, g21, g22, m11, m12, m21, m22 = g[:8]
-    f11, f12, f21, f22, n11, n12, n21, n22 = f[:8]
-    c11, d11 = _dd_dot(g11, m11, f11, n11, g12, m12, f21, n21)
-    c12, d12 = _dd_dot(g11, m11, f12, n12, g12, m12, f22, n22)
-    c21, d21 = _dd_dot(g21, m21, f11, n11, g22, m22, f21, n21)
-    c22, d22 = _dd_dot(g21, m21, f12, n12, g22, m22, f22, n22)
-    turn = f[_TURN] + _lift(g, f12, f22, c12, c22)
-    return _factor(c11, c12, c21, c22, d11, d12, d21, d22, f[_LS] + g[_LS],
-                   turn, f[_S], f[_ERR] + g[_ERR])
+    g11, g12, g21, g22, m11, m12, m21, m22, gls, gturn, gerr, _ = g
+    f11, f12, f21, f22, n11, n12, n21, n22, fls, fturn, ferr, s = f
+    t = _SPLIT * g11
+    gh11 = t - (t - g11)
+    gl11 = g11 - gh11
+    t = _SPLIT * g12
+    gh12 = t - (t - g12)
+    gl12 = g12 - gh12
+    t = _SPLIT * g21
+    gh21 = t - (t - g21)
+    gl21 = g21 - gh21
+    t = _SPLIT * g22
+    gh22 = t - (t - g22)
+    gl22 = g22 - gh22
+    t = _SPLIT * f11
+    fh11 = t - (t - f11)
+    fl11 = f11 - fh11
+    t = _SPLIT * f12
+    fh12 = t - (t - f12)
+    fl12 = f12 - fh12
+    t = _SPLIT * f21
+    fh21 = t - (t - f21)
+    fl21 = f21 - fh21
+    t = _SPLIT * f22
+    fh22 = t - (t - f22)
+    fl22 = f22 - fh22
+    # c11 = g11*f11 + g12*f21
+    p = g11 * f11
+    q = g12 * f21
+    hi = p + q
+    v = hi - p
+    lo = ((p - (hi - v)) + (q - v)) \
+        + (((gh11 * fh11 - p) + gh11 * fl11 + gl11 * fh11) + gl11 * fl11) \
+        + (((gh12 * fh21 - q) + gh12 * fl21 + gl12 * fh21) + gl12 * fl21) \
+        + (g11 * n11 + m11 * f11) + (g12 * n21 + m12 * f21)
+    c11 = hi + lo
+    d11 = lo - (c11 - hi)
+    # c12 = g11*f12 + g12*f22
+    p = g11 * f12
+    q = g12 * f22
+    hi = p + q
+    v = hi - p
+    lo = ((p - (hi - v)) + (q - v)) \
+        + (((gh11 * fh12 - p) + gh11 * fl12 + gl11 * fh12) + gl11 * fl12) \
+        + (((gh12 * fh22 - q) + gh12 * fl22 + gl12 * fh22) + gl12 * fl22) \
+        + (g11 * n12 + m11 * f12) + (g12 * n22 + m12 * f22)
+    c12 = hi + lo
+    d12 = lo - (c12 - hi)
+    # c21 = g21*f11 + g22*f21
+    p = g21 * f11
+    q = g22 * f21
+    hi = p + q
+    v = hi - p
+    lo = ((p - (hi - v)) + (q - v)) \
+        + (((gh21 * fh11 - p) + gh21 * fl11 + gl21 * fh11) + gl21 * fl11) \
+        + (((gh22 * fh21 - q) + gh22 * fl21 + gl22 * fh21) + gl22 * fl21) \
+        + (g21 * n11 + m21 * f11) + (g22 * n21 + m22 * f21)
+    c21 = hi + lo
+    d21 = lo - (c21 - hi)
+    # c22 = g21*f12 + g22*f22
+    p = g21 * f12
+    q = g22 * f22
+    hi = p + q
+    v = hi - p
+    lo = ((p - (hi - v)) + (q - v)) \
+        + (((gh21 * fh12 - p) + gh21 * fl12 + gl21 * fh12) + gl21 * fl12) \
+        + (((gh22 * fh22 - q) + gh22 * fl22 + gl22 * fh22) + gl22 * fl22) \
+        + (g21 * n12 + m21 * f12) + (g22 * n22 + m22 * f22)
+    c22 = hi + lo
+    d22 = lo - (c22 - hi)
+    turn = fturn + (gturn + math.atan2(math.exp(-2.0 * gls) * f12,
+                                       g12 * c12 + g22 * c22)
+                    - math.atan2(f12, f22))
+    ls, err = fls + gls, ferr + gerr
+    m = max(abs(c11), abs(c12 * s), abs(c21 / s), abs(c22))
+    if not 0.0 < m < math.inf:
+        # cancelled or overflowed beyond use: crossed by its parts only
+        return (c11, c12, c21, c22, d11, d12, d21, d22, ls, turn, math.inf, s)
+    k = math.frexp(m)[1]
+    c = math.ldexp(1.0, -k)
+    return (c11 * c, c12 * c, c21 * c, c22 * c, d11 * c, d12 * c, d21 * c,
+            d22 * c, ls + k * _LN2, turn, err / m + _EPS * _EPS, s)
 
 
 def _lift(f, u, u1, nu, nu1):

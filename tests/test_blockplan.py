@@ -4,9 +4,11 @@ A full left-to-right run of a problem with a Cantor part crosses the
 plan's blocks (propagate._plan_sweep) instead of every realized cell
 (propagate._sweep).  Its zero counts must equal the walk's, its
 eigenvalues must agree with the walk's, and its cost per z must grow with
-the level, not with the number of cells.
+the level, not with the number of cells.  The fused composition of its
+factor towers must give the bits of the readable one.
 """
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -158,10 +160,11 @@ DEEP_LIKE = ProblemSpec(
 @pytest.mark.parametrize("p", [STAIRCASE, DEEP_LIKE],
                          ids=["staircase", "deep_like"])
 def test_cost_per_z_grows_with_level_not_cells(p, monkeypatch):
-    # every factor the plan builds passes _factor, every factor it crosses
-    # passes _rescale once: count both, without timing anything
+    # every factor the plan builds passes _factor (a stretch or a jump) or
+    # _compose, every factor it crosses passes _rescale once: count them,
+    # without timing anything
     evaluations = [0]
-    for name in ("_factor", "_rescale"):
+    for name in ("_factor", "_compose", "_rescale"):
         fn = getattr(PROPAGATE, name)
 
         def counted(*args, _fn=fn, **kwargs):
@@ -187,6 +190,129 @@ def test_norming_composes_the_gram_towers_once():
     solution_l2_norm(p, lam)
     info = PROPAGATE._plan_grams.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# The readable composition of two lifted factors, the oracle of the fused
+# propagate._compose: four double-double dot products, the lift of v0's
+# image and the normalisation of a double-double factor, in the same order
+# of operations.
+def _dd_dot(ah, al, bh, bl, ch, cl, dh, dl):
+    """a*b + c*d in double-double: Dekker's exact products, Knuth's sum."""
+    split = PROPAGATE._SPLIT
+    p = ah * bh
+    t = split * ah
+    ahh = t - (t - ah)
+    t = split * bh
+    bhh = t - (t - bh)
+    ep = ((ahh * bhh - p) + ahh * (bh - bhh) + (ah - ahh) * bhh) \
+        + (ah - ahh) * (bh - bhh)
+    q = ch * dh
+    t = split * ch
+    chh = t - (t - ch)
+    t = split * dh
+    dhh = t - (t - dh)
+    eq = ((chh * dhh - q) + chh * (dh - dhh) + (ch - chh) * dhh) \
+        + (ch - chh) * (dh - dhh)
+    hi = p + q
+    v = hi - p
+    lo = ((p - (hi - v)) + (q - v)) + ep + eq \
+        + (ah * bl + al * bh) + (ch * dl + cl * dh)
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+def _factor_oracle(a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, s,
+                   err):
+    m = max(abs(a11), abs(a12 * s), abs(a21 / s), abs(a22))
+    if not 0.0 < m < math.inf:
+        return (a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, math.inf,
+                s)
+    k = math.frexp(m)[1]
+    c = math.ldexp(1.0, -k)
+    return (a11 * c, a12 * c, a21 * c, a22 * c, l11 * c, l12 * c, l21 * c,
+            l22 * c, ls + k * PROPAGATE._LN2, turn,
+            err / m + PROPAGATE._EPS * PROPAGATE._EPS, s)
+
+
+def _compose_oracle(g, f):
+    g11, g12, g21, g22, m11, m12, m21, m22 = g[:8]
+    f11, f12, f21, f22, n11, n12, n21, n22 = f[:8]
+    c11, d11 = _dd_dot(g11, m11, f11, n11, g12, m12, f21, n21)
+    c12, d12 = _dd_dot(g11, m11, f12, n12, g12, m12, f22, n22)
+    c21, d21 = _dd_dot(g21, m21, f11, n11, g22, m22, f21, n21)
+    c22, d22 = _dd_dot(g21, m21, f12, n12, g22, m22, f22, n22)
+    turn = f[PROPAGATE._TURN] + PROPAGATE._lift(g, f12, f22, c12, c22)
+    return _factor_oracle(c11, c12, c21, c22, d11, d12, d21, d22,
+                          f[PROPAGATE._LS] + g[PROPAGATE._LS], turn,
+                          f[PROPAGATE._S],
+                          f[PROPAGATE._ERR] + g[PROPAGATE._ERR])
+
+
+# leading entries of every size: zeros of both signs, subnormals, and
+# entries whose splits or products overflow
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300,
+                     -1e300, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def lifted_factors(draw):
+    """A jump and stretches composed by the oracle, whose low parts are
+    live, or entries of any size: each low part a rounding of its entry
+    or any float; any log scale whose det stays finite."""
+    s = draw(st.floats(1.0, 1e4))
+    if draw(st.booleans()):
+        f = PROPAGATE._jump_factor(draw(st.floats(-5.0, 5.0)), s)
+        for _ in range(draw(st.integers(1, 3))):
+            f = _compose_oracle(PROPAGATE._stretch_factor(
+                draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-7, 1.0)), s), f)
+        return f
+    hi = [draw(_ENTRIES) for _ in range(4)]
+    lo = [draw(st.one_of(st.floats(-2.0 ** -53, 2.0 ** -53).map(
+        lambda r, h=h: r * h), _ENTRIES)) for h in hi]
+    return (*hi, *lo, draw(st.floats(-300.0, 300.0)),
+            draw(st.floats(-1e3, 1e3)), draw(st.floats(0.0, 1.0)), s)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(lifted_factors(), lifted_factors())
+def test_fused_compose_is_the_readable_composition(g, f):
+    # by repr, exact for floats, or by the error both raise
+    want = _outcome(_compose_oracle, g, f)
+    assert _outcome(PROPAGATE._compose, g, f) == want
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e200], ids=["zero", "overflow"])
+def test_fused_compose_keeps_the_unusable_branch(scale):
+    # a product that cancels to zero or overflows is crossed by its parts
+    g = f = (scale, -scale, scale, scale, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0,
+             1.0)
+    got = PROPAGATE._compose(g, f)
+    assert got[PROPAGATE._ERR] == math.inf
+    assert repr(got) == repr(_compose_oracle(g, f))
+
+
+# sha256 of float.hex of every entry of _plan_factors(STAIRCASE's plan, z),
+# one line each in tower order: z below min q, trig, and deep enough that
+# the top gap's stretch factor takes the scaled branch
+TOWER_DIGESTS = {
+    -20.0:
+        "2e0210b9cfe0e3966e763eddbaf9190ee59a97edde45c336de54bdb357f558d9",
+    2000.0:
+        "8cce650a40285bbe4d2d80bf1372492853991583bebe7d9ad2c3a86a461242fc",
+    -1e6:
+        "fdbe7d71f6e1402e3ae072522c26387adc0e1766dbfc34710e3daa5a2bbc4bee",
+}
+
+
+@pytest.mark.parametrize("z", sorted(TOWER_DIGESTS))
+def test_staircase_towers_keep_their_bits(z):
+    plan = realize_problem(STAIRCASE).plan
+    lines = "\n".join(x.hex() for fam in PROPAGATE._plan_factors(plan, z)
+                      for pair in fam for factor in pair for x in factor)
+    assert hashlib.sha256(lines.encode()).hexdigest() == TOWER_DIGESTS[z]
 
 
 # a negative Cantor mass with a second, positive part and a q step: deep
