@@ -21,22 +21,23 @@ stretch(r^L*len)*jump(m/2^L) and B_h = B_{h-1}*stretch(gap_h)*B_{h-1}; a
 subtree that holds a foreign node splits into its children, down to single
 cells.  A full left-to-right run at real z crosses the plan's top-level
 segments (_plan_sweep): each block as one factor with its log scale and the
-lifted angle of a reference vector, the cells between blocks as partial
-runs of _sweep, whose counts add to the run's half-turn index, so the count
-stays the walk's.  The two runs of a norming constant, from a and from b,
-cross the plan too: each block also carries its Gram form G, with int u^2 =
+lifted angle of a reference vector, the cells between blocks as runs of
+_sweep, whose counts add to the run's half-turn index, so the count stays
+the walk's.  The two runs of a norming constant, from a and from b, cross
+the plan too: each block also carries its Gram form G, with int u^2 =
 v^T G v over the block for its entry state v, composed as G_{g*f} = G_f +
 M_f^T G_g M_f; the factors and the Gram towers of the last 16 (plan, z) are
 kept.  Both run kinds cross a block that fails its rounding test as its
 halves and gap, or walk it whole at up to 2^3 cells.  Every other run walks
 the cells.  A plan is kept only where 8*blocks + 3*segments < plan.cells,
 the cells its blocks stand for: one cost rule on the plan's own counts,
-decided before any span is realized.  A realization crossed on its plan
-never builds the 2^L cell lists of [a, b]: each walk run reads the cells of
-its own span (RealizedProblem.span).  The per-cell consumers (partial,
-right-to-left and complex-z runs, transfer_matrix, cell_entry_states, the
-Green kernel, the Galerkin oracle) build the lists on first access.  States
-are tuples (StateVector and PropagationResult are NamedTuples).
+decided before any span is realized.  A walk crosses one whole span: a
+plan's walk run the cells of its own (RealizedProblem.span), a partial run
+those of its [lo, hi], built for it alone, so no realization crossed on its
+plan builds the 2^L cell lists of [a, b].  The consumers of all of [a, b]
+(full right-to-left and complex-z runs, cell_entry_states, the Green
+kernel, the Galerkin oracle) build them on first access.  States are
+tuples (StateVector and PropagationResult are NamedTuples).
 """
 from __future__ import annotations
 
@@ -75,6 +76,7 @@ PLAN_SLACK = 64.0         # ulps per cell a block's image may be off by
 # run: cheaper than its halves, gaps and leaves (deep negative masses)
 _WALK_HEIGHT = 3
 _EPS = 2.0 ** -52
+_TINY = 2.0 ** -1022      # least normal: 2^-k of a smaller entry can overflow
 _SPLIT = 134217729.0      # 2^27 + 1, Dekker's splitter
 _LN2 = math.log(2.0)
 
@@ -174,18 +176,16 @@ class _Cells(NamedTuple):
 
 def _cells(problem: ProblemSpec, lo: float, hi: float) -> _Cells:
     """The cells of [lo, hi] cut by the realized atoms in [lo, hi) and the
-    q breakpoints inside.  A span's cells give _sweep the floats of the
-    whole realization's there: it reads a cell's length only through
-    min(nodes[i+1], hi) - max(nodes[i], lo), its q, and beta where lo is
-    an atom."""
+    q breakpoints inside: the cells of [a, b] clipped to [lo, hi], float
+    for float.  A cell's q is read at its left end x (value is
+    right-continuous: the q of [x, y), also for a cell an ulp long)."""
     atoms = realize(problem.measure, problem.level, lo, hi)
     cuts = {lo, hi}
     cuts.update(x for (x, _) in atoms)
     cuts.update(p for p in problem.potential.breakpoints if lo < p < hi)
     nodes = sorted(cuts)
     lengths = [y - x for x, y in zip(nodes, nodes[1:])]
-    qvals = [problem.potential.value(0.5 * (x + y))
-             for x, y in zip(nodes, nodes[1:])]
+    qvals = [problem.potential.value(x) for x in nodes[:-1]]
     weight = dict(atoms)
     return _Cells(nodes, lengths, qvals,
                   [weight.get(x, 0.0) for x in nodes[:-1]])
@@ -198,8 +198,9 @@ class RealizedProblem:
     nodes, lengths, qvals and betas, and as atoms, the realized (position,
     weight) pairs), is built on first access: a problem crossed on its
     block plan (plan, or None) never builds it, only the cells of the spans
-    its walk runs cross (span).  A plan whose blocks cost no less than the
-    cells they stand for is dropped before any span is realized.
+    its walk runs cross (span; a partial run's are not kept).  A plan whose
+    blocks cost no less than the cells they stand for is dropped before
+    any span is realized.
     Realized atoms lie in [a, b) (check_placement): each owns one jump slot.
     negative_jumps counts the atoms that lower the zero count by one as
     z -> -inf; nonnegative says that no atom is negative.
@@ -419,7 +420,8 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
     left-to-right runs and None otherwise.
     Both run endpoints must lie in [a, b], in the run's direction.  A full
     left-to-right run at real z crosses the realization's block plan when
-    it has one (same count, same state to rounding), the cells otherwise.
+    it has one (same count, same state to rounding), the cells otherwise
+    (a partial run's own cells only).
     """
     real = realize_problem(problem)
     ends = (real.a, real.b) if from_left else (real.b, real.a)
@@ -432,11 +434,12 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
                          f"on [{real.a}, {real.b}]")
     if init is None:
         init = problem.launch(from_left)
-    if real.plan is not None and from_left and (lo, hi) == (real.a, real.b) \
-            and not isinstance(z, complex):
+    full = (lo, hi) == (real.a, real.b)
+    count = from_left and not isinstance(z, complex)
+    if full and count and real.plan is not None:
         return _plan_sweep(real, z, init)
-    return _sweep(real.cells, z, init, lo, hi, from_left,
-                  count=from_left and not isinstance(z, complex))
+    cells = real.cells if full else _cells(problem, lo, hi)
+    return _sweep(cells, z, init, from_left, count)
 
 
 def _apply_stretch(u, u1, ls, w, L):
@@ -462,37 +465,28 @@ def _split_stretch(u, u1, ls, w, L):
     return grow + decay, k * (grow - decay), ls + m
 
 
-def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
-    """Cross the atoms in [lo, hi) and the stretches between, in one direction.
+def _sweep(cells, z, state, from_left, count=False, record=None):
+    """Cross all of cells (a _Cells) in one direction: each atom and the
+    stretch after it.
 
-    real holds the cells (nodes, lengths, qvals, betas): the _Cells of a
-    span that contains [lo, hi], or a RealizedProblem.  state is any (u, u1,
-    log_scale) triple.  The cells of the run are walked in the run's order.
-    Left to right each cell applies its jump +beta, rescales, then runs its
-    stretch; right to left each cell runs its stretch backwards, then
-    undoes its jump with -beta, so both directions end on left-limit
-    values.  count adds up the oriented sign
-    changes of u (real data, left to right only); a stretch that cancels a
-    decaying state to zero is redone in split exponential form
-    (_split_stretch).  Only the first and last cells of a run can be
-    partial.  cells, when given, receives a record (x, at, w, L, entry) per
-    cell in crossing order: its start x in the run, w = z - q, its crossed
-    length, the (u, u1, log_scale) triple just before its stretch, and at
-    the state at x past an atom there (entry left to right, the backward
-    stretch's image before the jump is undone right to left).
+    state is any (u, u1, log_scale) triple.  Left to right each cell
+    applies its jump +beta, rescales, then runs its stretch; right to left
+    each cell runs its stretch backwards, then undoes its jump with -beta,
+    so both directions end on left-limit values.  count adds up the
+    oriented sign changes of u (real data, left to right only); a stretch
+    that cancels a decaying state to zero is redone in split exponential
+    form (_split_stretch).  record, when given, receives a record (x, at,
+    w, L, entry) per cell in crossing order: its start x = nodes[i],
+    w = z - q, its length, the (u, u1, log_scale) triple just before its
+    stretch, and at the state at x past an atom there (entry left to right,
+    the backward stretch's image before the jump is undone right to left).
     """
     u, u1, ls = state
     zeros = 0 if count else None
-    if lo == hi:
-        return PropagationResult(StateVector(u, u1, ls), zeros)
-    nodes, lengths, qvals, betas = real.nodes, real.lengths, real.qvals, \
-        real.betas
-    first = bisect.bisect_right(nodes, lo) - 1
-    last = bisect.bisect_left(nodes, hi) - 1
-    for i in range(first, last + 1) if from_left \
-            else range(last, first - 1, -1):
-        # an atom at the low end is crossed only if it sits on the node
-        beta = betas[i] if i != first or lo == nodes[i] else 0.0
+    nodes, lengths, qvals, betas = cells
+    last = len(lengths) - 1
+    for i in range(last + 1) if from_left else range(last, -1, -1):
+        beta = betas[i]
         if beta and from_left:
             up = u + beta * u1
             # a jump moves the Pruefer angle in the direction of beta: it
@@ -503,14 +497,12 @@ def _sweep(real, z, state, lo, hi, from_left, count=False, cells=None):
                 zeros += 1 if beta > 0.0 else -1
             u, u1, ls = _rescale(up, u1, ls)
         L = lengths[i]
-        if i == first or i == last:
-            L = min(nodes[i + 1], hi) - max(nodes[i], lo)
         w = z - qvals[i]
         nu, nu1, nls = _apply_stretch(u, u1, ls, w, L if from_left else -L)
-        if cells is not None:
+        if record is not None:
             entry = (u, u1, ls)
-            cells.append((lo if i == first else nodes[i],
-                          entry if from_left else (nu, nu1, nls), w, L, entry))
+            record.append((nodes[i], entry if from_left else (nu, nu1, nls),
+                           w, L, entry))
         if count:
             zeros += _count_stretch_zeros(u, u1, w, L, nu, i != last)
         u, u1, ls = _rescale(nu, nu1, nls)
@@ -577,8 +569,8 @@ def _rescale_lanes(u, u1, ls):
 
 
 def _count_sweep(cells, zs, state):
-    """_sweep(cells, z, state, a, b, True, count=True) at every real z of
-    the array zs at once, across all of cells (the _Cells of [a, b]).
+    """_sweep(cells, z, state, True, count=True) at every real z of the
+    array zs at once (cells the _Cells of [a, b]).
 
     Returns the arrays (u, u1, ls) of the final states and the zero counts,
     each bit for bit the scalar walk's: numpy does only IEEE-exact
@@ -677,7 +669,7 @@ class _BlockPlan:
                 j = bisect.bisect_right(cuts, lo)
                 if not ((i < len(others) and others[i] < hi)
                         or (j < len(cuts) and cuts[j] < hi)):
-                    key = (k, problem.potential.value(0.5 * (lo + hi)))
+                    key = (k, problem.potential.value(lo))
                     heights[key] = max(heights.get(key, 0), level - depth)
                     placed.append((lo, hi, key, level - depth))
                     # its part's 2^h atoms, or its distinct ones
@@ -733,7 +725,7 @@ _LS, _TURN, _ERR, _S = range(8, 12)
 def _factor(a11, a12, a21, a22, ls, turn, s):
     """The lifted factor of the double matrix a times exp(ls)."""
     m = max(abs(a11), abs(a12 * s), abs(a21 / s), abs(a22))
-    if not 0.0 < m < math.inf:
+    if not _TINY <= m < math.inf:
         # cancelled or overflowed beyond use: crossed by its parts only
         return (a11, a12, a21, a22, 0.0, 0.0, 0.0, 0.0, ls, turn, math.inf, s)
     k = math.frexp(m)[1]
@@ -841,7 +833,7 @@ def _compose(g, f):
                     - math.atan2(f12, f22))
     ls, err = fls + gls, ferr + gerr
     m = max(abs(c11), abs(c12 * s), abs(c21 / s), abs(c22))
-    if not 0.0 < m < math.inf:
+    if not _TINY <= m < math.inf:
         # cancelled or overflowed beyond use: crossed by its parts only
         return (c11, c12, c21, c22, d11, d12, d21, d22, ls, turn, math.inf, s)
     k = math.frexp(m)[1]
@@ -893,7 +885,8 @@ def _gram(gf, f, gg):
     n11 = f11 * cf + (a11 * r11 + a21 * r21) * ct
     n12 = f12 * cf + (a11 * r12 + a21 * r22) * ct
     n22 = f22 * cf + (a12 * r12 + a22 * r22) * ct
-    if not (0.0 < n11 < math.inf and 0.0 < n22 < math.inf):
+    if not (0.0 < n11 < math.inf and 0.0 < n22 < math.inf
+            and max(n11, n22) >= _TINY):
         # cancelled or overflowed beyond use: crossed by its parts only
         return n11, n12, n22, m, math.inf
     e = (gerr + 4.0 * _EPS) * ct
@@ -997,8 +990,7 @@ def _plan_sweep(real, z, state, from_left=True, pieces=None, segments=None):
     def walk(x, y, st):
         crossed.append((x, y))
         cells = None if count else []
-        run = _sweep(real.span(x, y), z, st[:3], x, y, from_left, count,
-                     cells)
+        run = _sweep(real.span(x, y), z, st[:3], from_left, count, cells)
         u, u1, ls = run.state
         if count:
             k = st[3] + run.zero_count
@@ -1078,8 +1070,8 @@ def cell_entry_states(problem: ProblemSpec, z, from_left: bool = True):
     """
     real = realize_problem(problem)
     cells = []
-    final = _sweep(real.cells, z, problem.launch(from_left), real.a, real.b,
-                   from_left, cells=cells).state
+    final = _sweep(real.cells, z, problem.launch(from_left), from_left,
+                   record=cells).state
     return [cell[4] for cell in (cells if from_left else cells[::-1])], final
 
 

@@ -169,6 +169,8 @@ def hs_distance(problem_1: ProblemSpec, problem_2: ProblemSpec, z,
     """
     if problem_1.interval != problem_2.interval:
         raise ValueError("problems must share the interval")
+    if max_doublings < 0:
+        raise ValueError("max_doublings must be nonnegative")
     return _hs_between(GreenKernel(problem_1, z), GreenKernel(problem_2, z),
                        max_doublings)
 

@@ -5,8 +5,10 @@ plan's blocks (propagate._plan_sweep) instead of every realized cell
 (propagate._sweep).  Its zero counts must equal the walk's, its
 eigenvalues must agree with the walk's, and its cost per z must grow with
 the level, not with the number of cells.  The fused composition of its
-factor towers must give the bits of the readable one.
+factor towers must give the bits of the readable one, and a walk over a
+run's own span the bits of the clipped walk over the whole lists.
 """
+import bisect
 import contextlib
 import hashlib
 import importlib
@@ -14,6 +16,7 @@ import io
 import json
 import logging
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -67,8 +70,7 @@ def _grid(p):
 
 def _walk(p, z):
     real = realize_problem(p)
-    return PROPAGATE._sweep(real, z, p.launch(), real.a, real.b, True,
-                            count=True)
+    return PROPAGATE._sweep(real.cells, z, p.launch(), True, count=True)
 
 
 @pytest.mark.parametrize("i", range(12))
@@ -224,7 +226,7 @@ def _dd_dot(ah, al, bh, bl, ch, cl, dh, dl):
 def _factor_oracle(a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, s,
                    err):
     m = max(abs(a11), abs(a12 * s), abs(a21 / s), abs(a22))
-    if not 0.0 < m < math.inf:
+    if not sys.float_info.min <= m < math.inf:
         return (a11, a12, a21, a22, l11, l12, l21, l22, ls, turn, math.inf,
                 s)
     k = math.frexp(m)[1]
@@ -294,6 +296,21 @@ def test_fused_compose_keeps_the_unusable_branch(scale):
     assert repr(got) == repr(_compose_oracle(g, f))
 
 
+def test_subnormal_largest_entry_is_unusable():
+    # 2^-k of a largest entry below 2^-1024 overflows: such a factor or
+    # Gram form is crossed by its parts, as one that cancels to zero
+    f = PROPAGATE._factor(3e-309, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    assert f[PROPAGATE._ERR] == math.inf
+    f = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.1e-308, 0.0, 0.0, 0.0, 1.0)
+    g = PROPAGATE._stretch_factor(0.0, 1.0, 1.0)
+    got = PROPAGATE._compose(g, f)
+    assert got[PROPAGATE._ERR] == math.inf
+    assert repr(got) == repr(_compose_oracle(g, f))
+    gram = PROPAGATE._gram((3e-309, 0.0, 3e-309, 0.0, 0.0), f,
+                           PROPAGATE._NO_GRAM)
+    assert gram[-1] == math.inf
+
+
 # sha256 of float.hex of every entry of _plan_factors(STAIRCASE's plan, z),
 # one line each in tower order: z below min q, trig, and deep enough that
 # the top gap's stretch factor takes the scaled branch
@@ -353,7 +370,7 @@ def test_walk_run_ending_on_a_zero_counts_it_once():
     p = ProblemSpec((0.0, 2.0), measure=SingularMeasure.from_atoms(
         [(0.0, -1.0)]))
     real = realize_problem(p)
-    first = PROPAGATE._sweep(real, 0.0, p.launch(), 0.0, 1.0, True,
+    first = PROPAGATE._sweep(real.span(0.0, 1.0), 0.0, p.launch(), True,
                              count=True)
     assert first == ((0.0, 1.0, 0.0), -1)
     got = PROPAGATE._plan_sweep(real, 0.0, p.launch(),
@@ -379,7 +396,7 @@ def test_count_does_not_depend_on_the_launch_half_plane(z):
                  (-0.3, 2.0)]:
         init = StateVector(*init)
         assert propagate(p, z, init).zero_count == PROPAGATE._sweep(
-            real, z, init, 0.0, 1.0, True, count=True).zero_count, init
+            real.cells, z, init, True, count=True).zero_count, init
     for init in [(-1.0, 0.0), (0.0, -1.0)]:
         assert propagate(p, z, StateVector(*init)).zero_count == want
 
@@ -407,7 +424,8 @@ def test_count_steps_where_u_at_b_changes_sign(left, mass, z0):
     # count follows; where they agree the row no longer tests the snap
     head = PROPAGATE._plan_sweep(real, z0, p.launch(),
                                  segments=real.plan.segments[:1])
-    tail = PROPAGATE._sweep(real, z0, head.state, 0.9, 1.0, True, count=True)
+    tail = PROPAGATE._sweep(real.span(0.9, 1.0), z0, head.state, True,
+                            count=True)
     if head.zero_count + tail.zero_count == propagate(p, z0).zero_count:
         pytest.skip("count and state agree at z0: re-pin z0")
 
@@ -431,9 +449,9 @@ def test_right_run_walks_the_gap_of_a_failing_block(level, left,
     runs = []
     sweep = PROPAGATE._sweep
 
-    def recorded(real, z, state, x0, x1, from_left=True, *args, **kwargs):
-        runs.append((x0, x1, from_left))
-        return sweep(real, z, state, x0, x1, from_left, *args, **kwargs)
+    def recorded(cells, z, state, from_left, *args, **kwargs):
+        runs.append((cells.nodes[0], cells.nodes[-1], from_left))
+        return sweep(cells, z, state, from_left, *args, **kwargs)
 
     monkeypatch.setattr(PROPAGATE, "_sweep", recorded)
     planned = solution_l2_norm(p, lam)
@@ -536,6 +554,20 @@ def _cells_in_runs(plan, nodes):
     return sum(any(lo <= x < hi for lo, hi in runs) for x in nodes[:-1])
 
 
+def _clipped(cells, lo, hi):
+    """The cells of [lo, hi] cut from the whole lists cells: the first and
+    last cells clipped to lo and hi (a plan span can start inside a cell,
+    at a support end), the atom of the first kept only if lo is its node."""
+    nodes = cells.nodes
+    first = bisect.bisect_right(nodes, lo) - 1
+    last = bisect.bisect_left(nodes, hi) - 1
+    span = [lo, *nodes[first + 1:last + 1], hi]
+    beta = cells.betas[first] if nodes[first] == lo else 0.0
+    return PROPAGATE._Cells(span, [y - x for x, y in zip(span, span[1:])],
+                            cells.qvals[first:last + 1],
+                            [beta, *cells.betas[first + 1:last + 1]])
+
+
 def _realized_with_record(p):
     """p's realization and the plan record its build logs."""
     records, log = [], logging.getLogger("deltaprime")
@@ -558,9 +590,9 @@ def _realized_with_record(p):
 def test_span_cells_give_the_whole_lists_results(p, ts):
     native, record = _realized_with_record(p)
     assume(native.plan is not None)
-    # the reference: walk runs read the whole realization's cells
+    # the reference: walk runs read the whole realization's cells, clipped
     whole = PROPAGATE.RealizedProblem(p)
-    whole.span = lambda lo, hi: whole.cells
+    whole.span = lambda lo, hi: _clipped(whole.cells, lo, hi)
     # the counts that the plan's descent gives, as the whole lists give them
     atoms = realize(p.measure, p.level)
     assert whole.atoms == atoms
@@ -654,12 +686,12 @@ def test_a_narrow_plan_keeps_its_blocks_and_realizes_only_its_runs(
 
 
 @st.composite
-def shallow_problems(draw):
-    """A Cantor part at levels 1-8 of either sign, maybe with a second,
-    disjoint part; explicit atoms on and off its atoms, one maybe
+def shallow_problems(draw, low=1, high=8):
+    """A Cantor part at levels low-high of either sign, maybe with a
+    second, disjoint part; explicit atoms on and off its atoms, one maybe
     cancelling one exactly; 0-3 q steps, maybe on its atoms; any pair of
     ends."""
-    level = draw(st.integers(1, 8))
+    level = draw(st.integers(low, high))
     part = CantorSpec((draw(st.sampled_from([0.0, 0.1])),
                        draw(st.floats(0.5, 0.7))), draw(WEIGHT),
                       draw(st.floats(0.15, 0.45)))
@@ -714,6 +746,98 @@ def test_plan_counts_and_decision_are_the_whole_lists(p):
     assert real.nonnegative == all(w >= 0.0 for _, w in atoms)
 
 
+def _sweep_reference(real, z, state, lo, hi, from_left, count=False):
+    """The walk as it was before it crossed whole spans: it crosses the
+    atoms in [lo, hi) of the whole lists real and the stretches between,
+    bisecting lo and hi into them and clipping the first and last cells."""
+    u, u1, ls = state
+    zeros = 0 if count else None
+    if lo == hi:
+        return PROPAGATE.PropagationResult(StateVector(u, u1, ls), zeros)
+    nodes, lengths, qvals, betas = real.nodes, real.lengths, real.qvals, \
+        real.betas
+    first = bisect.bisect_right(nodes, lo) - 1
+    last = bisect.bisect_left(nodes, hi) - 1
+    for i in range(first, last + 1) if from_left \
+            else range(last, first - 1, -1):
+        # an atom at the low end is crossed only if it sits on the node
+        beta = betas[i] if i != first or lo == nodes[i] else 0.0
+        if beta and from_left:
+            up = u + beta * u1
+            if count and (u * up < 0.0 or (u == 0.0 and beta < 0.0)
+                          or (up == 0.0 and beta > 0.0)):
+                zeros += 1 if beta > 0.0 else -1
+            u, u1, ls = PROPAGATE._rescale(up, u1, ls)
+        L = lengths[i]
+        if i == first or i == last:
+            L = min(nodes[i + 1], hi) - max(nodes[i], lo)
+        w = z - qvals[i]
+        nu, nu1, nls = PROPAGATE._apply_stretch(u, u1, ls, w,
+                                                L if from_left else -L)
+        if count:
+            zeros += PROPAGATE._count_stretch_zeros(u, u1, w, L, nu,
+                                                    i != last)
+        u, u1, ls = PROPAGATE._rescale(nu, nu1, nls)
+        if beta and not from_left:
+            u, u1, ls = PROPAGATE._rescale(u - beta * u1, u1, ls)
+    return PROPAGATE.PropagationResult(StateVector(u, u1, ls), zeros)
+
+
+COORD = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(shallow_problems(3, 9), st.data())
+def test_partial_runs_are_the_clipped_walk(p, data):
+    # a run's own span gives the state and count of the walk over the
+    # whole lists clipped to it, bit for bit: ends on nodes, q breakpoints,
+    # an ulp off them (cells an ulp long) and inside cells
+    cells = PROPAGATE._cells(p, p.a, p.b)
+    points = [st.floats(p.a, p.b)]
+    for xs in (cells.nodes, p.potential.breakpoints):
+        ends = [y for x in xs for y in (math.nextafter(x, -math.inf), x,
+                                        math.nextafter(x, math.inf))
+                if p.a <= y <= p.b]
+        if ends:
+            points.append(st.sampled_from(ends))
+    point = st.one_of(points)
+    plan = realize_problem(p).plan
+    z0 = min(p.potential.values) - 1e4
+    for _ in range(5):
+        lo, hi = sorted(data.draw(st.tuples(point, point)))
+        from_left = data.draw(st.booleans())
+        z = z0 - 1.0 + (1e6 - z0 + 1.0) ** data.draw(st.floats(0.0, 1.0))
+        if data.draw(st.booleans()):
+            z = complex(z, data.draw(st.floats(-100.0, 100.0)))
+        count = from_left and not isinstance(z, complex)
+        if count and plan is not None and (lo, hi) == (p.a, p.b):
+            continue   # a full run that crosses the plan
+        init = StateVector(*data.draw(st.tuples(COORD, COORD,
+                                                st.floats(-5.0, 5.0))))
+        x0, x1 = (lo, hi) if from_left else (hi, lo)
+        assert _outcome(propagate, p, z, init, from_left, x0, x1) == \
+            _outcome(_sweep_reference, cells, z, init, lo, hi, from_left,
+                     count)
+
+
+def test_an_ulp_long_cell_reads_the_q_of_its_left_end():
+    # the midpoint of [x, c) for x = c less an ulp rounds onto c here,
+    # where value reads the q right of c
+    c = 0.37
+    while 0.5 * (math.nextafter(c, 0.0) + c) != c:
+        c = math.nextafter(c, 1.0)
+    x = math.nextafter(c, 0.0)
+    p = ProblemSpec((0.0, 1.0), potential=PiecewisePotential((c,),
+                                                             (0.0, 5.0)))
+    assert PROPAGATE._cells(p, x, 0.5).qvals == [0.0, 5.0]
+    # at z = 5 the cell moves u^[1] of (1, 0) by -5 ulp of c, which its
+    # q = 0 keeps
+    init = StateVector(1.0, 0.0)
+    got = propagate(p, 5.0, init, x_from=x, x_to=0.5)
+    assert repr(got) == repr(_sweep_reference(
+        PROPAGATE._cells(p, 0.0, 1.0), 5.0, init, x, 0.5, True, True))
+
+
 @pytest.mark.parametrize("mass, ratio, atoms", [
     # at ratio 1e-3 level-8 atoms of (1, 2) fall within an ulp and merge
     (1.0, 1e-3, ()), (-1.0, 1e-3, ((1.5, 0.3),)),
@@ -741,17 +865,30 @@ def test_plan_runs_build_no_cell_lists():
         real = realize_problem(p)
         assert real.plan is not None
         assert "cells" not in vars(real)
-    # a run off the plan builds them; its values are those of the walk
-    # over lists built up front
+    # a partial run walks the cells of its own span and does not keep them;
+    # its values are those of the walk over lists built up front
+    spans = dict(real._spans)
     m = transfer_matrix(STAIRCASE, 50.0, 0.0, 0.5)
-    assert "cells" in vars(real)
+    assert "cells" not in vars(real) and real._spans == spans
     assert [x.hex() for x in (m.a11, m.a12, m.a21, m.a22, m.log_scale)] == [
         "-0x1.ffd7addfd3612p-3", "-0x1.a56625c616681p-3",
         "0x1.8f3bbbd90549cp+2", "0x1.226ff09790ddap+0", "0x0.0p+0"]
+    # a complex full run walks all of [a, b]: it builds them
     m = transfer_matrix(STAIRCASE, 50.0 + 1.0j)
+    assert "cells" in vars(real)
     assert [(x.real.hex(), x.imag.hex()) for x in (m.a11, m.a22)] == [
         ("-0x1.9292b40445456p+0", "0x1.5ae0dcf778112p-5"),
         ("-0x1.928f6f360e556p+0", "0x1.5ae5a0ad3a000p-5")]
+
+
+def test_partial_run_on_a_level20_staircase_builds_no_cell_lists():
+    # 2^20 cells in [a, b], 43691 in the run's span
+    p = ProblemSpec((0.0, 1.0), measure=SingularMeasure(cantor_parts=(
+        CantorSpec((0.0, 1.0), 1.3, 1.0 / 3.0, level_cap=20),)), level=20)
+    m = transfer_matrix(p, 50.0, 0.25, 0.26)
+    assert "cells" not in vars(realize_problem(p))
+    assert [m.a11.hex(), m.a12.hex()] == ["0x1.f70918617208fp-1",
+                                          "0x1.0560133a980a9p-4"]
 
 
 @pytest.mark.parametrize("level, cap, reason", [

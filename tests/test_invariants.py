@@ -164,8 +164,8 @@ def test_batched_count_of_a_stretch_ending_on_a_zero():
             u, u1, ls, zeros = PROPAGATE._count_sweep(
                 cells, np.array([z, z + 1.0]), (S, -C, 0.0))
             for k, zk in enumerate((z, z + 1.0)):
-                walk = PROPAGATE._sweep(cells, zk, (S, -C, 0.0), 0.0,
-                                        cells.nodes[-1], True, count=True)
+                walk = PROPAGATE._sweep(cells, zk, (S, -C, 0.0), True,
+                                        count=True)
                 assert (u[k], u1[k], ls[k]) == walk.state
                 assert zeros[k] == walk.zero_count, (z, L, k)
 
@@ -202,8 +202,7 @@ def test_plan_counts_as_the_cell_walk(p, ts):
     z0 = min(p.potential.values) - 1e4
     for t in ts:
         z = z0 - 1.0 + (1e6 - z0 + 1.0) ** t
-        walk = PROPAGATE._sweep(real, z, p.launch(), real.a, real.b, True,
-                                count=True)
+        walk = PROPAGATE._sweep(real.cells, z, p.launch(), True, count=True)
         got = PROPAGATE._plan_sweep(real, z, p.launch())
         assert got.zero_count == walk.zero_count, z
 

@@ -321,6 +321,13 @@ class TestHSDistance:
             hs_distance(ProblemSpec((0.0, 1.0)), ProblemSpec((0.0, 2.0)),
                         -1.0)
 
+    def test_negative_doublings_rejected(self):
+        # no doubling to run: a refusal, not a None distance
+        p = ProblemSpec((0.0, 1.0))
+        with pytest.raises(ValueError, match="max_doublings"):
+            hs_distance(p, p, -1.0, max_doublings=-1)
+        assert hs_distance(p, p, -1.0, max_doublings=0) == 0.0
+
     def test_cantor_levels_decrease(self):
         ps = {lv: ProblemSpec((0.0, 1.0), measure=CANTOR1, level=lv)
               for lv in (2, 3, 4, 6)}
