@@ -10,34 +10,35 @@ scale-invariant.  Zero counts are oriented (a negative atom that flips the
 sign of u counts -1), so they track the lifted Pruefer angle, which rises
 with z whatever the signs of the atoms.
 
-_sweep is the one walk over the realized cells at one z; _count_sweep runs
-its full left-to-right counting run at many real z at once, bit for bit
-(the eigenvalue search of many indices).  A realization with a Cantor part
-also carries a z-independent block plan (_BlockPlan): each subtree of a
-Cantor construction tree whose span holds no foreign node (a q breakpoint
-or the end b inside it, an explicit atom or an atom of another Cantor part
-on it) is one block of its family (one per part and q value), B_0 =
+_sweep is the one walk over the realized cells at one z; _count_sweep runs a
+plan-less full left-to-right run at many real z at once, bit for bit (the
+eigenvalue search of many indices).  A realization with a Cantor part also
+carries a z-independent block plan (_BlockPlan): each subtree of a Cantor
+construction tree whose span holds no foreign node (a q breakpoint or the end
+b inside it, an explicit atom or an atom of another Cantor part on it) is one
+block of its family (one per part and q value), B_0 =
 stretch(r^L*len)*jump(m/2^L) and B_h = B_{h-1}*stretch(gap_h)*B_{h-1}; a
 subtree that holds a foreign node splits into its children, down to single
 cells.  A full left-to-right run at real z crosses the plan's top-level
-segments (_plan_sweep): each block as one factor with its log scale and the
-lifted angle of a reference vector, the cells between blocks as runs of
-_sweep, whose counts add to the run's half-turn index, so the count stays
-the walk's.  The two runs of a norming constant, from a and from b, cross
-the plan too: each block also carries its Gram form G, with int u^2 =
-v^T G v over the block for its entry state v, composed as G_{g*f} = G_f +
-M_f^T G_g M_f; the factors and the Gram towers of the last 16 (plan, z) are
-kept.  Both run kinds cross a block that fails its rounding test as its
-halves and gap, or walk it whole at up to 2^3 cells.  Every other run walks
-the cells.  A plan is kept only where 8*blocks + 3*segments < plan.cells,
-the cells its blocks stand for: one cost rule on the plan's own counts,
-decided before any span is realized.  A walk crosses one whole span: a
-plan's walk run the cells of its own (RealizedProblem.span), a partial run
-those of its [lo, hi], built for it alone, so no realization crossed on its
-plan builds the 2^L cell lists of [a, b].  The consumers of all of [a, b]
-(full right-to-left and complex-z runs, cell_entry_states, the Green
-kernel, the Galerkin oracle) build them on first access.  States are
-tuples (StateVector and PropagationResult are NamedTuples).
+segments, or [a, b] as one walk segment (_plan_sweep): each block as one
+factor with its log scale and the lifted angle of a reference vector, the
+cells between blocks as runs of _sweep, whose counts, snapped to the parity
+of their end states, add to the run's half-turn index.  The two runs of a
+norming constant, from a and from b, cross the plan too: each block also
+carries its Gram form G, with int u^2 = v^T G v over the block for its entry
+state v, composed as G_{g*f} = G_f + M_f^T G_g M_f; the factors and the Gram
+towers of the last 16 (plan, z) are kept.  Both run kinds cross a block that
+fails its rounding test as its halves and gap, or walk it whole at up to 2^3
+cells.  Every other run walks the cells (a partial run keeps _sweep's count).
+A plan is kept only where 8*blocks + 3*segments < plan.cells, the cells its
+blocks stand for: one cost rule on the plan's own counts, decided before any
+span is realized.  A walk crosses one whole span: a plan's walk run the cells
+of its own (RealizedProblem.span), a partial run those of its [lo, hi], built
+for it alone, so no realization crossed on its plan builds the 2^L cell lists
+of [a, b].  The consumers of all of [a, b] (full right-to-left and complex-z
+runs, cell_entry_states, the Green kernel, the Galerkin oracle) build them on
+first access.  States are tuples (StateVector and PropagationResult are
+NamedTuples).
 """
 from __future__ import annotations
 
@@ -105,14 +106,16 @@ class PiecewisePotential:
     def value(self, x: float) -> float:
         return self.values[bisect.bisect_right(self.breakpoints, x)]
 
+    def pieces(self, x0: float, x1: float) -> list:
+        """The pieces (lo, hi, q) of [x0, x1], q read at each left end."""
+        cuts = [x0] + [b for b in self.breakpoints if x0 < b < x1] + [x1]
+        return [(lo, hi, self.value(lo)) for lo, hi in zip(cuts, cuts[1:])]
+
     def integral(self, x0: float, x1: float) -> float:
         """Exact integral of q over [x0, x1]."""
         if x1 < x0:
             return -self.integral(x1, x0)
-        cuts = [x0] + [b for b in self.breakpoints if x0 < b < x1] + [x1]
-        return math.fsum(
-            self.value(0.5 * (lo + hi)) * (hi - lo)
-            for lo, hi in zip(cuts, cuts[1:]))
+        return math.fsum(q * (hi - lo) for lo, hi, q in self.pieces(x0, x1))
 
     @property
     def is_zero(self) -> bool:
@@ -419,9 +422,9 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
     included; see PropagationResult) is returned for real z on
     left-to-right runs and None otherwise.
     Both run endpoints must lie in [a, b], in the run's direction.  A full
-    left-to-right run at real z crosses the realization's block plan when
-    it has one (same count, same state to rounding), the cells otherwise
-    (a partial run's own cells only).
+    left-to-right run at real z is _plan_sweep's (across the plan, where
+    there is one; shoot's count, even exactly where u(b) > 0); every other
+    run walks the cells (a partial run's own cells only).
     """
     real = realize_problem(problem)
     ends = (real.a, real.b) if from_left else (real.b, real.a)
@@ -436,7 +439,7 @@ def propagate(problem: ProblemSpec, z, init: StateVector | None = None,
         init = problem.launch(from_left)
     full = (lo, hi) == (real.a, real.b)
     count = from_left and not isinstance(z, complex)
-    if full and count and real.plan is not None:
+    if full and count:
         return _plan_sweep(real, z, init)
     cells = real.cells if full else _cells(problem, lo, hi)
     return _sweep(cells, z, init, from_left, count)
@@ -569,11 +572,11 @@ def _rescale_lanes(u, u1, ls):
 
 
 def _count_sweep(cells, zs, state):
-    """_sweep(cells, z, state, True, count=True) at every real z of the
-    array zs at once (cells the _Cells of [a, b]).
+    """propagate(problem, z, state) at every real z of the array zs at
+    once, for a problem without a block plan (cells its _Cells of [a, b]).
 
     Returns the arrays (u, u1, ls) of the final states and the zero counts,
-    each bit for bit the scalar walk's: numpy does only IEEE-exact
+    each bit for bit the scalar run's: numpy does only IEEE-exact
     operations, math the rest (_mapped), and each branch of _cs_lanes,
     _rescale and _count_stretch_zeros runs on its own lanes (all of them,
     as a slice, where one branch takes every lane), so no lane computes
@@ -622,7 +625,10 @@ def _count_sweep(cells, zs, state):
             zeros[trig] += n.astype(np.int64)
             zeros[rest] += flip[rest]
         u, u1, ls = _rescale_lanes(nu, nu1, nls)
-    return u, u1, ls, zeros
+    # _plan_sweep's walk-run rule: the count follows the end state
+    d = (_floor_turn(*state[:2]) + zeros
+         - np.where(u < 0.0, -1, (u == 0.0) & (u1 < 0.0))) % 2
+    return u, u1, ls, zeros + np.where(u * u1 >= 0.0, d, -d) - (u == 0.0)
 
 
 class _BlockPlan:

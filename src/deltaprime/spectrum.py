@@ -685,10 +685,7 @@ def quadratic_form(problem: ProblemSpec, f: JumpFunction) -> FormValue:
         L = x1 - x0
         slope = (v1 - v0) / L
         lebesgue += slope * slope * L
-        cuts = [x0] + [p for p in problem.potential.breakpoints
-                       if x0 < p < x1] + [x1]
-        for lo, hi in zip(cuts, cuts[1:]):
-            q = problem.potential.value(0.5 * (lo + hi))
+        for lo, hi, q in problem.potential.pieces(x0, x1):
             if q != 0.0:
                 va = v0 + slope * (lo - x0)
                 vb = v0 + slope * (hi - x0)
@@ -751,7 +748,7 @@ class GalerkinOracle:
         lengths = np.diff(xs)
         pot = problem.potential
         q = np.asarray(pot.values)[np.searchsorted(
-            pot.breakpoints, 0.5 * (xs[:-1] + xs[1:]), side="right")]
+            pot.breakpoints, xs[:-1], side="right")]
         # P1 element entries 1/L + qL/3 (diagonal), -1/L + qL/6 (off);
         # on an atom pair qL = 0 and the jump penalty |jump|^2/beta takes
         # the place of the 1/L stiffness

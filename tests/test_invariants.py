@@ -10,11 +10,14 @@ every z that is not within rounding of an eigenvalue:
 - plan = walk: a Cantor run across the block plan has the zero count of
   the cell walk;
 - batched = scalar: the z-batched counting sweep gives every shot's count,
-  residual and log scale bit for bit.
+  residual and log scale bit for bit;
+- parity: every full run's count is even exactly where u(b) > 0, also
+  within ulps of an eigenvalue.
 Monotonicity in z is not among them: the one-sided count still reverses
 near eigenvalues split by tunnelling.  The examples are derandomized, so
 every run checks the same problems.
 """
+import dataclasses
 import importlib
 import math
 
@@ -106,6 +109,25 @@ def test_mirror_image_keeps_the_count(p, zs):
         assert count(mirror, z) == count(p, z), z
 
 
+def near_eigenvalues(p, n=3, ulps=20):
+    """Every float within ulps of each of the first n eigenvalues above
+    min q - 1 of p with a Dirichlet right end, where u(b) changes sign:
+    there the angle's count and u(b) round apart."""
+    dirichlet = dataclasses.replace(p, bc_right="dirichlet")
+    floor = min(p.potential.values) - 1.0
+    zs = []
+    for lam in eigenvalues(dirichlet, window=(floor, 1e5),
+                           n_max=count(dirichlet, floor) + n,
+                           with_norming=False).eigenvalues:
+        z = lam
+        for _ in range(ulps):
+            z = math.nextafter(z, -math.inf)
+        for _ in range(2 * ulps + 1):
+            zs.append(z)
+            z = math.nextafter(z, math.inf)
+    return zs
+
+
 def batched_shots(p, zs):
     """(count, residual, log_scale) of each z, from one batched sweep and
     from one shoot per z; floats by their bits (hex, signed zeros too)."""
@@ -128,6 +150,10 @@ def test_batched_shots_are_the_scalar_shots(p, zs, depths):
     zs = zs + list(p.potential.values) + [
         min(p.potential.values) - 10.0 ** d for d in depths] + zs[:1]
     batched, scalar = batched_shots(p, zs)
+    assert batched == scalar
+    # within ulps of eigenvalues, where each lane's count follows its end
+    # state as the scalar run's does
+    batched, scalar = batched_shots(p, near_eigenvalues(p))
     assert batched == scalar
 
 
@@ -155,19 +181,19 @@ def test_batched_sweep_redoes_a_collapsed_stretch(monkeypatch):
 def test_batched_count_of_a_stretch_ending_on_a_zero():
     # a stretch entered at (S, -C), its own C and S at z, takes u to
     # exactly 0.0 at its end: a zero at b is not counted, one at an interior
-    # node is; the second lane ends elsewhere
+    # node is; the second lane ends elsewhere.  Both runs are full runs
+    # from (S, -C) of the problem with these cells
     for z, L in ((7.0, 2.5), (50.0, 0.3), (-3.0, 1.5)):
         C, S, _ = PROPAGATE._cs(z, L)
-        for cells in (PROPAGATE._Cells([0.0, L], [L], [0.0], [0.0]),
-                      PROPAGATE._Cells([0.0, L, L + 1.0], [L, 1.0],
-                                       [0.0, 0.0], [0.0, 0.0])):
+        for p in (ProblemSpec((0.0, L)), ProblemSpec((0.0, L + 1.0))):
+            cells = PROPAGATE.realize_problem(p).cells
             u, u1, ls, zeros = PROPAGATE._count_sweep(
                 cells, np.array([z, z + 1.0]), (S, -C, 0.0))
             for k, zk in enumerate((z, z + 1.0)):
-                walk = PROPAGATE._sweep(cells, zk, (S, -C, 0.0), True,
-                                        count=True)
-                assert (u[k], u1[k], ls[k]) == walk.state
-                assert zeros[k] == walk.zero_count, (z, L, k)
+                run = PROPAGATE.propagate(p, zk, PROPAGATE.StateVector(
+                    S, -C))
+                assert (u[k], u1[k], ls[k]) == run.state
+                assert zeros[k] == run.zero_count, (z, L, k)
 
 
 @st.composite
@@ -190,6 +216,32 @@ def cantor_problems(draw):
         measure=SingularMeasure(atoms=tuple(sorted(atoms.items())),
                                 cantor_parts=tuple(parts)),
         level=draw(st.integers(3, 9)))
+
+
+# Cantor levels up to 7 keep each run within a few hundred cells
+@settings(FIXED, max_examples=60)
+@given(st.one_of(atomic_problems(),
+                 cantor_problems().filter(lambda p: p.level <= 7)))
+def test_count_parity_follows_the_sign_of_u_at_b(p):
+    # both launch states have half-turn index 0, so every full run ends on
+    # u(b) > 0 after an even count and on u(b) < 0 after an odd one, also
+    # where the angle's count and u(b) round apart; a Cantor problem runs
+    # without a block plan and across its plan, whatever the cost rule says
+    assert PROPAGATE._floor_turn(0.0, 1.0) == PROPAGATE._floor_turn(
+        1.0, 0.0) == 0
+    zs = near_eigenvalues(p)
+    real = PROPAGATE.realize_problem(p)
+    plans = [None, PROPAGATE._BlockPlan(p)] if p.measure.cantor_parts \
+        else [None]
+    try:
+        for real.plan in plans:
+            for z in zs:
+                run = PROPAGATE.propagate(p, z)
+                if run.state.u != 0.0:
+                    assert (run.zero_count % 2 == 0) == (run.state.u > 0.0), \
+                        (z, real.plan)
+    finally:
+        PROPAGATE.realize_problem.cache_clear()
 
 
 @settings(FIXED, max_examples=40)

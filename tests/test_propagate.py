@@ -537,6 +537,16 @@ class TestPiecewisePotential:
         assert abs(q.integral(0.0, 1.5) - (0.5 - 1.0 + 1.5)) < 1e-15
         assert abs(q.integral(0.6, 0.9) + 0.6) < 1e-15
 
+    def test_an_ulp_long_piece_reads_the_q_of_its_left_end(self):
+        # the midpoint of [x, 0.5], x the float below 0.5, rounds onto the
+        # breakpoint and would read the q to its right: 5.55e-15 and
+        # 50.00000000000001 for the exact 2^-54 and 50 + 2^-54
+        q = PiecewisePotential((0.5,), (1.0, 100.0))
+        x = math.nextafter(0.5, 0.0)
+        assert q.pieces(x, 1.0) == [(x, 0.5, 1.0), (0.5, 1.0, 100.0)]
+        assert q.integral(x, 0.5) == 2.0 ** -54
+        assert q.integral(x, 1.0) == 50.0
+
     def test_reversed_integral_changes_sign(self):
         q = PiecewisePotential((0.5,), (1.0, 3.0))
         assert q.integral(0.0, 1.0) == 2.0

@@ -773,6 +773,14 @@ class TestQuadraticForm:
         assert quadratic_form(p, f).potential == pytest.approx(
             3.5 * jump_function_l2(f), rel=1e-14)
 
+    def test_an_ulp_long_element_reads_the_q_of_its_left_end(self):
+        # f lives where q = 0; the midpoint of its last element [x, 0.5], x
+        # the float below 0.5, rounds onto the breakpoint, where q = 100
+        x = math.nextafter(0.5, 0.0)
+        p = free_problem(potential=PiecewisePotential((0.5,), (0.0, 100.0)))
+        f = JumpFunction.continuous((0.25, x, 0.5), (0.0, 1.0, 0.0))
+        assert quadratic_form(p, f).potential == 0.0
+
     def test_matches_oracle_stiffness(self, rng):
         # a continuous P1 function on the oracle's dofs: the exact form is
         # v @ A @ v for the oracle's stiffness with consistent q entries
